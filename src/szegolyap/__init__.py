@@ -20,12 +20,9 @@ from .dynamics import (
 from .cocycle import (
     DegenerateCoefficientError,
     NumericalBlowupError,
-    ProductAccumulator,
     SpectralParameter,
-    accumulate,
     conjugated_step,
     conjugator,
-    orbit_product,
     szego_matrix,
 )
 from .lyapunov import (
@@ -51,17 +48,14 @@ __all__ = [
     "NumericalBlowupError",
     "PerturbedGenerator",
     "PhasePoint",
-    "ProductAccumulator",
     "Rotation",
     "SpectralParameter",
     "SubharmonicReport",
-    "accumulate",
     "conjugated_step",
     "conjugator",
     "estimate_birkhoff",
     "estimate_phase_average",
     "lambda_max",
-    "orbit_product",
     "phase_average_profile",
     "step",
     "subharmonic_check",

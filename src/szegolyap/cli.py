@@ -10,7 +10,7 @@ import argparse
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,19 +100,25 @@ class ScanConfig:
     grid: int
     tol: float
     threshold: float = 0.05
-    rows: list = field(default_factory=list)
+
+
+def _eps_valid(eps) -> bool:
+    """Print a diagnostic and return False for an empty or out-of-range list."""
+    if not eps:
+        print("error: empty epsilon list", file=sys.stderr)
+        return False
+    for e in eps:
+        if not (0.0 < e < 1.0):
+            print(f"error: epsilon {e} outside (0, 1)", file=sys.stderr)
+            return False
+    return True
 
 
 def _build_config(args) -> ScanConfig | None:
     """Validate the parsed flags; print a diagnostic and return None on error."""
     eps = args.eps
-    if not eps:
-        print("error: empty epsilon list", file=sys.stderr)
+    if not _eps_valid(eps):
         return None
-    for e in eps:
-        if not (0.0 < e < 1.0):
-            print(f"error: epsilon {e} outside (0, 1)", file=sys.stderr)
-            return None
     if args.k == 0:
         print("error: k must be nonzero", file=sys.stderr)
         return None
@@ -172,13 +178,8 @@ def _z_points(z_grid):
 
 
 def cmd_bound(args) -> int:
-    if not args.eps:
-        print("error: empty epsilon list", file=sys.stderr)
+    if not _eps_valid(args.eps):
         return 2
-    for e in args.eps:
-        if not (0.0 < e < 1.0):
-            print(f"error: epsilon {e} outside (0, 1)", file=sys.stderr)
-            return 2
     print(f"{'epsilon':>10}  {'bound':>22}  positive")
     for e in args.eps:
         b = theorem1_bound(e)
@@ -199,47 +200,39 @@ def cmd_scan(args) -> int:
     ts, zs = _z_points(cfg.z_grid)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    try:
-        for eps in cfg.epsilons:
-            g = _make_generator(cfg, eps)
-            lam_abs = abs(cfg.lam) if cfg.lam is not None else 0.0
-            bound = reference_bound(g)
-            results = {}
-            if "birkhoff" in methods:
-                theta0s = rng.random(cfg.z_grid)
-                j0s = rng.integers(0, 2, cfg.z_grid)
-                results["birkhoff"] = birkhoff_scan(theta0s, j0s, r, g, zs, cfg.n)
-            if "phaseAverage" in methods:
-                results["phaseAverage"] = np.array(
-                    [
-                        estimate_phase_average(
-                            r, g, SpectralParameter.from_turn(t), cfg.n, cfg.grid
-                        ).gamma_hat
-                        for t in ts
-                    ]
+    for eps in cfg.epsilons:
+        g = _make_generator(cfg, eps)
+        lam_abs = abs(cfg.lam) if cfg.lam is not None else 0.0
+        bound = reference_bound(g)
+        results = {}
+        if "birkhoff" in methods:
+            theta0s = rng.random(cfg.z_grid)
+            j0s = rng.integers(0, 2, cfg.z_grid)
+            results["birkhoff"] = birkhoff_scan(theta0s, j0s, r, g, zs, cfg.n)
+        if "phaseAverage" in methods:
+            results["phaseAverage"] = np.array(
+                [
+                    estimate_phase_average(
+                        r, g, SpectralParameter.from_turn(t), cfg.n, cfg.grid
+                    ).gamma_hat
+                    for t in ts
+                ]
+            )
+        for i, t in enumerate(ts):
+            for method in methods:
+                gamma = float(results[method][i])
+                rows.append(
+                    {
+                        "z_arg": float(t),
+                        "epsilon": eps,
+                        "lambda_abs": lam_abs,
+                        "n": cfg.n,
+                        "method": method,
+                        "gamma_hat": gamma,
+                        "bound": bound,
+                        "margin": gamma - bound,
+                    }
                 )
-            for i, t in enumerate(ts):
-                for method in methods:
-                    gamma = float(results[method][i])
-                    rows.append(
-                        {
-                            "z_arg": float(t),
-                            "epsilon": eps,
-                            "lambda_abs": lam_abs,
-                            "n": cfg.n,
-                            "method": method,
-                            "gamma_hat": gamma,
-                            "bound": bound,
-                            "margin": gamma - bound,
-                        }
-                    )
-    except (DegenerateCoefficientError, NumericalBlowupError, AdmissibilityError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        print(
-            f"parameters: eps={eps} k={cfg.k} alpha={cfg.alpha} n={cfg.n}",
-            file=sys.stderr,
-        )
-        return 3
 
     lines = [CSV_HEADER]
     for row in rows:
@@ -338,11 +331,7 @@ def cmd_verify_t2(args) -> int:
             g = PerturbedGenerator(eps, cfg.k, lam, coeffs)
             theta0s = rng.random(cfg.z_grid)
             j0s = rng.integers(0, 2, cfg.z_grid)
-            try:
-                gammas = birkhoff_scan(theta0s, j0s, r, g, zs, cfg.n)
-            except (DegenerateCoefficientError, NumericalBlowupError) as exc:
-                print(f"numerical failure at |lambda| = {abs(lam)}: {exc}", file=sys.stderr)
-                return 3
+            gammas = birkhoff_scan(theta0s, j0s, r, g, zs, cfg.n)
             mn = float(np.min(gammas))
             mark = "ok" if mn > cfg.threshold else "below threshold"
             print(
@@ -393,40 +382,12 @@ def cmd_subharmonic(args) -> int:
     return 0 if ok else 1
 
 
-# Flags whose values in a config file are parsed by these converters.
-_CONFIG_TYPES = {
-    "eps": parse_eps_list,
-    "k": int,
-    "alpha": parse_alpha,
-    "z_grid": int,
-    "n": int,
-    "method": str,
-    "lam": parse_complex_pair,
-    "coeffs": parse_coeff_list,
-    "seed": int,
-    "out": str,
-    "svg": str,
-    "grid": int,
-    "tol": float,
-    "threshold": float,
-}
-
-_OPTION_STRINGS = {
-    "eps": ["--eps"],
-    "k": ["--k"],
-    "alpha": ["--alpha"],
-    "z_grid": ["--z-grid"],
-    "n": ["--n"],
-    "method": ["--method"],
-    "lam": ["--lambda"],
-    "coeffs": ["--coeffs"],
-    "seed": ["--seed"],
-    "out": ["--out"],
-    "svg": ["--svg"],
-    "grid": ["--grid"],
-    "tol": ["--tol"],
-    "threshold": ["--threshold"],
-}
+# Option dests a config file may set.  A subcommand without the option
+# (``threshold`` outside verify-t2) ignores the key.
+_CONFIG_KEYS = frozenset((
+    "eps", "k", "alpha", "z_grid", "n", "method", "lam", "coeffs", "seed",
+    "out", "svg", "grid", "tol", "threshold",
+))
 
 
 def _load_config_file(path):
@@ -442,23 +403,14 @@ def _load_config_file(path):
             key = key.replace("-", "_")
             if key == "lambda":
                 key = "lam"
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_TYPES[key](val)
+            values[key] = val
     return values
 
 
-def _apply_config(args, file_values, argv):
-    """File values fill in whatever the command line left at its default."""
-    for key, value in file_values.items():
-        if key == "threshold" and not hasattr(args, "threshold"):
-            continue
-        explicit = any(opt in argv for opt in _OPTION_STRINGS[key])
-        if not explicit:
-            setattr(args, key, value)
-
-
 def _add_common(parser):
+    parser.set_defaults(command_parser=parser)
     parser.add_argument("--config", help="plain key=value config file; flags override")
     parser.add_argument("--eps", type=parse_eps_list, default=[0.5],
                         help="comma-separated coupling list, each in (0,1)")
@@ -526,8 +478,18 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        _apply_config(args, file_values, argv)
-    return args.func(args)
+        # File values become the subcommand's defaults and the arguments are
+        # parsed again: argparse converts string defaults with each option's
+        # type, and anything given on the command line, in any spelling, wins.
+        args.command_parser.set_defaults(
+            **{key: val for key, val in file_values.items() if hasattr(args, key)}
+        )
+        args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (DegenerateCoefficientError, NumericalBlowupError, AdmissibilityError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -13,18 +13,12 @@ length never overflow.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Rotation, ExpGenerator, orbit_theta
+from .dynamics import PhasePoint, Rotation, ExpGenerator
 from .mat2 import IDENTITY, SWAP, mat2, op_norm
-
-# Test-only hook: when True, the sign of |f|^2 inside the normalizing
-# prefactor is flipped, corrupting every cocycle matrix.  Exists so the
-# verification harness can demonstrate that it detects a broken kernel.
-_KERNEL_SIGN_FLIP = False
-
 
 class DegenerateCoefficientError(ArithmeticError):
     """A coefficient sits too close to the unit circle for double precision."""
@@ -72,10 +66,7 @@ def szego_matrices(f, z):
     # cancels catastrophically as |f| -> 1 and would pollute the prefactor.
     re = f.real.astype(np.longdouble)
     im = f.imag.astype(np.longdouble)
-    m2 = re * re + im * im
-    if _KERNEL_SIGN_FLIP:
-        m2 = -m2
-    rem = (1.0 - m2).astype(np.float64)
+    rem = (1.0 - (re * re + im * im)).astype(np.float64)
     if np.any(rem <= 0.0):
         raise DegenerateCoefficientError(
             "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
@@ -123,67 +114,24 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
     )
 
 
-@dataclass
-class ProductAccumulator:
-    """Renormalized running product with its accumulated log scale.
+def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
+    """log ||A^z_n(theta, j0)|| for a vector of starting angles.
 
-    ``current`` is kept at unit operator norm; ``log_norm`` holds the sum
-    of the logs of the stripped per-step scales, so the total log norm of
-    the unnormalized product is ``log_norm + log(op_norm(current))``.
-    """
-
-    current: np.ndarray = field(default_factory=lambda: IDENTITY.copy())
-    log_norm: float = 0.0
-    steps: int = 0
-
-    @property
-    def total_log_norm(self) -> float:
-        return self.log_norm + math.log(float(op_norm(self.current)))
-
-
-def accumulate(acc: ProductAccumulator, m) -> ProductAccumulator:
-    """Multiply ``m`` on the left of the running product and restrip the scale."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        prod = np.asarray(m, dtype=complex) @ acc.current
-    if not np.all(np.isfinite(prod)):
-        raise NumericalBlowupError("non-finite entries in orbit product")
-    scale = float(op_norm(prod))
-    acc.current = prod / scale
-    acc.log_norm += math.log(scale)
-    acc.steps += 1
-    return acc
-
-
-def orbit_product(
-    p0: PhasePoint, r: Rotation, g, s: SpectralParameter, n: int
-) -> ProductAccumulator:
-    """Renormalized product A^z(T^(n-1) p0) ... A^z(p0), newest on the left."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    acc = ProductAccumulator()
-    for m in range(n):
-        p = PhasePoint(orbit_theta(p0, r, m), (p0.j + m) % 2)
-        accumulate(acc, szego_matrix(g.evaluate(p), s))
-    return acc
-
-
-def _product_log_norms(step_values, zs, n, checkpoints=None):
-    """Batched renormalized product engine.
-
-    ``step_values(m)`` yields the coefficient values for step m,
-    broadcastable against ``zs``.  Returns ``(log_norms, recorded)`` where
+    The one renormalized product engine: every estimator runs through it.
+    ``zs`` may be a scalar (shared spectral parameter) or a vector paired
+    with ``theta0s``.  Returns ``(log_norms, recorded)`` where
     ``recorded[m]`` is a copy of the log norms after m steps for each m in
     ``checkpoints``.  Because the running product is renormalized to unit
     operator norm, the accumulated log IS the log norm of the product.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    nb = zs.shape[0]
-    cur = np.broadcast_to(IDENTITY, (nb, 2, 2)).copy()
-    logn = np.zeros(nb)
+    theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
+    zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
+    cur = np.broadcast_to(IDENTITY, theta0s.shape + (2, 2)).copy()
+    logn = np.zeros(theta0s.shape)
     wanted = set(checkpoints) if checkpoints is not None else set()
     recorded = {}
     for m in range(n):
-        f = np.broadcast_to(np.asarray(step_values(m), dtype=complex), (nb,))
+        f = g.evaluate_grid((theta0s + m * r.alpha) % 1.0, (j0 + m) % 2)
         cur = szego_matrices(f, zs) @ cur
         if not np.all(np.isfinite(cur)):
             raise NumericalBlowupError(f"non-finite entries at step {m + 1}")
@@ -193,28 +141,3 @@ def _product_log_norms(step_values, zs, n, checkpoints=None):
         if (m + 1) in wanted:
             recorded[m + 1] = logn.copy()
     return logn, recorded
-
-
-def orbit_log_norms(p0: PhasePoint, r: Rotation, g, zs, n: int):
-    """log ||A^z_n(p0)|| for several spectral parameters, one shared orbit."""
-
-    def values(m):
-        return g.evaluate(PhasePoint(orbit_theta(p0, r, m), (p0.j + m) % 2))
-
-    logn, _ = _product_log_norms(values, zs, n)
-    return logn
-
-
-def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
-    """log ||A^z_n(theta, j0)|| for a vector of starting angles.
-
-    ``zs`` may be a scalar (shared spectral parameter) or a vector paired
-    with ``theta0s``.
-    """
-    theta0s = np.asarray(theta0s, dtype=float)
-
-    def values(m):
-        return g.evaluate_grid((theta0s + m * r.alpha) % 1.0, (j0 + m) % 2)
-
-    zarr = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
-    return _product_log_norms(values, zarr, n, checkpoints=checkpoints)

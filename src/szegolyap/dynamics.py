@@ -51,11 +51,6 @@ def step(p: PhasePoint, r: Rotation) -> PhasePoint:
     return PhasePoint((p.theta + r.alpha) % 1.0, (p.j + 1) % 2)
 
 
-def orbit_theta(p: PhasePoint, r: Rotation, m: int) -> float:
-    """Closed-form theta component of T^m p, avoiding iterated-addition drift."""
-    return (p.theta + m * r.alpha) % 1.0
-
-
 @dataclass(frozen=True)
 class ExpGenerator:
     """Simple-exponential coefficients (1 - eps^2)^(1/2) e^(+-2 pi i k theta).

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import SpectralParameter, grid_log_norms, orbit_log_norms, orbit_product
+from .cocycle import SpectralParameter, grid_log_norms
 from .dynamics import ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
 from .mat2 import op_norm
 
@@ -82,7 +82,10 @@ def estimate_birkhoff(
     p0: PhasePoint, r: Rotation, g, s: SpectralParameter, n: int
 ) -> LyapunovEstimate:
     """(1/n) log ||A^z_n(p0)|| along a single orbit."""
-    gamma = orbit_product(p0, r, g, s, n).total_log_norm / n
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    logn, _ = grid_log_norms([p0.theta], p0.j, r, g, s.z, n)
+    gamma = float(logn[0]) / n
     bound = reference_bound(g)
     return LyapunovEstimate(gamma, "birkhoff", n, 1, bound, gamma - bound)
 
@@ -105,11 +108,6 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
         logn, _ = grid_log_norms(theta0s[sel], parity, r, g, zs[sel], n)
         gammas[sel] = logn / n
     return gammas
-
-
-def birkhoff_scan_single_orbit(p0: PhasePoint, r: Rotation, g, zs, n: int):
-    """Birkhoff estimates over a z grid sharing one orbit of the base map."""
-    return orbit_log_norms(p0, r, g, zs, n) / n
 
 
 def phase_average_profile(

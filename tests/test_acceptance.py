@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-import szegolyap.cocycle as cocycle
 from szegolyap import mat2 as m2
 from szegolyap.cli import main
 from szegolyap.cocycle import SpectralParameter, conjugated_step, conjugator, szego_matrix
@@ -196,15 +195,11 @@ def test_criterion_7_nonnegativity_and_determinism(tmp_path, capsys):
     )
 
 
-def test_criterion_8_mutation_sensitivity(capsys):
+def test_criterion_8_mutation_sensitivity(capsys, corrupted_kernel):
     t0 = time.time()
-    cocycle._KERNEL_SIGN_FLIP = True
-    try:
-        rc = main([
-            "verify-t1", "--eps", "0.5", "--z-grid", "8", "--n", "4",
-            "--grid", "256",
-        ])
-    finally:
-        cocycle._KERNEL_SIGN_FLIP = False
+    rc = main([
+        "verify-t1", "--eps", "0.5", "--z-grid", "8", "--n", "4",
+        "--grid", "256",
+    ])
     capsys.readouterr()
     report(capsys, 8, rc == 1, f"corrupted kernel drives verify-t1 to exit {rc} (want 1)", t0)

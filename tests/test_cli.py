@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import szegolyap.cocycle as cocycle
 from szegolyap.cli import CSV_HEADER, main
 
 
@@ -149,19 +148,15 @@ def test_verify_t1_negative_bound_still_passes(capsys):
     assert "PASS" in out
 
 
-def test_verify_t1_detects_corrupted_kernel(capsys):
-    cocycle._KERNEL_SIGN_FLIP = True
-    try:
-        rc, out, _ = run(
-            capsys,
-            "verify-t1",
-            "--eps", "0.5",
-            "--z-grid", "4",
-            "--n", "4",
-            "--grid", "128",
-        )
-    finally:
-        cocycle._KERNEL_SIGN_FLIP = False
+def test_verify_t1_detects_corrupted_kernel(capsys, corrupted_kernel):
+    rc, out, _ = run(
+        capsys,
+        "verify-t1",
+        "--eps", "0.5",
+        "--z-grid", "4",
+        "--n", "4",
+        "--grid", "128",
+    )
     assert rc == 1
     assert "FAIL" in out
 
@@ -218,6 +213,26 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     )
     assert rc == 0
     assert len(out_b.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("flag", [["--eps=0.6"], ["--ep", "0.6"]])
+def test_config_file_loses_to_any_flag_spelling(tmp_path, capsys, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.3\nz-grid = 2\nn = 3\ngrid = 64\n")
+    rc, out, _ = run(capsys, "verify-t1", "--config", str(cfg), *flag)
+    assert rc == 0
+    assert out.startswith("eps = 0.6:")
+
+
+def test_verify_t1_numerical_failure_exit_code(capsys):
+    rc, out, err = run(
+        capsys, "verify-t1", "--eps", "1e-9", "--z-grid", "4", "--n", "6",
+        "--grid", "256",
+    )
+    assert rc == 3
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err
+    assert "PASS" not in out and "FAIL" not in out
 
 
 def test_config_file_bad_key(tmp_path, capsys):

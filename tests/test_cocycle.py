@@ -9,14 +9,10 @@ from szegolyap import mat2 as m2
 from szegolyap.cocycle import (
     DegenerateCoefficientError,
     NumericalBlowupError,
-    ProductAccumulator,
     SpectralParameter,
-    accumulate,
     conjugated_step,
     conjugator,
     grid_log_norms,
-    orbit_log_norms,
-    orbit_product,
     szego_matrix,
 )
 from szegolyap.dynamics import (
@@ -26,6 +22,7 @@ from szegolyap.dynamics import (
     PhasePoint,
     Rotation,
 )
+from szegolyap.lyapunov import estimate_birkhoff
 
 GOLDEN = Rotation(GOLDEN_MEAN)
 
@@ -137,50 +134,92 @@ def test_conjugated_step_rejects_other_families():
         conjugated_step(PhasePoint(0.0, 0), s, ConstantGenerator(0.1))
 
 
+def direct_product(p0, r, g, s, n, step=None):
+    """Unrenormalized product A(T^(n-1) p0) ... A(p0) from single steps.
+
+    ``step(p)`` gives the one-step matrix at p; the default is the direct
+    cocycle.  Float64 holds these products for n <= 100 at eps >= 0.05.
+    """
+    prod = np.eye(2, dtype=complex)
+    for m in range(n):
+        p = PhasePoint((p0.theta + m * r.alpha) % 1.0, (p0.j + m) % 2)
+        one = szego_matrix(g.evaluate(p), s) if step is None else step(p)
+        prod = one @ prod
+    return prod
+
+
+def engine_log_norm(p0, r, g, s, n):
+    """log ||A^z_n(p0)|| from the renormalized engine, batch of one."""
+    logn, _ = grid_log_norms([p0.theta], p0.j, r, g, s.z, n)
+    return float(logn[0])
+
+
+class RealCosineGenerator:
+    """Real coefficients 0.5 + 0.45 cos(2 pi theta) in D.
+
+    At z = 1 every one-step matrix is (1-f^2)^(-1/2) [[1, -f], [-f, 1]]:
+    symmetric, with the shared eigenvectors (1, +-1) and eigenvalues
+    exp(-+atanh f).  The products therefore commute and
+    log ||A_n|| = |sum over the orbit of atanh f|.
+    """
+
+    @staticmethod
+    def evaluate_grid(thetas, j):
+        return (0.5 + 0.45 * np.cos(2.0 * np.pi * np.asarray(thetas))).astype(complex)
+
+
+class NaNGenerator:
+    """Coefficients that are not numbers, as a broken generator might emit."""
+
+    @staticmethod
+    def evaluate_grid(thetas, j):
+        return np.full(np.shape(thetas), np.nan, dtype=complex)
+
+
 def test_accumulate_identity():
-    acc = accumulate(ProductAccumulator(), np.eye(2))
-    assert acc.log_norm == 0.0
-    assert acc.steps == 1
+    # f = 0 at z = 1: every step is the identity, exactly.
+    logn, rec = grid_log_norms(
+        [0.0, 0.3, 0.9], 1, GOLDEN, ConstantGenerator(0.0), 1.0 + 0.0j, 10,
+        checkpoints=[1, 10],
+    )
+    assert np.all(logn == 0.0)
+    assert np.all(rec[1] == 0.0)
 
 
 def test_accumulate_vs_direct_product_oracle():
-    # Random matrices rescaled to |det| = 1, so the direct product stays
-    # representable over 30 steps.
     rng = np.random.default_rng(5)
-    acc = ProductAccumulator()
-    direct = np.eye(2, dtype=complex)
-    for _ in range(30):
-        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        x = x / np.sqrt(abs(m2.det(x)))
-        accumulate(acc, x)
-        direct = x @ direct
-    assert acc.total_log_norm == pytest.approx(
-        math.log(float(m2.op_norm(direct))), rel=1e-8
-    )
+    for _ in range(20):
+        p0, s, g = random_admissible(rng)
+        n = int(rng.integers(1, 101))
+        expected = math.log(float(m2.op_norm(direct_product(p0, GOLDEN, g, s, n))))
+        assert engine_log_norm(p0, GOLDEN, g, s, n) == pytest.approx(
+            expected, abs=1e-9 * (1 + abs(expected))
+        )
 
 
 def test_accumulate_scalar_matrices():
-    acc = ProductAccumulator()
-    scales = [2.0, 0.25, 7.5, 1.0 / 3.0]
-    for c in scales:
-        accumulate(acc, c * np.eye(2))
-    assert acc.total_log_norm == pytest.approx(
-        sum(math.log(c) for c in scales), abs=1e-12
-    )
+    # 5000 steps with log norm near 2500: the direct product would
+    # overflow, the stripped log scales must add up to the closed form.
+    n = 5000
+    theta0s = np.array([0.0, 0.41])
+    logn, _ = grid_log_norms(theta0s, 0, GOLDEN, RealCosineGenerator(), 1.0 + 0.0j, n)
+    for theta0, got in zip(theta0s, logn):
+        thetas = (theta0 + np.arange(n) * GOLDEN.alpha) % 1.0
+        f = 0.5 + 0.45 * np.cos(2.0 * np.pi * thetas)
+        expected = abs(math.fsum(np.arctanh(f)))
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_accumulate_blowup_detection():
     with pytest.raises(NumericalBlowupError):
-        accumulate(ProductAccumulator(), np.array([[np.inf, 0], [0, 1]]))
+        grid_log_norms([0.1, 0.2], 0, GOLDEN, NaNGenerator(), 1.0 + 0.0j, 3)
 
 
 def test_orbit_product_single_step():
     g = ExpGenerator(0.5, 1)
     s = SpectralParameter.from_turn(0.2)
     p0 = PhasePoint(0.3, 0)
-    acc = orbit_product(p0, GOLDEN, g, s, 1)
-    assert acc.steps == 1
-    assert acc.total_log_norm == pytest.approx(
+    assert engine_log_norm(p0, GOLDEN, g, s, 1) == pytest.approx(
         math.log(float(m2.op_norm(szego_matrix(g.evaluate(p0), s)))), abs=1e-12
     )
 
@@ -190,35 +229,27 @@ def test_orbit_product_log_norm_nonnegative():
     for _ in range(20):
         p, s, g = random_admissible(rng)
         n = int(rng.integers(1, 40))
-        assert orbit_product(p, GOLDEN, g, s, n).total_log_norm >= 0.0
+        assert engine_log_norm(p, GOLDEN, g, s, n) >= 0.0
 
 
 def test_cocycle_property_split_product():
-    # A_(n+m)(p) = A_m(T^n p) A_n(p), compared via log norm and via the
-    # renormalized matrices.
+    # A_(n+m)(p) = A_m(T^n p) A_n(p) on direct products, and the engine's
+    # log norm of A_(n+m)(p) matches the split product.
     rng = np.random.default_rng(7)
     g = ExpGenerator(0.4, 2)
     s = SpectralParameter.from_turn(0.37)
     for _ in range(10):
         n, m = int(rng.integers(1, 50)), int(rng.integers(1, 50))
         p0 = PhasePoint(float(rng.random()), int(rng.integers(0, 2)))
-        whole = orbit_product(p0, GOLDEN, g, s, n + m)
-        first = orbit_product(p0, GOLDEN, g, s, n)
         pn = PhasePoint((p0.theta + n * GOLDEN.alpha) % 1.0, (p0.j + n) % 2)
-        second = orbit_product(pn, GOLDEN, g, s, m)
-        combined = ProductAccumulator(
-            current=first.current.copy(), log_norm=first.log_norm, steps=first.steps
+        whole = direct_product(p0, GOLDEN, g, s, n + m)
+        split = direct_product(pn, GOLDEN, g, s, m) @ direct_product(p0, GOLDEN, g, s, n)
+        scale = float(m2.op_norm(whole))
+        assert m2.max_abs_diff(whole / scale, split / scale) < 1e-8
+        expected = math.log(float(m2.op_norm(split)))
+        assert engine_log_norm(p0, GOLDEN, g, s, n + m) == pytest.approx(
+            expected, abs=1e-8 * (1 + abs(expected))
         )
-        accumulate(combined, second.current)
-        combined.log_norm += second.log_norm
-        assert combined.total_log_norm == pytest.approx(
-            whole.total_log_norm, abs=1e-8 * (1 + abs(whole.total_log_norm))
-        )
-        scale_w = float(m2.op_norm(whole.current))
-        scale_c = float(m2.op_norm(combined.current))
-        assert m2.max_abs_diff(
-            whole.current / scale_w, combined.current / scale_c
-        ) < 1e-8
 
 
 def test_conjugated_route_matches_direct():
@@ -228,25 +259,24 @@ def test_conjugated_route_matches_direct():
     for _ in range(5):
         p0, s, g = random_admissible(rng)
         n = 100
-        direct = orbit_product(p0, GOLDEN, g, s, n)
-        acc = ProductAccumulator()
-        for m in range(n):
-            p = PhasePoint((p0.theta + m * GOLDEN.alpha) % 1.0, (p0.j + m) % 2)
-            accumulate(acc, conjugated_step(p, s, g))
-        assert acc.total_log_norm == pytest.approx(
-            direct.total_log_norm, abs=1e-8 * (1 + abs(direct.total_log_norm))
+        conj = direct_product(p0, GOLDEN, g, s, n, lambda p: conjugated_step(p, s, g))
+        expected = math.log(float(m2.op_norm(conj)))
+        assert engine_log_norm(p0, GOLDEN, g, s, n) == pytest.approx(
+            expected, abs=1e-8 * (1 + abs(expected))
         )
 
 
 def test_batched_log_norms_match_scalar_path():
+    # One batch of three spectral parameters sharing an orbit against
+    # estimate_birkhoff, which runs each as a batch of one.
     g = ExpGenerator(0.35, 1)
     p0 = PhasePoint(0.11, 1)
     turns = [0.0, 0.125, 0.4]
     zs = np.exp(2j * np.pi * np.array(turns))
-    batched = orbit_log_norms(p0, GOLDEN, g, zs, 60)
+    batched, _ = grid_log_norms(np.full(3, p0.theta), p0.j, GOLDEN, g, zs, 60)
     for i, t in enumerate(turns):
-        acc = orbit_product(p0, GOLDEN, g, SpectralParameter.from_turn(t), 60)
-        assert batched[i] == pytest.approx(acc.total_log_norm, abs=1e-10)
+        est = estimate_birkhoff(p0, GOLDEN, g, SpectralParameter.from_turn(t), 60)
+        assert batched[i] / 60 == pytest.approx(est.gamma_hat, abs=1e-14)
 
 
 def test_grid_log_norms_checkpoints():
