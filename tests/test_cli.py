@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line harness."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,7 +168,7 @@ def test_verify_t1_rejects_perturbed(capsys):
         capsys, "verify-t1", "--eps", "0.5", "--lambda", "0.01,0", "--n", "2"
     )
     assert rc == 2
-    assert "exponential" in err
+    assert "--lambda" in err
 
 
 def test_verify_t2_report(capsys):
@@ -181,6 +183,32 @@ def test_verify_t2_report(capsys):
     assert rc == 0
     assert "NON-RIGOROUS" in out
     assert "lambda_max" in out
+
+
+def test_verify_t2_coeff_count_mismatch(capsys):
+    rc, out, err = run(capsys, "verify-t2", "--k", "2", "--coeffs", "1;1", "--n", "2")
+    assert rc == 2
+    assert "need 2k = 4 coefficients, got 2" in err
+    assert out == ""
+
+
+def test_verify_t2_lambda_sets_direction_only(capsys):
+    outs = []
+    for lam in ("0,1", "0,2"):
+        rc, out, _ = run(
+            capsys, "verify-t2", "--eps", "0.5", "--k", "1", "--lambda", lam,
+            "--z-grid", "2", "--n", "50",
+        )
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_verify_t2_all_zero_coeffs_is_config_error(capsys):
+    rc, _, err = run(capsys, "verify-t2", "--coeffs", "0;0", "--n", "2")
+    assert rc == 2
+    assert "--coeffs" in err
+    assert "numerical failure" not in err
 
 
 def test_subharmonic_report(capsys):
@@ -244,6 +272,36 @@ def test_config_file_bad_key(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--method", "nonsense"])
-    assert exc.value.code == 2
+    assert main(["scan", "--method", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["scan", "--alpha", "1.5"], "--alpha"),
+        (["scan", "--seed", "-1"], "--seed"),
+        (["verify-t1", "--out", "x.csv"], "--out"),
+        (["subharmonic", "--k", "-1"], "--k"),
+        (["verify-t2", "--k", "-1"], "--k"),
+    ],
+)
+def test_rejected_by_parser(capsys, argv, option):
+    rc, _, err = run(capsys, *argv, "--z-grid", "1", "--n", "2")
+    assert rc == 2
+    assert "Traceback" not in err
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scan", "--method", "nonsense"], 2),
+        (["verify-t1", "--eps", "1e-9", "--z-grid", "4", "--n", "6", "--grid", "256"], 3),
+    ],
+)
+def test_process_exit_code(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "szegolyap.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
