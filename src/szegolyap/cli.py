@@ -60,13 +60,13 @@ def parse_eps_list(text):
 
 
 def parse_complex_pair(text):
-    """'re,im' (or bare 're') -> complex."""
+    """'re,im' (or bare 're') -> complex, both parts finite."""
     toks = [t.strip() for t in text.split(",")]
     try:
-        if len(toks) == 1:
-            return complex(float(toks[0]), 0.0)
-        if len(toks) == 2:
-            return complex(float(toks[0]), float(toks[1]))
+        if len(toks) in (1, 2):
+            parts = [float(t) for t in toks]
+            if all(map(math.isfinite, parts)):
+                return complex(*parts)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"bad complex value: {text!r}")
@@ -75,6 +75,23 @@ def parse_complex_pair(text):
 def parse_coeff_list(text):
     """Semicolon-separated list of 're,im' pairs."""
     return [parse_complex_pair(tok) for tok in text.split(";") if tok.strip()]
+
+
+# --method value -> the estimators it runs, by their CSV method names.
+_METHODS = {
+    "birkhoff": ("birkhoff",),
+    "phase": ("phaseAverage",),
+    "both": ("birkhoff", "phaseAverage"),
+}
+
+
+def parse_method(text):
+    """Estimator choice -> the CSV method names it runs."""
+    if text not in _METHODS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(_METHODS)})"
+        )
+    return _METHODS[text]
 
 
 def parse_alpha(text):
@@ -124,6 +141,10 @@ def cmd_bound(args) -> int:
 
 def cmd_scan(args) -> int:
     coeffs = args.coeffs
+    if coeffs is not None and args.lam is None:
+        print("error: --coeffs needs --lambda (the perturbation coupling)",
+              file=sys.stderr)
+        return 2
     if args.lam is not None:
         if args.k < 1:
             print("error: the perturbed family requires k >= 1", file=sys.stderr)
@@ -144,11 +165,6 @@ def cmd_scan(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    methods = {
-        "birkhoff": ["birkhoff"],
-        "phase": ["phaseAverage"],
-        "both": ["birkhoff", "phaseAverage"],
-    }[args.method]
     r = Rotation(args.alpha)
     ts, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)
@@ -161,11 +177,11 @@ def cmd_scan(args) -> int:
         lam_abs = abs(args.lam) if args.lam is not None else 0.0
         bound = reference_bound(g)
         results = {}
-        if "birkhoff" in methods:
+        if "birkhoff" in args.method:
             theta0s = rng.random(args.z_grid)
             j0s = rng.integers(0, 2, args.z_grid)
             results["birkhoff"] = birkhoff_scan(theta0s, j0s, r, g, zs, args.n)
-        if "phaseAverage" in methods:
+        if "phaseAverage" in args.method:
             results["phaseAverage"] = np.array(
                 [
                     estimate_phase_average(
@@ -175,7 +191,7 @@ def cmd_scan(args) -> int:
                 ]
             )
         for i, t in enumerate(ts):
-            for method in methods:
+            for method in args.method:
                 gamma = float(results[method][i])
                 rows.append(
                     {
@@ -335,8 +351,8 @@ _OPTIONS = {
                               help="rotation number in (0,1), or 'golden'")),
     "z_grid": ("--z-grid", dict(type=positive_int, help="points on the unit circle")),
     "n": ("--n", dict(type=positive_int, help="product length")),
-    "method": ("--method", dict(choices=["birkhoff", "phase", "both"],
-                                default="birkhoff", help="estimator(s)")),
+    "method": ("--method", dict(type=parse_method, default="birkhoff",
+                                metavar="{birkhoff,phase,both}", help="estimator(s)")),
     "lam": ("--lambda", dict(type=parse_complex_pair, metavar="RE,IM",
                              help="perturbation coupling; verify-t2 takes only "
                              "its direction, the ladder sets |lambda|")),

@@ -20,6 +20,12 @@ import numpy as np
 from .dynamics import PhasePoint, Rotation, ExpGenerator
 from .mat2 import IDENTITY, SWAP, mat2, op_norm
 
+# One-step matrices built per block of steps in grid_log_norms.  2048 of
+# them take 128 KB: enough steps per block to spread the per-block Python
+# overhead, few enough that peak memory barely moves.
+BUDGET = 2048
+
+
 class DegenerateCoefficientError(ArithmeticError):
     """A coefficient sits too close to the unit circle for double precision."""
 
@@ -114,15 +120,46 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
     )
 
 
+def _coefficients(theta0s, j0, r: Rotation, g, ms):
+    """Coefficients of every orbit at the steps in column ``ms``, shaped
+    (steps, orbits), from one ``evaluate_grid`` call per parity."""
+    thetas = (theta0s + ms * r.alpha) % 1.0
+    parity = np.broadcast_to((j0 + ms) % 2, thetas.shape)
+    f = np.empty(thetas.shape, dtype=complex)
+    for j in (0, 1):
+        sel = parity == j
+        if np.all(sel):  # no mask needed, as for one step of a shared parity
+            return g.evaluate_grid(thetas.ravel(), j).reshape(thetas.shape)
+        if np.any(sel):
+            f[sel] = g.evaluate_grid(thetas[sel], j)
+    return f
+
+
+def _check_finite(stack, m0):
+    """Name the first step (row of ``stack``, counted from step m0 + 1)
+    with a non-finite entry."""
+    finite = np.all(np.isfinite(stack.reshape(len(stack), -1)), axis=1)
+    if not np.all(finite):
+        step = m0 + int(np.argmin(finite)) + 1
+        raise NumericalBlowupError(f"non-finite entries at step {step}")
+
+
 def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
-    """log ||A^z_n(theta, j0)|| for a vector of starting angles.
+    """log ||A^z_n(theta, j)|| for a vector of starting points.
 
     The one renormalized product engine: every estimator runs through it.
-    ``zs`` may be a scalar (shared spectral parameter) or a vector paired
-    with ``theta0s``.  Returns ``(log_norms, recorded)`` where
-    ``recorded[m]`` is a copy of the log norms after m steps for each m in
-    ``checkpoints``.  Because the running product is renormalized to unit
-    operator norm, the accumulated log IS the log norm of the product.
+    ``j0`` is the starting parity, a scalar or a vector paired with
+    ``theta0s``; ``zs`` may likewise be a scalar (shared spectral parameter)
+    or a vector.  Returns ``(log_norms, recorded)`` where ``recorded[m]`` is
+    a copy of the log norms after m steps for each m in ``checkpoints``.
+    Because the running product is renormalized to unit operator norm, the
+    accumulated log IS the log norm of the product.
+
+    The one-step matrices are built a block of steps at a time, at most
+    BUDGET of them per block (one step per block for wider batches).  The
+    product is folded step after step in the same arithmetic whatever the
+    block length, so for generators that evaluate each angle on its own
+    the results do not depend on BUDGET.
     """
     theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
@@ -130,14 +167,26 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     logn = np.zeros(theta0s.shape)
     wanted = set(checkpoints) if checkpoints is not None else set()
     recorded = {}
-    for m in range(n):
-        f = g.evaluate_grid((theta0s + m * r.alpha) % 1.0, (j0 + m) % 2)
-        cur = szego_matrices(f, zs) @ cur
-        if not np.all(np.isfinite(cur)):
-            raise NumericalBlowupError(f"non-finite entries at step {m + 1}")
-        nrm = op_norm(cur)
-        cur /= nrm[:, None, None]
-        logn += np.log(nrm)
-        if (m + 1) in wanted:
-            recorded[m + 1] = logn.copy()
+    block = max(1, BUDGET // max(theta0s.size, 1))
+    for m0 in range(0, n, block):
+        ms = np.arange(m0, min(m0 + block, n))[:, None]
+        mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs)
+        _check_finite(mats, m0)
+        nrms = np.empty(mats.shape[:2])
+        for i in range(len(mats)):
+            cur = mats[i] @ cur
+            nrm = op_norm(cur)
+            cur /= nrm[:, None, None]
+            nrms[i] = nrm
+        del mats  # the next block's stack is built without this one held
+        # A non-finite product has a non-finite norm.
+        _check_finite(nrms, m0)
+        # Added in step order: row i becomes logn after step m0 + i + 1.
+        logs = np.log(nrms, out=nrms)
+        logs[0] += logn
+        for i in range(1, len(logs)):
+            logs[i] += logs[i - 1]
+        logn = logs[-1]
+        for m in wanted.intersection(range(m0 + 1, m0 + len(logs) + 1)):
+            recorded[m] = logs[m - m0 - 1].copy()
     return logn, recorded

@@ -94,20 +94,11 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
     """Birkhoff estimates for paired (start point, spectral parameter) jobs.
 
     ``theta0s``, ``j0s`` and ``zs`` are equal-length vectors; entry i uses
-    start (theta0s[i], j0s[i]) and parameter zs[i].  Orbits of equal
-    starting parity run as one batched product.
+    start (theta0s[i], j0s[i]) and parameter zs[i].  All orbits, of either
+    starting parity, run as one batched product.
     """
-    theta0s = np.asarray(theta0s, dtype=float)
-    j0s = np.asarray(j0s, dtype=int)
-    zs = np.asarray(zs, dtype=complex)
-    gammas = np.empty(theta0s.shape)
-    for parity in (0, 1):
-        sel = j0s == parity
-        if not np.any(sel):
-            continue
-        logn, _ = grid_log_norms(theta0s[sel], parity, r, g, zs[sel], n)
-        gammas[sel] = logn / n
-    return gammas
+    logn, _ = grid_log_norms(theta0s, j0s, r, g, zs, n)
+    return logn / n
 
 
 def phase_average_profile(

@@ -271,6 +271,22 @@ def test_config_file_bad_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_config_file_method_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = nonsense\n")
+    rc, _, err = run(capsys, "scan", "--config", str(cfg), "--z-grid", "1", "--n", "2")
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "--method" in err
+
+
+def test_scan_coeffs_need_lambda(capsys):
+    rc, out, err = run(capsys, "scan", "--coeffs", "1;1", "--z-grid", "1", "--n", "2")
+    assert rc == 2
+    assert "--coeffs needs --lambda" in err
+    assert out == ""
+
+
 def test_usage_error_exit_code():
     assert main(["scan", "--method", "nonsense"]) == 2
 
@@ -283,6 +299,8 @@ def test_usage_error_exit_code():
         (["verify-t1", "--out", "x.csv"], "--out"),
         (["subharmonic", "--k", "-1"], "--k"),
         (["verify-t2", "--k", "-1"], "--k"),
+        (["verify-t2", "--coeffs", "nan;1"], "--coeffs"),
+        (["verify-t2", "--lambda", "nan,0"], "--lambda"),
     ],
 )
 def test_rejected_by_parser(capsys, argv, option):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from szegolyap import cocycle
 from szegolyap import mat2 as m2
 from szegolyap.cocycle import (
     DegenerateCoefficientError,
@@ -210,9 +211,28 @@ def test_accumulate_scalar_matrices():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+class LateNaNGenerator:
+    """NaN coefficients above angle 0.25 only: the orbit of 0 under the
+    rotation by 0.1 first reaches them at its fourth step."""
+
+    @staticmethod
+    def evaluate_grid(thetas, j):
+        thetas = np.asarray(thetas)
+        return np.where(thetas > 0.25, np.nan, 0.5 * np.exp(2j * np.pi * thetas))
+
+
+@pytest.mark.filterwarnings("error")
 def test_accumulate_blowup_detection():
-    with pytest.raises(NumericalBlowupError):
+    with pytest.raises(NumericalBlowupError, match=r"at step 1$"):
         grid_log_norms([0.1, 0.2], 0, GOLDEN, NaNGenerator(), 1.0 + 0.0j, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("budget", [1, cocycle.BUDGET], ids=["one-step", "default"])
+def test_blowup_names_first_non_finite_step(monkeypatch, budget):
+    monkeypatch.setattr(cocycle, "BUDGET", budget)
+    with pytest.raises(NumericalBlowupError, match=r"at step 4$"):
+        grid_log_norms([0.0], 1, Rotation(0.1), LateNaNGenerator(), 1.0 + 0.0j, 10)
 
 
 def test_orbit_product_single_step():
@@ -289,3 +309,34 @@ def test_grid_log_norms_checkpoints():
     assert np.allclose(rec[5], logn)
     short, _ = grid_log_norms(thetas, 0, GOLDEN, g, 1.0 + 0.0j, 2)
     assert np.allclose(rec[2], short)
+
+
+def test_block_budget_does_not_change_results(monkeypatch):
+    # BUDGET / 4 orbits make default blocks of 4 steps; the checkpoints fall
+    # inside blocks and at their ends, including the last, short block.
+    b = cocycle.BUDGET // 4
+    rng = np.random.default_rng(11)
+    args = (rng.random(b), rng.integers(0, 2, b), GOLDEN, ExpGenerator(0.3, 2),
+            np.exp(2j * np.pi * rng.random(b)), 10)
+    marks = [1, 2, 4, 5, 8, 9, 10]
+    logn, rec = grid_log_norms(*args, checkpoints=marks)
+    monkeypatch.setattr(cocycle, "BUDGET", 1)
+    logn_1, rec_1 = grid_log_norms(*args, checkpoints=marks)
+    assert np.array_equal(logn, logn_1)
+    assert sorted(rec) == sorted(rec_1) == marks
+    for m in marks:
+        assert np.array_equal(rec[m], rec_1[m])
+    assert np.array_equal(rec[10], logn)
+
+
+def test_mixed_start_parities_match_single_parity_calls():
+    rng = np.random.default_rng(12)
+    g = ExpGenerator(0.45, -1)
+    thetas = rng.random(40)
+    j0s = rng.integers(0, 2, 40)
+    zs = np.exp(2j * np.pi * rng.random(40))
+    mixed, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, 300)
+    for parity in (0, 1):
+        sel = j0s == parity
+        single, _ = grid_log_norms(thetas[sel], parity, GOLDEN, g, zs[sel], 300)
+        assert np.array_equal(mixed[sel], single)
