@@ -128,8 +128,6 @@ def _coefficients(theta0s, j0, r: Rotation, g, ms):
     f = np.empty(thetas.shape, dtype=complex)
     for j in (0, 1):
         sel = parity == j
-        if np.all(sel):  # no mask needed, as for one step of a shared parity
-            return g.evaluate_grid(thetas.ravel(), j).reshape(thetas.shape)
         if np.any(sel):
             f[sel] = g.evaluate_grid(thetas[sel], j)
     return f
@@ -177,16 +175,11 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             cur = mats[i] @ cur
             nrm = op_norm(cur)
             cur /= nrm[:, None, None]
+            logn += np.log(nrm)
             nrms[i] = nrm
+            if m0 + i + 1 in wanted:
+                recorded[m0 + i + 1] = logn.copy()
         del mats  # the next block's stack is built without this one held
         # A non-finite product has a non-finite norm.
         _check_finite(nrms, m0)
-        # Added in step order: row i becomes logn after step m0 + i + 1.
-        logs = np.log(nrms, out=nrms)
-        logs[0] += logn
-        for i in range(1, len(logs)):
-            logs[i] += logs[i - 1]
-        logn = logs[-1]
-        for m in wanted.intersection(range(m0 + 1, m0 + len(logs) + 1)):
-            recorded[m] = logs[m - m0 - 1].copy()
     return logn, recorded

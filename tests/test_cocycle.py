@@ -20,6 +20,7 @@ from szegolyap.dynamics import (
     ConstantGenerator,
     ExpGenerator,
     GOLDEN_MEAN,
+    PerturbedGenerator,
     PhasePoint,
     Rotation,
 )
@@ -327,6 +328,19 @@ def test_block_budget_does_not_change_results(monkeypatch):
     for m in marks:
         assert np.array_equal(rec[m], rec_1[m])
     assert np.array_equal(rec[10], logn)
+
+
+def test_block_budget_does_not_change_perturbed_results(monkeypatch):
+    # Every parity call gets at least two angles whatever the budget; a
+    # single angle is evaluated in other last bits (see ROADMAP item 2).
+    rng = np.random.default_rng(13)
+    j0s = np.array([0, 0, 1, 1, 0, 1, 1])
+    g = PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1])
+    args = (rng.random(7), j0s, GOLDEN, g, np.exp(2j * np.pi * rng.random(7)), 50)
+    logn, _ = grid_log_norms(*args)
+    for budget in (1, 7, 64):
+        monkeypatch.setattr(cocycle, "BUDGET", budget)
+        assert np.array_equal(grid_log_norms(*args)[0], logn)
 
 
 def test_mixed_start_parities_match_single_parity_calls():
