@@ -107,28 +107,44 @@ def parse_alpha(text):
     return alpha
 
 
-def _int_type(accept, requirement):
-    """An argparse ``type=`` for integers that satisfy ``accept``."""
+def _number_type(cast, accept, requirement):
+    """An argparse ``type=`` for numbers, read by ``cast``, that satisfy
+    ``accept``."""
 
     def parse(text):
-        value = int(text)
+        value = cast(text)
         if not accept(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    # argparse reports text that ``cast`` rejects as "invalid int value" etc.
+    parse.__name__ = cast.__name__
     return parse
 
 
-positive_int = _int_type(lambda v: v >= 1, ">= 1")
-nonnegative_int = _int_type(lambda v: v >= 0, ">= 0")
-nonzero_int = _int_type(lambda v: v != 0, "nonzero")
+positive_int = _number_type(int, lambda v: v >= 1, ">= 1")
+nonnegative_int = _number_type(int, lambda v: v >= 0, ">= 0")
+nonzero_int = _number_type(int, lambda v: v != 0, "nonzero")
+finite_float = _number_type(float, math.isfinite, "finite")
+nonnegative_float = _number_type(float, lambda v: 0.0 <= v < math.inf,
+                                 "finite and >= 0")
 
 
 def _z_points(z_grid):
     ts = np.arange(z_grid) / z_grid
     zs = np.exp(2j * math.pi * ts)
     return ts, zs
+
+
+def _birkhoff_batch(rng, r, gens, zs, n):
+    """Birkhoff estimates over the z points ``zs`` for each generator in
+    ``gens``, shaped (generators, z points), from one engine batch.  The
+    start points are drawn generator by generator, in the order separate
+    scans would draw them."""
+    starts = [(rng.random(len(zs)), rng.integers(0, 2, len(zs))) for _ in gens]
+    theta0s, j0s = (np.concatenate(part) for part in zip(*starts))
+    gammas = birkhoff_scan(theta0s, j0s, r, gens, np.tile(zs, len(gens)), n)
+    return gammas.reshape(len(gens), len(zs))
 
 
 def cmd_bound(args) -> int:
@@ -168,31 +184,30 @@ def cmd_scan(args) -> int:
     r = Rotation(args.alpha)
     ts, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)
+    if args.lam is not None:
+        gens = [PerturbedGenerator(eps, args.k, args.lam, coeffs) for eps in args.eps]
+    else:
+        gens = [ExpGenerator(eps, args.k) for eps in args.eps]
+    lam_abs = abs(args.lam) if args.lam is not None else 0.0
+    results = {}
+    if "birkhoff" in args.method:
+        results["birkhoff"] = _birkhoff_batch(rng, r, gens, zs, args.n)
+    if "phaseAverage" in args.method:
+        results["phaseAverage"] = [
+            [
+                estimate_phase_average(
+                    r, g, SpectralParameter.from_turn(t), args.n, args.grid
+                ).gamma_hat
+                for t in ts
+            ]
+            for g in gens
+        ]
     rows = []
-    for eps in args.eps:
-        if args.lam is not None:
-            g = PerturbedGenerator(eps, args.k, args.lam, coeffs)
-        else:
-            g = ExpGenerator(eps, args.k)
-        lam_abs = abs(args.lam) if args.lam is not None else 0.0
+    for e, (eps, g) in enumerate(zip(args.eps, gens)):
         bound = reference_bound(g)
-        results = {}
-        if "birkhoff" in args.method:
-            theta0s = rng.random(args.z_grid)
-            j0s = rng.integers(0, 2, args.z_grid)
-            results["birkhoff"] = birkhoff_scan(theta0s, j0s, r, g, zs, args.n)
-        if "phaseAverage" in args.method:
-            results["phaseAverage"] = np.array(
-                [
-                    estimate_phase_average(
-                        r, g, SpectralParameter.from_turn(t), args.n, args.grid
-                    ).gamma_hat
-                    for t in ts
-                ]
-            )
         for i, t in enumerate(ts):
             for method in args.method:
-                gamma = float(results[method][i])
+                gamma = float(results[method][e][i])
                 rows.append(
                     {
                         "z_arg": float(t),
@@ -280,33 +295,33 @@ def cmd_verify_t2(args) -> int:
     if args.lam is not None and abs(args.lam) > 0:
         direction = args.lam / abs(args.lam)
     r = Rotation(args.alpha)
-    ts, zs = _z_points(args.z_grid)
+    _, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)
+    # Per epsilon, the unperturbed family and then one per ladder rung; all
+    # of them run as one batch.
+    lmaxes = [lambda_max(eps, coeffs) for eps in args.eps]
+    families = [
+        [ExpGenerator(eps, args.k)] + [
+            PerturbedGenerator(eps, args.k, factor * lmax * direction, coeffs)
+            for factor in LADDER_FACTORS
+        ]
+        for eps, lmax in zip(args.eps, lmaxes)
+    ]
+    gammas = _birkhoff_batch(rng, r, [g for gens in families for g in gens], zs, args.n)
+    mins = gammas.min(axis=1).reshape(len(families), -1)
     status = 0
-    for eps in args.eps:
-        lmax = lambda_max(eps, coeffs)
+    for eps, lmax, gens, (base_min, *rung_mins) in zip(args.eps, lmaxes, families, mins):
         print(f"eps = {eps:g}: admissible radius lambda_max = {lmax:.6g}")
-
-        theta0s = rng.random(args.z_grid)
-        j0s = rng.integers(0, 2, args.z_grid)
-        base = birkhoff_scan(theta0s, j0s, r, ExpGenerator(eps, args.k), zs, args.n)
-        print(f"  lambda = 0 (unperturbed): min gamma_hat = {np.min(base):.6f}")
-
+        print(f"  lambda = 0 (unperturbed): min gamma_hat = {base_min:.6f}")
         empirical = None
-        for factor in LADDER_FACTORS:
-            lam = factor * lmax * direction
-            g = PerturbedGenerator(eps, args.k, lam, coeffs)
-            theta0s = rng.random(args.z_grid)
-            j0s = rng.integers(0, 2, args.z_grid)
-            gammas = birkhoff_scan(theta0s, j0s, r, g, zs, args.n)
-            mn = float(np.min(gammas))
+        for factor, g, mn in zip(LADDER_FACTORS, gens[1:], rung_mins):
             mark = "ok" if mn > args.threshold else "below threshold"
             print(
-                f"  |lambda| = {abs(lam):.6g} ({factor:g} * lambda_max): "
+                f"  |lambda| = {abs(g.lam):.6g} ({factor:g} * lambda_max): "
                 f"min gamma_hat = {mn:.6f} [{mark}]"
             )
             if empirical is None and mn > args.threshold:
-                empirical = abs(lam)
+                empirical = abs(g.lam)
         if empirical is None:
             print(
                 f"  no tested coupling kept min gamma_hat above {args.threshold:g}"
@@ -363,9 +378,11 @@ _OPTIONS = {
     "out": ("--out", dict(help="CSV output path")),
     "svg": ("--svg", dict(help="SVG chart output path")),
     "grid": ("--grid", dict(type=positive_int, help="theta quadrature grid size")),
-    "tol": ("--tol", dict(type=float, default=1e-3, help="verification tolerance")),
+    "tol": ("--tol", dict(type=nonnegative_float, default=1e-3,
+                          help="verification tolerance")),
     "threshold": ("--threshold", dict(
-        type=float, default=0.05, help="positivity threshold for the empirical radius")),
+        type=finite_float, default=0.05,
+        help="positivity threshold for the empirical radius")),
 }
 
 # Options every subcommand but ``bound`` takes.

@@ -120,16 +120,21 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
     )
 
 
-def _coefficients(theta0s, j0, r: Rotation, g, ms):
+def _coefficients(theta0s, j0, r: Rotation, gens, ms):
     """Coefficients of every orbit at the steps in column ``ms``, shaped
-    (steps, orbits), from one ``evaluate_grid`` call per parity."""
+    (steps, orbits), from one ``evaluate_grid`` call per segment and parity;
+    generator ``gens[s]`` drives the s-th of ``len(gens)`` equal consecutive
+    segments of the orbits."""
     thetas = (theta0s + ms * r.alpha) % 1.0
     parity = np.broadcast_to((j0 + ms) % 2, thetas.shape)
     f = np.empty(thetas.shape, dtype=complex)
-    for j in (0, 1):
-        sel = parity == j
-        if np.any(sel):
-            f[sel] = g.evaluate_grid(thetas[sel], j)
+    width = thetas.shape[1] // len(gens)
+    for s, g in enumerate(gens):
+        seg = slice(s * width, (s + 1) * width)
+        for j in (0, 1):
+            sel = parity[:, seg] == j
+            if np.any(sel):
+                f[:, seg][sel] = g.evaluate_grid(thetas[:, seg][sel], j)
     return f
 
 
@@ -146,20 +151,29 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     """log ||A^z_n(theta, j)|| for a vector of starting points.
 
     The one renormalized product engine: every estimator runs through it.
-    ``j0`` is the starting parity, a scalar or a vector paired with
-    ``theta0s``; ``zs`` may likewise be a scalar (shared spectral parameter)
-    or a vector.  Returns ``(log_norms, recorded)`` where ``recorded[m]`` is
-    a copy of the log norms after m steps for each m in ``checkpoints``.
+    ``g`` is a coefficient generator, or a sequence of them that splits
+    the orbits into equal consecutive segments, one per generator, so that
+    several families run as one batch.  ``j0`` is the starting parity, a
+    scalar or a vector paired with ``theta0s``; ``zs`` may likewise be a
+    scalar (shared spectral parameter) or a vector.  Returns
+    ``(log_norms, recorded)`` where ``recorded[m]`` is a copy of the log
+    norms after m steps for each m in ``checkpoints``.
     Because the running product is renormalized to unit operator norm, the
     accumulated log IS the log norm of the product.
 
     The one-step matrices are built a block of steps at a time, at most
     BUDGET of them per block (one step per block for wider batches).  The
     product is folded step after step in the same arithmetic whatever the
-    block length, so for generators that evaluate each angle on its own
-    the results do not depend on BUDGET.
+    block length, and every generator evaluates each angle on its own, so
+    an orbit's result depends neither on BUDGET nor on the other orbits
+    (or segments) in the batch.
     """
     theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
+    gens = tuple(g) if isinstance(g, (list, tuple)) else (g,)
+    if not gens or theta0s.size % len(gens):
+        raise ValueError(
+            f"{theta0s.size} orbits do not split into {len(gens)} equal segments"
+        )
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
     cur = np.broadcast_to(IDENTITY, theta0s.shape + (2, 2)).copy()
     logn = np.zeros(theta0s.shape)
@@ -168,7 +182,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     block = max(1, BUDGET // max(theta0s.size, 1))
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None]
-        mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs)
+        mats = szego_matrices(_coefficients(theta0s, j0, r, gens, ms), zs)
         _check_finite(mats, m0)
         nrms = np.empty(mats.shape[:2])
         for i in range(len(mats)):

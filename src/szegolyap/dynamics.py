@@ -146,7 +146,9 @@ class PerturbedGenerator:
         ls = np.arange(-self.k, self.k)
         # (B, 2k) phase table; k is small so the outer product is cheap.
         phases = np.exp(1j * TWO_PI * sign * thetas[:, None] * ls[None, :])
-        pert = phases @ np.asarray(self.coeffs)
+        # Summed term by term: a matrix product would round differently
+        # for one angle than for several.
+        pert = sum(a * phases[:, i] for i, a in enumerate(self.coeffs))
         base = np.exp(1j * TWO_PI * sign * self.k * thetas)
         vals = self.modulus * (base + self.lam * pert)
         worst = np.max(np.abs(vals))

@@ -94,9 +94,13 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
     """Birkhoff estimates for paired (start point, spectral parameter) jobs.
 
     ``theta0s``, ``j0s`` and ``zs`` are equal-length vectors; entry i uses
-    start (theta0s[i], j0s[i]) and parameter zs[i].  All orbits, of either
-    starting parity, run as one batched product.
+    start (theta0s[i], j0s[i]) and parameter zs[i].  ``g`` is one
+    generator, or a sequence of them for equal consecutive segments of the
+    jobs (see ``grid_log_norms``).  All orbits, of either starting parity
+    and every segment, run as one batched product.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     logn, _ = grid_log_norms(theta0s, j0s, r, g, zs, n)
     return logn / n
 
@@ -125,6 +129,8 @@ def estimate_phase_average(
     r: Rotation, g, s: SpectralParameter, n: int, grid_size: int
 ) -> LyapunovEstimate:
     """Quadrature estimator: theta-grid and parity average of (1/n) log ||A^z_n||."""
+    if n < 1 or grid_size < 1:
+        raise ValueError("n and grid_size must be >= 1")
     thetas = np.arange(grid_size) / grid_size
     total = 0.0
     for j0 in (0, 1):

@@ -1,9 +1,10 @@
 """The benchmark's tracing sites still resolve on the package.
 
 ``bench/tracing.py`` wraps functions by the names in its ``SITES`` table
-and counts engine work from the engine's positional ``n``.  A refactor
-that renames or moves one of them would break traced benchmark runs
-without failing any other test; this reads the table as it stands.
+and counts engine work from the engine's positional ``theta0s`` (first)
+and ``n`` (sixth).  A refactor that renames or moves one of them would
+break traced benchmark runs without failing any other test; this reads
+the table as it stands.
 """
 
 import importlib
@@ -47,3 +48,10 @@ def test_engine_n_is_sixth_positional_parameter():
     from szegolyap.cocycle import grid_log_norms
 
     assert list(inspect.signature(grid_log_norms).parameters)[5] == "n"
+
+
+def test_engine_theta0s_is_first_positional_parameter():
+    # The element count is the size of the first argument times n.
+    from szegolyap.cocycle import grid_log_norms
+
+    assert list(inspect.signature(grid_log_norms).parameters)[0] == "theta0s"

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from szegolyap.cli import CSV_HEADER, main
+from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, Rotation
+from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
 
 
 def run(capsys, *argv):
@@ -77,6 +79,26 @@ def test_scan_deterministic(tmp_path, capsys):
         )
         assert rc == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_scan_matches_per_eps_birkhoff_scans(capsys):
+    # Every epsilon runs in one engine batch; the CSV is that of one
+    # birkhoff_scan per epsilon, fed the same random stream in order.
+    rc, out, _ = run(capsys, "scan", "--eps", "0.3,0.5", "--z-grid", "4",
+                     "--n", "50", "--seed", "1")
+    assert rc == 0
+    rng = np.random.default_rng(1)
+    ts = np.arange(4) / 4
+    zs = np.exp(2j * np.pi * ts)
+    lines = [CSV_HEADER]
+    for eps in (0.3, 0.5):
+        gammas = birkhoff_scan(rng.random(4), rng.integers(0, 2, 4),
+                               Rotation(GOLDEN_MEAN), ExpGenerator(eps, 1), zs, 50)
+        bound = theorem1_bound(eps)
+        for t, gamma in zip(ts, gammas):
+            g17 = [format(float(x), ".17g") for x in (t, eps, gamma, bound, gamma - bound)]
+            lines.append(",".join(g17[:2] + ["0", "50", "birkhoff"] + g17[2:]))
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_scan_empty_eps(capsys):
@@ -301,6 +323,11 @@ def test_usage_error_exit_code():
         (["verify-t2", "--k", "-1"], "--k"),
         (["verify-t2", "--coeffs", "nan;1"], "--coeffs"),
         (["verify-t2", "--lambda", "nan,0"], "--lambda"),
+        (["verify-t1", "--tol", "nan", "--grid", "16"], "--tol"),
+        (["verify-t1", "--tol", "-1e-3", "--grid", "16"], "--tol"),
+        (["subharmonic", "--tol", "inf"], "--tol"),
+        (["verify-t2", "--threshold", "nan"], "--threshold"),
+        (["verify-t2", "--threshold", "-inf"], "--threshold"),
     ],
 )
 def test_rejected_by_parser(capsys, argv, option):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegolyap import cocycle
 from szegolyap import mat2 as m2
@@ -23,6 +25,7 @@ from szegolyap.dynamics import (
     PerturbedGenerator,
     PhasePoint,
     Rotation,
+    lambda_max,
 )
 from szegolyap.lyapunov import estimate_birkhoff
 
@@ -331,16 +334,20 @@ def test_block_budget_does_not_change_results(monkeypatch):
 
 
 def test_block_budget_does_not_change_perturbed_results(monkeypatch):
-    # Every parity call gets at least two angles whatever the budget; a
-    # single angle is evaluated in other last bits (see ROADMAP item 2).
+    # The perturbed coefficients are summed term by term, so a parity call
+    # with a single angle (one orbit per start parity, BUDGET = 1) rounds
+    # as the same angle does among many.
     rng = np.random.default_rng(13)
-    j0s = np.array([0, 0, 1, 1, 0, 1, 1])
     g = PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1])
-    args = (rng.random(7), j0s, GOLDEN, g, np.exp(2j * np.pi * rng.random(7)), 50)
-    logn, _ = grid_log_norms(*args)
-    for budget in (1, 7, 64):
-        monkeypatch.setattr(cocycle, "BUDGET", budget)
-        assert np.array_equal(grid_log_norms(*args)[0], logn)
+    default = cocycle.BUDGET
+    for j0s in (np.array([0, 0, 1, 1, 0, 1, 1]), np.array([1, 0])):
+        b = len(j0s)
+        args = (rng.random(b), j0s, GOLDEN, g, np.exp(2j * np.pi * rng.random(b)), 50)
+        monkeypatch.setattr(cocycle, "BUDGET", default)
+        logn, _ = grid_log_norms(*args)
+        for budget in (1, 7, 64):
+            monkeypatch.setattr(cocycle, "BUDGET", budget)
+            assert np.array_equal(grid_log_norms(*args)[0], logn)
 
 
 def test_mixed_start_parities_match_single_parity_calls():
@@ -354,3 +361,52 @@ def test_mixed_start_parities_match_single_parity_calls():
         sel = j0s == parity
         single, _ = grid_log_norms(thetas[sel], parity, GOLDEN, g, zs[sel], 300)
         assert np.array_equal(mixed[sel], single)
+
+
+def _segment_generator(rng, kind):
+    eps = float(rng.uniform(0.2, 0.9))
+    k = int(rng.integers(1, 4))
+    if kind == "exp":
+        return ExpGenerator(eps, k * int(rng.choice([-1, 1])))
+    coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+    lam = rng.uniform(0.1, 0.9) * lambda_max(eps, coeffs) * np.exp(2j * np.pi * rng.random())
+    return PerturbedGenerator(eps, k, lam, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["exp", "perturbed"]), min_size=1, max_size=5),
+    width=st.integers(1, 8),
+    n=st.integers(1, 40),
+    budget=st.sampled_from([1, 7, cocycle.BUDGET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, seed):
+    # One call over consecutive segments, each with its own generator, gives
+    # every orbit the bits of a call over its segment alone, whatever the
+    # block budget.
+    rng = np.random.default_rng(seed)
+    gens = [_segment_generator(rng, kind) for kind in kinds]
+    b = len(gens) * width
+    thetas, j0s = rng.random(b), rng.integers(0, 2, b)
+    zs = np.exp(2j * np.pi * rng.random(b))
+    marks = [1, n // 2 + 1, n]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "BUDGET", budget)
+        fused, rec = grid_log_norms(thetas, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
+    for s, g in enumerate(gens):
+        seg = slice(s * width, (s + 1) * width)
+        alone, rec_alone = grid_log_norms(
+            thetas[seg], j0s[seg], GOLDEN, g, zs[seg], n, checkpoints=marks
+        )
+        assert np.array_equal(fused[seg], alone)
+        for m in marks:
+            assert np.array_equal(rec[m][seg], rec_alone[m])
+
+
+def test_segments_must_split_the_orbits_evenly():
+    gens = [ExpGenerator(0.5, 1), ExpGenerator(0.3, 1)]
+    with pytest.raises(ValueError, match="equal segments"):
+        grid_log_norms(np.zeros(3), 0, GOLDEN, gens, 1.0, 5)
+    with pytest.raises(ValueError, match="equal segments"):
+        grid_log_norms(np.zeros(2), 0, GOLDEN, [], 1.0, 5)

@@ -149,6 +149,19 @@ def test_birkhoff_scan_matches_single_estimates():
         assert gammas[i] == pytest.approx(est.gamma_hat, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, grid_size", [(0, 4), (-1, 4), (3, 0)])
+def test_estimate_phase_average_rejects_bad_sizes(n, grid_size):
+    s = SpectralParameter.from_turn(0.2)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), s, n, grid_size)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_birkhoff_scan_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        birkhoff_scan([0.2, 0.5], [0, 1], GOLDEN, ExpGenerator(0.5, 1), 1.0, n)
+
+
 def test_reference_bound_dispatch():
     assert reference_bound(ExpGenerator(0.5, 1)) == theorem1_bound(0.5)
     g = PerturbedGenerator(0.5, 1, 0.1 * lambda_max(0.5, [1, 1]), [1, 1])
