@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhasePoint, Rotation, ExpGenerator
-from .mat2 import IDENTITY, SWAP, mat2, op_norm
+from .mat2 import SWAP, mat2, op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 of
 # them take 128 KB: enough steps per block to spread the per-block Python
@@ -175,7 +175,10 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             f"{theta0s.size} orbits do not split into {len(gens)} equal segments"
         )
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
-    cur = np.broadcast_to(IDENTITY, theta0s.shape + (2, 2)).copy()
+    # The running product as component rows: cur[r] holds row r of every
+    # orbit's matrix as a contiguous (2, orbits) block.
+    cur = np.zeros((2, 2, theta0s.size), dtype=complex)
+    cur[0, 0] = cur[1, 1] = 1.0
     logn = np.zeros(theta0s.shape)
     wanted = set(checkpoints) if checkpoints is not None else set()
     recorded = {}
@@ -186,14 +189,22 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         _check_finite(mats, m0)
         nrms = np.empty(mats.shape[:2])
         for i in range(len(mats)):
-            cur = mats[i] @ cur
-            nrm = op_norm(cur)
-            cur /= nrm[:, None, None]
+            # cur = a @ cur, one row at a time on the component arrays.
+            a = mats[i]
+            top = a[:, 0, 0] * cur[0]
+            top += a[:, 0, 1] * cur[1]
+            cur[1] *= a[:, 1, 1]
+            cur[1] += a[:, 1, 0] * cur[0]
+            cur[0] = top
+            nrm = op_norm(cur.transpose(2, 0, 1))
+            cur /= nrm
             logn += np.log(nrm)
             nrms[i] = nrm
             if m0 + i + 1 in wanted:
                 recorded[m0 + i + 1] = logn.copy()
-        del mats  # the next block's stack is built without this one held
+        # The next block's stack is built without this one (or a view of it)
+        # held.
+        del mats, a, top
         # A non-finite product has a non-finite norm.
         _check_finite(nrms, m0)
     return logn, recorded

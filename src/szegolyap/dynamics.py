@@ -92,13 +92,18 @@ def lambda_max(epsilon: float, coeffs) -> float:
     (1 - eps^2)^(1/2) (1 + |lambda| sum|a_l|) < 1.  Returns +inf for an
     empty (or all-zero) perturbation.  This is a sufficient bound, not the
     exact supremum; dense sampling gives the sharp check in tests.
+
+    The radius (1/m - 1) / sum|a_l|, m = (1 - eps^2)^(1/2), is evaluated as
+    eps^2 / (m (1 + m) sum|a_l|): the difference 1/m - 1 cancels to 0 in
+    double precision once eps is below about 1e-8.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     total = float(sum(abs(complex(a)) for a in coeffs))
     if total == 0.0:
         return math.inf
-    return ((1.0 - epsilon**2) ** -0.5 - 1.0) / total
+    m = math.sqrt(1.0 - epsilon**2)
+    return epsilon**2 / (m * (1.0 + m) * total)
 
 
 @dataclass(frozen=True)

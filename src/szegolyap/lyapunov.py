@@ -265,8 +265,7 @@ def subharmonic_check(
 
     # acosh near the crossing level amplifies the ~1e-13 relative noise
     # in F to ~1e-6 pointwise, so quad emits a roundoff warning even when
-    # the integral itself is far more accurate.  Silence the warning and
-    # gate on the returned error estimate instead.
+    # the integral itself is far more accurate; the warning is silenced.
     # quad's own error estimate is not gated on: once roundoff is flagged
     # it turns pessimistic by orders of magnitude (estimates near 1e-2
     # where dense-grid cross-checks put the true error below 1e-5, far

@@ -11,8 +11,6 @@ import numpy as np
 # Indefinite form preserved by U(1,1).
 J = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
-IDENTITY = np.eye(2, dtype=complex)
-
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 

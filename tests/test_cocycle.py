@@ -1,6 +1,7 @@
 """Tests for cocycle construction, conjugation, and renormalized products."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,3 +411,38 @@ def test_segments_must_split_the_orbits_evenly():
         grid_log_norms(np.zeros(3), 0, GOLDEN, gens, 1.0, 5)
     with pytest.raises(ValueError, match="equal segments"):
         grid_log_norms(np.zeros(2), 0, GOLDEN, [], 1.0, 5)
+
+
+@pytest.mark.parametrize("width", [37, 3000])
+@pytest.mark.parametrize(
+    "g", [ExpGenerator(0.35, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1])],
+    ids=["exp", "perturbed"],
+)
+def test_orbit_alone_matches_orbit_in_batch(g, width):
+    # An orbit's log norm depends neither on the block length nor on the
+    # rest of the batch.  A lone orbit runs in blocks of BUDGET steps, 37
+    # orbits in blocks of BUDGET // 37 steps (so 60 steps span two blocks)
+    # and 3000 orbits, more than BUDGET, in blocks of one step.
+    rng = np.random.default_rng(width)
+    thetas, j0s = rng.random(width), rng.integers(0, 2, width)
+    zs = np.exp(2j * np.pi * rng.random(width))
+    n = 60
+    batch, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, n)
+    for i in rng.choice(width, 12, replace=False):
+        alone, _ = grid_log_norms(thetas[i:i + 1], j0s[i], GOLDEN, g, zs[i], n)
+        assert alone[0] == batch[i]
+
+
+def test_wide_batch_peak_memory():
+    # 32768 orbits, two steps: the one-step stack and the running product
+    # take 1 MiB each.  Holding a block's stack (or a view of it) into the
+    # next block shows as a traced peak above 10 MiB.
+    b = 32768
+    thetas = np.arange(b) / b
+    tracemalloc.start()
+    try:
+        grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,6 +153,17 @@ def test_lambda_max_empty():
 
 def test_lambda_max_arithmetic():
     assert lambda_max(0.6, [1.0]) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-7, 1e-9])
+def test_lambda_max_matches_high_precision(eps):
+    # (1/m - 1) / sum|a_l| with m = (1 - eps^2)^(1/2), in 50 digits: the
+    # naive double-precision difference is 0 at eps = 1e-9.
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        exact = (1 / mpmath.sqrt(1 - e**2) - 1) / 4
+        expected = pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert lambda_max(eps, [1, 1, 1, 1]) == expected
 
 
 def test_lambda_max_dense_grid_oracle():
