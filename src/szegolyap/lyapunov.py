@@ -8,8 +8,8 @@ finite-n quantity that the subharmonicity argument bounds below for every
 n, not just in the limit).
 """
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,10 @@ from .dynamics import ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
 from .mat2 import op_norm
 
 TWO_PI = 2.0 * math.pi
+
+# Gauss-Legendre nodes per breakpoint interval of the circle average; the
+# rule at half as many nodes gives the reported node-doubling delta.
+GL_NODES = 128
 
 
 def theorem1_bound(epsilon: float) -> float:
@@ -76,6 +80,7 @@ class SubharmonicReport:
     circle_average: float
     center_value: float
     slack: float
+    quad_delta: float  # node-doubling delta of circle_average; reported only
 
 
 def estimate_birkhoff(
@@ -199,6 +204,34 @@ def subharmonic_grid_values(
     return np.log(op_norm(_analytic_family_products(r, g, s, j0, n, w)))
 
 
+@functools.cache
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1],
+    read-only because every caller shares the cached arrays."""
+    x, wts = np.polynomial.legendre.leggauss(m)
+    rule = 0.5 * (x + 1.0), 0.5 * wts
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _breakpoint_rule(edges, m, coeffs, floor) -> float:
+    """Integral over [0, 1] of arccosh(max(F(theta) / floor, 1)), by the
+    m-node Gauss-Legendre rule on each interval [a, b] of ``edges`` under
+    theta = a + (b - a)(1 - cos pi t)/2, with F read from its Fourier
+    coefficients 0 .. deg.  All nodes of all intervals share one polyval
+    call.
+    """
+    t, wts = _gauss_legendre(m)
+    a = edges[:-1, None]
+    h = np.diff(edges)[:, None]
+    theta = a + h * (0.5 * (1.0 - np.cos(np.pi * t)))
+    jac = h * (0.5 * np.pi) * np.sin(np.pi * t)
+    e = np.exp(2j * np.pi * theta)
+    fro2 = coeffs[0].real + 2.0 * np.real(np.polyval(coeffs[:0:-1], e) * e)
+    return float(np.sum(wts * jac * np.arccosh(np.maximum(fro2 / floor, 1.0))))
+
+
 def subharmonic_check(
     r: Rotation,
     g: ExpGenerator,
@@ -218,17 +251,19 @@ def subharmonic_check(
 
         log ||P|| = n log(eps) + arccosh(F / (2 eps^(2n))) / 2,
 
-    and the average of the arccosh term is integrated adaptively with
-    breakpoints at the near-circle roots of F = 2 eps^(2n), where the
-    two singular values nearly cross and the integrand has square-root
-    behavior.  A plain uniform-grid mean converges too slowly there to
-    be stable under refinement; this route is exact up to quadrature
-    error ~1e-10.  The center value at w = 0 still runs through the
-    product code itself, so the check stays independent of the
-    hand-derived closed form n log (1-eps^2)^(1/2).
+    and the average of the arccosh term is integrated by a fixed
+    composite Gauss-Legendre rule with GL_NODES nodes on each interval
+    between the near-circle roots of F = 2 eps^(2n), where the two
+    singular values nearly cross and the integrand has square-root
+    behavior.  Each interval is cosine-mapped, which clusters the nodes
+    at its ends and turns the square-root kinks into smooth integrands
+    (Trefethen-Weideman 2014); a plain uniform-grid mean converges too
+    slowly there to be stable under refinement.  The rule is run again
+    at GL_NODES / 2 nodes and the difference, in circle-average units,
+    is reported as ``quad_delta``.  The center value at w = 0 still runs
+    through the product code itself, so the check stays independent of
+    the hand-derived closed form n log (1-eps^2)^(1/2).
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     _validate_subharmonic_args(g, j0, n, grid_size)
 
     deg = 2 * g.k * n  # entry degree; Frobenius harmonics reach +-deg
@@ -243,12 +278,6 @@ def subharmonic_check(
 
     floor = 2.0 * g.epsilon ** (2 * n)  # 2 sqrt(D), the sigma-crossing level
 
-    def fro2_at(theta):
-        e = np.exp(2j * np.pi * theta)
-        return float(coeffs[0].real + 2.0 * np.real(
-            np.polyval(coeffs[deg:0:-1], e) * e
-        ))
-
     # Near-circle roots of F(w) - 2 sqrt(D): breakpoints for the quadrature.
     full = np.empty(2 * deg + 1, dtype=complex)
     full[deg:] = coeffs[: deg + 1]
@@ -259,25 +288,15 @@ def subharmonic_check(
     angles = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 0.2]) / TWO_PI % 1.0
     breakpoints = sorted(set(np.round(angles, 12)))
 
-    def integrand(theta):
-        c = fro2_at(theta) / floor
-        return math.acosh(max(c, 1.0))
-
-    # acosh near the crossing level amplifies the ~1e-13 relative noise
-    # in F to ~1e-6 pointwise, so quad emits a roundoff warning even when
-    # the integral itself is far more accurate; the warning is silenced.
-    # quad's own error estimate is not gated on: once roundoff is flagged
-    # it turns pessimistic by orders of magnitude (estimates near 1e-2
-    # where dense-grid cross-checks put the true error below 1e-5, far
-    # inside the 1e-3 slack tolerance).
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        avg_t, _ = quad(
-            integrand, 0.0, 1.0, points=breakpoints or None, limit=400,
-            epsabs=1e-9, epsrel=1e-9,
-        )
+    edges = np.array([0.0, *breakpoints, 1.0])
+    avg_t, avg_half = (
+        _breakpoint_rule(edges, m, coeffs[: deg + 1], floor)
+        for m in (GL_NODES, GL_NODES // 2)
+    )
     circle = n * math.log(g.epsilon) + 0.5 * avg_t
 
     center_prod = _analytic_family_products(r, g, s, j0, n, np.array([0.0j]))
     center = float(np.log(op_norm(center_prod[0])))
-    return SubharmonicReport(n, circle, center, circle - center)
+    return SubharmonicReport(
+        n, circle, center, circle - center, 0.5 * abs(avg_t - avg_half)
+    )

@@ -350,3 +350,25 @@ def test_process_exit_code(argv, code):
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+
+
+def test_commands_run_without_scipy():
+    # A None entry in sys.modules makes every import of scipy fail.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from szegolyap.cli import main\n"
+        "for argv in (\n"
+        "    ['subharmonic', '--eps', '0.3', '--z-grid', '1', '--n', '4'],\n"
+        "    ['verify-t1', '--z-grid', '1', '--n', '2', '--grid', '64'],\n"
+        "    ['scan', '--eps', '0.5', '--z-grid', '2', '--n', '20'],\n"
+        "):\n"
+        "    rc = main(argv)\n"
+        "    print(argv[0], rc, file=sys.stderr)\n"
+        "    assert rc == 0, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["subharmonic", "0", "verify-t1", "0", "scan", "0"]

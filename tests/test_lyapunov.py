@@ -194,6 +194,25 @@ def test_subharmonic_grid_refinement():
     assert abs(coarse.circle_average - fine.circle_average) < 1e-6
 
 
+def test_subharmonic_circle_average_pinned():
+    # A 4.2e6-point midpoint rule on the direct products gives
+    # -0.33943553289; scipy's adaptive quad was off here by 1.07e-5
+    # (-0.3394248592) without any warning.
+    g = ExpGenerator(0.456, 2)
+    s = SpectralParameter.from_turn(0.521)
+    rep = subharmonic_check(GOLDEN, g, s, 1, 11, 2048)
+    assert rep.circle_average == pytest.approx(-0.3394355329, abs=1e-9)
+
+
+def test_subharmonic_quad_delta():
+    g = ExpGenerator(0.3, 1)
+    s = SpectralParameter.from_turn(0.0)
+    for j0 in (0, 1):
+        rep = subharmonic_check(GOLDEN, g, s, j0, 4, 2048)
+        assert math.isfinite(rep.quad_delta)
+        assert 0.0 <= rep.quad_delta < 1e-9
+
+
 def test_subharmonic_route_equality():
     # Analytic-family samples + n log(1/eps) reproduce the direct cocycle
     # log norms on a matched grid, point by point.
