@@ -161,33 +161,19 @@ def cmd_scan(args) -> int:
         print("error: --coeffs needs --lambda (the perturbation coupling)",
               file=sys.stderr)
         return 2
-    if args.lam is not None:
-        if args.k < 1:
-            print("error: the perturbed family requires k >= 1", file=sys.stderr)
-            return 2
-        if coeffs is None:
-            coeffs = [1.0 + 0.0j] * (2 * args.k)
-        if len(coeffs) != 2 * args.k:
-            print(
-                f"error: need 2k = {2 * args.k} coefficients, got {len(coeffs)}",
-                file=sys.stderr,
-            )
-            return 2
-        for e in args.eps:
-            if abs(args.lam) >= lambda_max(e, coeffs):
-                print(
-                    f"error: |lambda| = {abs(args.lam)} exceeds the admissible "
-                    f"radius {lambda_max(e, coeffs)} at epsilon = {e}",
-                    file=sys.stderr,
-                )
-                return 2
+    try:
+        if args.lam is None:
+            gens = [ExpGenerator(eps, args.k) for eps in args.eps]
+        else:
+            coeffs = coeffs if coeffs is not None else [1.0 + 0.0j] * (2 * args.k)
+            gens = [PerturbedGenerator(eps, args.k, args.lam, coeffs)
+                    for eps in args.eps]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     r = Rotation(args.alpha)
     ts, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)
-    if args.lam is not None:
-        gens = [PerturbedGenerator(eps, args.k, args.lam, coeffs) for eps in args.eps]
-    else:
-        gens = [ExpGenerator(eps, args.k) for eps in args.eps]
     lam_abs = abs(args.lam) if args.lam is not None else 0.0
     results = {}
     if "birkhoff" in args.method:
@@ -281,12 +267,6 @@ def cmd_verify_t1(args) -> int:
 
 def cmd_verify_t2(args) -> int:
     coeffs = args.coeffs if args.coeffs is not None else [1.0 + 0.0j] * (2 * args.k)
-    if len(coeffs) != 2 * args.k:
-        print(
-            f"error: need 2k = {2 * args.k} coefficients, got {len(coeffs)}",
-            file=sys.stderr,
-        )
-        return 2
     if not any(coeffs):
         print("error: all --coeffs are zero: nothing to perturb", file=sys.stderr)
         return 2
@@ -300,13 +280,17 @@ def cmd_verify_t2(args) -> int:
     # Per epsilon, the unperturbed family and then one per ladder rung; all
     # of them run as one batch.
     lmaxes = [lambda_max(eps, coeffs) for eps in args.eps]
-    families = [
-        [ExpGenerator(eps, args.k)] + [
-            PerturbedGenerator(eps, args.k, factor * lmax * direction, coeffs)
-            for factor in LADDER_FACTORS
+    try:
+        families = [
+            [ExpGenerator(eps, args.k)] + [
+                PerturbedGenerator(eps, args.k, factor * lmax * direction, coeffs)
+                for factor in LADDER_FACTORS
+            ]
+            for eps, lmax in zip(args.eps, lmaxes)
         ]
-        for eps, lmax in zip(args.eps, lmaxes)
-    ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     gammas = _birkhoff_batch(rng, r, [g for gens in families for g in gens], zs, args.n)
     mins = gammas.min(axis=1).reshape(len(families), -1)
     status = 0

@@ -122,20 +122,15 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
 
 def _coefficients(theta0s, j0, r: Rotation, gens, ms):
     """Coefficients of every orbit at the steps in column ``ms``, shaped
-    (steps, orbits), from one ``evaluate_grid`` call per segment and parity;
-    generator ``gens[s]`` drives the s-th of ``len(gens)`` equal consecutive
-    segments of the orbits."""
+    (steps, orbits), from one ``evaluate_grid`` call per segment, given the
+    angles and the parity array of that segment; generator ``gens[s]``
+    drives the s-th of ``len(gens)`` equal consecutive segments of the
+    orbits."""
     thetas = (theta0s + ms * r.alpha) % 1.0
     parity = np.broadcast_to((j0 + ms) % 2, thetas.shape)
-    f = np.empty(thetas.shape, dtype=complex)
-    width = thetas.shape[1] // len(gens)
-    for s, g in enumerate(gens):
-        seg = slice(s * width, (s + 1) * width)
-        for j in (0, 1):
-            sel = parity[:, seg] == j
-            if np.any(sel):
-                f[:, seg][sel] = g.evaluate_grid(thetas[:, seg][sel], j)
-    return f
+    segments = zip(gens, np.split(thetas, len(gens), axis=1),
+                   np.split(parity, len(gens), axis=1))
+    return np.concatenate([g.evaluate_grid(t, j) for g, t, j in segments], axis=1)
 
 
 def _check_finite(stack, m0):
@@ -162,11 +157,13 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     accumulated log IS the log norm of the product.
 
     The one-step matrices are built a block of steps at a time, at most
-    BUDGET of them per block (one step per block for wider batches).  The
-    product is folded step after step in the same arithmetic whatever the
-    block length, and every generator evaluates each angle on its own, so
-    an orbit's result depends neither on BUDGET nor on the other orbits
-    (or segments) in the batch.
+    BUDGET of them per block (one step per block for wider batches).  Each
+    generator is called once per block, with the (steps, orbits) arrays of
+    its segment's angles and parities.  The product is folded step after
+    step in the same arithmetic whatever the block length, and every
+    generator evaluates each (angle, parity) pair on its own, so an
+    orbit's result depends neither on BUDGET nor on the other orbits (or
+    segments) in the batch.
     """
     theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
     gens = tuple(g) if isinstance(g, (list, tuple)) else (g,)

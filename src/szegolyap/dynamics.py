@@ -2,8 +2,10 @@
 
 The base system is the product of an irrational rotation on the 1-torus
 with the flip on Z_2.  Coefficient generators map a phase point to a value
-in the open unit disk; the cocycle layer is generic over anything with an
-``evaluate`` / ``evaluate_grid`` pair.
+in the open unit disk.  The cocycle engine is generic over anything with
+an ``evaluate_grid(thetas, j)`` method, whose parity ``j`` is a scalar or
+an integer array broadcasting with the angles ``thetas``; ``evaluate`` at a
+single phase point serves scalar checks.
 """
 
 import math
@@ -79,8 +81,9 @@ class ExpGenerator:
         )
 
     def evaluate_grid(self, thetas, j):
-        """Vectorized evaluation at angles ``thetas``, shared parity ``j``."""
-        sign = 1.0 if j == 0 else -1.0
+        """Vectorized evaluation at angles ``thetas`` and parities ``j``
+        (a scalar or an integer array broadcasting with ``thetas``)."""
+        sign = 1 - 2 * np.asarray(j)
         return self.modulus * np.exp(1j * TWO_PI * self.k * sign * np.asarray(thetas))
 
 
@@ -135,7 +138,7 @@ class PerturbedGenerator:
         if abs(self.lam) >= lambda_max(self.epsilon, self.coeffs):
             raise AdmissibilityError(
                 f"|lambda| = {abs(self.lam)} exceeds the admissible radius "
-                f"{lambda_max(self.epsilon, self.coeffs)}"
+                f"{lambda_max(self.epsilon, self.coeffs)} at epsilon = {self.epsilon}"
             )
 
     @property
@@ -147,13 +150,14 @@ class PerturbedGenerator:
 
     def evaluate_grid(self, thetas, j):
         thetas = np.asarray(thetas, dtype=float)
-        sign = 1.0 if j == 0 else -1.0
+        sign = 1 - 2 * np.asarray(j)
         ls = np.arange(-self.k, self.k)
-        # (B, 2k) phase table; k is small so the outer product is cheap.
-        phases = np.exp(1j * TWO_PI * sign * thetas[:, None] * ls[None, :])
+        # Phase table with the 2k frequencies on a trailing axis; k is small
+        # so the outer product is cheap.
+        phases = np.exp(1j * TWO_PI * sign[..., None] * thetas[..., None] * ls)
         # Summed term by term: a matrix product would round differently
         # for one angle than for several.
-        pert = sum(a * phases[:, i] for i, a in enumerate(self.coeffs))
+        pert = sum(a * phases[..., i] for i, a in enumerate(self.coeffs))
         base = np.exp(1j * TWO_PI * sign * self.k * thetas)
         vals = self.modulus * (base + self.lam * pert)
         worst = np.max(np.abs(vals))
@@ -179,4 +183,5 @@ class ConstantGenerator:
         return self.value
 
     def evaluate_grid(self, thetas, j):
-        return np.full(np.asarray(thetas).shape, self.value, dtype=complex)
+        shape = np.broadcast_shapes(np.shape(thetas), np.shape(j))
+        return np.full(shape, self.value, dtype=complex)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import SpectralParameter, grid_log_norms
+from .cocycle import NumericalBlowupError, SpectralParameter, grid_log_norms
 from .dynamics import ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
 from .mat2 import op_norm
 
@@ -87,10 +87,7 @@ def estimate_birkhoff(
     p0: PhasePoint, r: Rotation, g, s: SpectralParameter, n: int
 ) -> LyapunovEstimate:
     """(1/n) log ||A^z_n(p0)|| along a single orbit."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    logn, _ = grid_log_norms([p0.theta], p0.j, r, g, s.z, n)
-    gamma = float(logn[0]) / n
+    gamma = float(birkhoff_scan([p0.theta], p0.j, r, g, s.z, n)[0])
     bound = reference_bound(g)
     return LyapunovEstimate(gamma, "birkhoff", n, 1, bound, gamma - bound)
 
@@ -262,7 +259,9 @@ def subharmonic_check(
     at GL_NODES / 2 nodes and the difference, in circle-average units,
     is reported as ``quad_delta``.  The center value at w = 0 still runs
     through the product code itself, so the check stays independent of
-    the hand-derived closed form n log (1-eps^2)^(1/2).
+    the hand-derived closed form n log (1-eps^2)^(1/2).  A circle average
+    or center value that is not finite, as once 2 eps^(2n) leaves the
+    double range, raises NumericalBlowupError.
     """
     _validate_subharmonic_args(g, j0, n, grid_size)
 
@@ -297,6 +296,11 @@ def subharmonic_check(
 
     center_prod = _analytic_family_products(r, g, s, j0, n, np.array([0.0j]))
     center = float(np.log(op_norm(center_prod[0])))
+    if not (math.isfinite(circle) and math.isfinite(center)):
+        raise NumericalBlowupError(
+            f"circle average {circle} or center value {center} is not finite "
+            f"at n = {n} (crossing level 2 eps^(2n) = {floor})"
+        )
     return SubharmonicReport(
         n, circle, center, circle - center, 0.5 * abs(avg_t - avg_half)
     )

@@ -1,4 +1,5 @@
-"""The benchmark's tracing sites still resolve on the package.
+"""The benchmark's tracing sites still resolve on the package, and the
+layer calls of ``bench/micro.py`` still run.
 
 ``bench/tracing.py`` wraps functions by the names in its ``SITES`` table
 and counts engine work from the engine's positional ``theta0s`` (first)
@@ -42,6 +43,24 @@ def test_szego_matrices_returns_stack():
 
     f = np.full((3, 5), 0.5 + 0.1j)
     assert szego_matrices(f, np.exp(0.3j)).shape == (3, 5, 2, 2)
+
+
+def test_micro_benchmark_calls_return_arrays():
+    # The layer calls bench/micro.py times, with its generators and a batch
+    # of its shape.
+    from szegolyap.cocycle import szego_matrices
+    from szegolyap.dynamics import ExpGenerator, PerturbedGenerator, lambda_max
+
+    coeffs = [1.0, 1.0, 1.0, 1.0]
+    gens = (ExpGenerator(0.5, 2),
+            PerturbedGenerator(0.5, 2, 0.1 * lambda_max(0.5, coeffs), coeffs))
+    rng = np.random.default_rng(0)
+    thetas = rng.random(16)
+    zs = np.exp(2j * np.pi * rng.random(16))
+    for g in gens:
+        f = g.evaluate_grid(thetas, 0)
+        assert f.shape == (16,) and f.dtype == complex
+        assert szego_matrices(f, zs).shape == (16, 2, 2)
 
 
 def test_engine_n_is_sixth_positional_parameter():

@@ -314,7 +314,7 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, reason",
     [
         (["scan", "--alpha", "1.5"], "--alpha"),
         (["scan", "--seed", "-1"], "--seed"),
@@ -328,13 +328,31 @@ def test_usage_error_exit_code():
         (["subharmonic", "--tol", "inf"], "--tol"),
         (["verify-t2", "--threshold", "nan"], "--threshold"),
         (["verify-t2", "--threshold", "-inf"], "--threshold"),
+        # Rules the generator constructors own; the CLI reports their reason.
+        (["scan", "--k", "-1", "--lambda", "0.01"], "k must be a positive integer"),
+        (["scan", "--k", "2", "--lambda", "0.01", "--coeffs", "1;1"],
+         "need 2k = 4 coefficients, got 2"),
+        (["scan", "--eps", "0.5,0.1", "--lambda", "0.01"], "at epsilon = 0.1"),
     ],
 )
-def test_rejected_by_parser(capsys, argv, option):
+def test_rejected_by_parser(capsys, argv, reason):
     rc, _, err = run(capsys, *argv, "--z-grid", "1", "--n", "2")
     assert rc == 2
     assert "Traceback" not in err
-    assert option in err
+    assert reason in err
+
+
+@pytest.mark.parametrize("n", ["78", "90"])
+def test_subharmonic_breakdown_is_numerical_failure(capsys, n):
+    # 2 eps^(2n) leaves the double range: the circle average is inf (n = 78)
+    # or nan (n = 90), which is no verdict either way.
+    rc, out, err = run(
+        capsys, "subharmonic", "--eps", "0.01", "--z-grid", "1", "--n", n
+    )
+    assert rc == 3
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+    assert "PASS" not in out and "FAIL" not in out
 
 
 @pytest.mark.parametrize(

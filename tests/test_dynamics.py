@@ -93,6 +93,32 @@ def test_eval_exp_grid_matches_scalar():
             assert abs(grid[i] - g.evaluate(PhasePoint(float(th), j))) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        ExpGenerator(0.41, 2),
+        ExpGenerator(0.3, -3),
+        PerturbedGenerator(0.5, 2, 0.3 * lambda_max(0.5, [1, 0.5j, -1, 2]),
+                           [1, 0.5j, -1, 2]),
+        ConstantGenerator(0.25 - 0.5j),
+    ],
+    ids=["exp", "exp-negative-k", "perturbed", "constant"],
+)
+@pytest.mark.parametrize("shape", [(37,), (5, 8)], ids=["1d", "2d"])
+def test_evaluate_grid_parity_array_matches_scalar_parities(g, shape):
+    # One call with a parity per angle equals the two shared-parity calls
+    # element for element, bit for bit.
+    rng = np.random.default_rng(11)
+    thetas = rng.random(shape)
+    parity = rng.integers(0, 2, shape)
+    got = g.evaluate_grid(thetas, parity)
+    assert got.shape == shape
+    for j in (0, 1):
+        sel = parity == j
+        assert np.array_equal(got[sel], g.evaluate_grid(thetas[sel], j))
+        assert np.array_equal(got[sel], g.evaluate_grid(thetas, j)[sel])
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         ExpGenerator(0.5, 0)
