@@ -6,9 +6,9 @@ coefficient value f in D is
     A = (1 - |f|^2)^(-1/2) [[z, -conj(f)], [-f z, 1]],
 
 an element of U(1,1) with det A = z.  Orbit products are accumulated with
-per-step renormalization: the running matrix is kept at unit operator norm
-and the stripped scale factors are summed in log form, so products of any
-length never overflow.
+per-step renormalization: the running matrix is divided by a positive
+scale at every step and the stripped scales are summed in log form, so
+products of any length never overflow.
 """
 
 import cmath
@@ -64,7 +64,8 @@ class SpectralParameter:
 
 
 def szego_matrices(f, z):
-    """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast."""
+    """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast.
+    Entry-major: a ``(..., 2, 2)`` view in which each entry is contiguous."""
     f, z = np.broadcast_arrays(
         np.asarray(f, dtype=complex), np.asarray(z, dtype=complex)
     )
@@ -78,12 +79,12 @@ def szego_matrices(f, z):
             "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
         )
     c = rem**-0.5
-    out = np.empty(f.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c * z
-    out[..., 0, 1] = -c * np.conj(f)
-    out[..., 1, 0] = -c * f * z
-    out[..., 1, 1] = c
-    return out
+    out = np.empty((2, 2) + f.shape, dtype=complex)
+    out[0, 0] = c * z
+    out[0, 1] = -c * np.conj(f)
+    out[1, 0] = -c * f * z
+    out[1, 1] = c
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def szego_matrix(f_val: complex, s: SpectralParameter):
@@ -136,7 +137,7 @@ def _coefficients(theta0s, j0, r: Rotation, gens, ms):
 def _check_finite(stack, m0):
     """Name the first step (row of ``stack``, counted from step m0 + 1)
     with a non-finite entry."""
-    finite = np.all(np.isfinite(stack.reshape(len(stack), -1)), axis=1)
+    finite = np.all(np.isfinite(stack), axis=tuple(range(1, stack.ndim)))
     if not np.all(finite):
         step = m0 + int(np.argmin(finite)) + 1
         raise NumericalBlowupError(f"non-finite entries at step {step}")
@@ -153,8 +154,12 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     scalar (shared spectral parameter) or a vector.  Returns
     ``(log_norms, recorded)`` where ``recorded[m]`` is a copy of the log
     norms after m steps for each m in ``checkpoints``.
-    Because the running product is renormalized to unit operator norm, the
-    accumulated log IS the log norm of the product.
+    Each step divides the running product by a positive scale, summed in
+    log form: the operator norm at the read steps (the checkpoints and
+    step n), so the accumulated log IS the log norm wherever it is read,
+    and elsewhere the cheaper root mean square of the entries,
+    sqrt(||cur||_F^2 / 2), which lies in [sigma_max / sqrt(2), sigma_max].
+    Results therefore depend on the checkpoint set at the last-bit level.
 
     The one-step matrices are built a block of steps at a time, at most
     BUDGET of them per block (one step per block for wider batches).  Each
@@ -176,15 +181,18 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     # orbit's matrix as a contiguous (2, orbits) block.
     cur = np.zeros((2, 2, theta0s.size), dtype=complex)
     cur[0, 0] = cur[1, 1] = 1.0
+    # Real rows, one per entry: the squared Frobenius norm sums over them.
+    parts = cur.view(float).reshape(4, 2 * theta0s.size)
     logn = np.zeros(theta0s.shape)
     wanted = set(checkpoints) if checkpoints is not None else set()
+    reads = wanted | {n}
     recorded = {}
     block = max(1, BUDGET // max(theta0s.size, 1))
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, gens, ms), zs)
         _check_finite(mats, m0)
-        nrms = np.empty(mats.shape[:2])
+        scales = np.empty(mats.shape[:2])
         for i in range(len(mats)):
             # cur = a @ cur, one row at a time on the component arrays.
             a = mats[i]
@@ -193,15 +201,22 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             cur[1] *= a[:, 1, 1]
             cur[1] += a[:, 1, 0] * cur[0]
             cur[0] = top
-            nrm = op_norm(cur.transpose(2, 0, 1))
-            cur /= nrm
-            logn += np.log(nrm)
-            nrms[i] = nrm
+            scale = scales[i]
+            if m0 + i + 1 in reads:
+                scale[...] = op_norm(cur.transpose(2, 0, 1))
+            else:
+                sq = np.einsum("ij,ij->j", parts, parts)
+                np.add(sq[0::2], sq[1::2], out=scale)
+                del sq  # not held into the next op_norm or stack build
+                scale *= 0.5
+                np.sqrt(scale, out=scale)
+            cur /= scale
+            logn += np.log(scale)
             if m0 + i + 1 in wanted:
                 recorded[m0 + i + 1] = logn.copy()
         # The next block's stack is built without this one (or a view of it)
         # held.
         del mats, a, top
-        # A non-finite product has a non-finite norm.
-        _check_finite(nrms, m0)
+        # A non-finite product has a non-finite scale.
+        _check_finite(scales, m0)
     return logn, recorded

@@ -115,6 +115,8 @@ def phase_average_profile(
     Entry n-1 is (1/n) * mean over the uniform theta grid and both
     parities of log ||A^z_n(theta, j)||.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     thetas = np.arange(grid_size) / grid_size

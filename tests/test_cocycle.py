@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -446,3 +447,72 @@ def test_wide_batch_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def _oracle_log_norm(fs, z):
+    """log sigma_max of the product of the one-step matrices at the
+    coefficients ``fs`` (step order) and z, in 50-digit arithmetic from
+    the same doubles; sigma_max in closed form."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        prod = mpmath.eye(2)
+        for f in fs:
+            f = mpmath.mpc(f)
+            c = 1 / mpmath.sqrt(1 - abs(f) ** 2)
+            prod = c * mpmath.matrix([[z, -mpmath.conj(f)], [-f * z, 1]]) * prod
+        fro2 = sum(abs(prod[i, j]) ** 2 for i in range(2) for j in range(2))
+        det2 = abs(mpmath.det(prod)) ** 2
+        return float(mpmath.log((fro2 + mpmath.sqrt(fro2**2 - 4 * det2)) / 2) / 2)
+
+
+@pytest.mark.parametrize("family", ["exp", "perturbed"])
+def test_short_products_match_mpmath_oracle(family):
+    rng = np.random.default_rng(20 if family == "exp" else 21)
+    for _ in range(8):
+        eps = float(10 ** rng.uniform(-3, math.log10(0.95)))
+        k = int(rng.choice([-1, 1, 2]))
+        if family == "exp":
+            g = ExpGenerator(eps, k)
+        else:
+            k = abs(k)
+            coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+            lam = 0.5 * lambda_max(eps, coeffs) * np.exp(2j * np.pi * rng.random())
+            g = PerturbedGenerator(eps, k, lam, coeffs)
+        b, n = 4, int(rng.integers(1, 41))
+        thetas, j0s = rng.random(b), rng.integers(0, 2, b)
+        zs = np.exp(2j * np.pi * rng.random(b))
+        logn, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, n)
+        # The coefficients the engine multiplies, from the same angle
+        # arithmetic.
+        ms = np.arange(n)[:, None]
+        fs = g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2)
+        for i in range(b):
+            expected = _oracle_log_norm(fs[:, i], zs[i])
+            assert abs(logn[i] - expected) <= 1e-13 * (1 + abs(expected))
+
+
+@pytest.mark.parametrize("budget", [1, cocycle.BUDGET], ids=["one-step", "default"])
+def test_operator_norm_only_at_read_steps(monkeypatch, budget):
+    # Only the checkpoints and step n take the operator norm; every other
+    # step renormalizes by the entries' root mean square.
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return m2.op_norm(x)
+
+    monkeypatch.setattr(cocycle, "op_norm", counting)
+    monkeypatch.setattr(cocycle, "BUDGET", budget)
+    rng = np.random.default_rng(14)
+    args = (rng.random(6), rng.integers(0, 2, 6), GOLDEN, ExpGenerator(0.3, 2),
+            np.exp(2j * np.pi * rng.random(6)), 10)
+    logn, rec = grid_log_norms(*args, checkpoints=[3, 7])
+    assert len(calls) == 3
+    calls.clear()
+    plain, _ = grid_log_norms(*args)
+    assert len(calls) == 1
+    assert np.allclose(logn, plain, rtol=0.0, atol=1e-13)
+    for m in (3, 7):
+        assert np.allclose(rec[m], grid_log_norms(*args[:5], m)[0], rtol=0.0, atol=1e-13)
+    last, rec = grid_log_norms(*args, checkpoints=[3, 10])
+    assert np.array_equal(rec[10], last)

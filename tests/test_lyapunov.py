@@ -156,6 +156,14 @@ def test_estimate_phase_average_rejects_bad_sizes(n, grid_size):
         estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), s, n, grid_size)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_phase_average_profile_rejects_bad_n_max(n_max):
+    # n_max = 0 used to return an empty profile, and -1 to fail inside numpy.
+    s = SpectralParameter.from_turn(0.2)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        phase_average_profile(GOLDEN, ExpGenerator(0.5, 1), s, n_max, 16)
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_birkhoff_scan_rejects_bad_n(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
