@@ -329,7 +329,7 @@ def cmd_subharmonic(args) -> int:
         for t in ts:
             s = SpectralParameter.from_turn(t)
             for j0 in (0, 1):
-                rep = subharmonic_check(r, g, s, j0, args.n, args.grid)
+                rep = subharmonic_check(r, g, s, j0, args.n)
                 ok = ok and rep.slack >= -args.tol
                 print(
                     f"{eps:>6g} {t:>8g} {j0:>3d} {rep.circle_average:>13.8f} "
@@ -431,8 +431,8 @@ def build_parser():
                     cmd_verify_t2, ("lam", "coeffs", "seed", "threshold"),
                     overrides={"k": _POSITIVE_K}, z_grid=16, n=100000)
     _add_subcommand(sub, "subharmonic", "circle-average vs. center-value reports",
-                    cmd_subharmonic, ("grid", "tol"), overrides={"k": _POSITIVE_K},
-                    z_grid=16, n=6, grid=2048)
+                    cmd_subharmonic, ("tol",), overrides={"k": _POSITIVE_K},
+                    z_grid=16, n=6)
     return parser
 
 

@@ -135,10 +135,13 @@ class PerturbedGenerator:
             raise ValueError(
                 f"need 2k = {2 * self.k} coefficients, got {len(self.coeffs)}"
             )
-        if abs(self.lam) >= lambda_max(self.epsilon, self.coeffs):
+        # lambda = 0 is the unperturbed family, admissible even where the
+        # radius underflows to 0.
+        radius = lambda_max(self.epsilon, self.coeffs)
+        if self.lam != 0 and abs(self.lam) >= radius:
             raise AdmissibilityError(
                 f"|lambda| = {abs(self.lam)} exceeds the admissible radius "
-                f"{lambda_max(self.epsilon, self.coeffs)} at epsilon = {self.epsilon}"
+                f"{radius} at epsilon = {self.epsilon}"
             )
 
     @property

@@ -147,60 +147,66 @@ def estimate_phase_average(
     )
 
 
-def _analytic_family_products(r: Rotation, g: ExpGenerator, s: SpectralParameter,
-                              j0: int, n: int, w):
-    """Product over m = n-1 .. 0 of the analytic-in-w one-step matrices
+def _analytic_family_coeffs(r: Rotation, g: ExpGenerator, s: SpectralParameter,
+                            j0: int, n: int):
+    """Coefficients of P(w), the product over m = n-1 .. 0 of the
+    analytic-in-w one-step matrices
 
         [[-(1-eps^2)^(1/2) e^(2 pi i k m alpha) w^(2k),  z^((j0+m) mod 2) w^k],
          [z^(-((j0+m) mod 2)) w^k,  -(1-eps^2)^(1/2) e^(-2 pi i k m alpha)]]
 
-    evaluated at each point of ``w``.  At w = e^(2 pi i theta) the norm of
-    this product reproduces eps^n ||A^z_n(theta, j0)||.  Entries stay
-    polynomially bounded for n <= a few dozen, so no renormalization is
-    needed here.
+    as a (2, 2, 2kn + 1) array whose entry [i, j, d] is the coefficient of
+    w^d in P[i, j].  At w = e^(2 pi i theta), ||P(w)|| = eps^n
+    ||A^z_n(theta, j0)||.  Each step shifts row 0 by w^k, mixes the two
+    rows, and shifts the new row 0 by w^k; np.roll shifts exactly because
+    the top 2k coefficients are still zero.
     """
-    w = np.asarray(w, dtype=complex)
-    wk = w**g.k
-    w2k = w ** (2 * g.k)
-    mod = g.modulus
-    cur = np.broadcast_to(np.eye(2, dtype=complex), w.shape + (2, 2)).copy()
+    cur = np.zeros((2, 2, 2 * g.k * n + 1), dtype=complex)
+    cur[0, 0, 0] = cur[1, 1, 0] = 1.0
     for m in range(n):
-        jm = (j0 + m) % 2
-        zj = s.z if jm == 1 else 1.0
-        zmj = 1.0 / s.z if jm == 1 else 1.0
-        rot = np.exp(1j * TWO_PI * g.k * m * r.alpha)
-        a = np.empty(w.shape + (2, 2), dtype=complex)
-        a[..., 0, 0] = -mod * rot * w2k
-        a[..., 0, 1] = zj * wk
-        a[..., 1, 0] = zmj * wk
-        a[..., 1, 1] = -mod * np.conj(rot)
-        cur = a @ cur
+        zj, zmj = (s.z, 1.0 / s.z) if (j0 + m) % 2 else (1.0, 1.0)
+        rot = g.modulus * np.exp(1j * TWO_PI * g.k * m * r.alpha)
+        u = np.roll(cur[0], g.k, axis=-1)
+        cur[0] = np.roll(zj * cur[1] - rot * u, g.k, axis=-1)
+        cur[1] = zmj * u - np.conj(rot) * cur[1]
     return cur
 
 
-def _validate_subharmonic_args(g, j0, n, grid_size):
+def _fro2_coeffs(prod):
+    """Fourier coefficients 0 .. deg of F = ||P(w)||_F^2 on |w| = 1, from
+    P's (2, 2, deg + 1) coefficients: the summed autocorrelations of the
+    four entries."""
+    deg = prod.shape[-1] - 1
+    return sum(np.correlate(p, p, "full")[deg:] for p in prod.reshape(4, -1))
+
+
+def _validate_subharmonic_args(g, j0, n):
     if not isinstance(g, ExpGenerator):
         raise TypeError("subharmonic_check is defined for the exponential family only")
     if g.k < 1:
         raise ValueError("subharmonic_check requires k >= 1")
     if j0 not in (0, 1):
         raise ValueError("j0 must be 0 or 1")
-    if n < 1 or grid_size < 1:
-        raise ValueError("n and grid_size must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def subharmonic_grid_values(
     r: Rotation, g: ExpGenerator, s: SpectralParameter, j0: int, n: int,
     grid_size: int,
 ):
-    """log ||product(w)|| at the uniform grid w = e^(2 pi i m / grid_size).
+    """log ||P(w)|| at the uniform grid w = e^(2 pi i m / grid_size).
 
-    The raw samples behind the circle average; useful for cross-route
+    P's coefficients evaluated on the grid; useful for cross-route
     comparisons against the direct cocycle products on a matched grid.
     """
-    _validate_subharmonic_args(g, j0, n, grid_size)
+    _validate_subharmonic_args(g, j0, n)
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
     w = np.exp(1j * TWO_PI * np.arange(grid_size) / grid_size)
-    return np.log(op_norm(_analytic_family_products(r, g, s, j0, n, w)))
+    coeffs = np.moveaxis(_analytic_family_coeffs(r, g, s, j0, n), -1, 0)
+    vals = np.polynomial.polynomial.polyval(w[:, None, None], coeffs, tensor=False)
+    return np.log(op_norm(vals))
 
 
 @functools.cache
@@ -228,25 +234,23 @@ def _breakpoint_rule(edges, m, coeffs, floor) -> float:
     jac = h * (0.5 * np.pi) * np.sin(np.pi * t)
     e = np.exp(2j * np.pi * theta)
     fro2 = coeffs[0].real + 2.0 * np.real(np.polyval(coeffs[:0:-1], e) * e)
-    return float(np.sum(wts * jac * np.arccosh(np.maximum(fro2 / floor, 1.0))))
+    # Once 2 eps^(2n) leaves the double range the ratio is inf or nan; the
+    # caller reports the non-finite average as a numerical breakdown.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(np.sum(wts * jac * np.arccosh(np.maximum(fro2 / floor, 1.0))))
 
 
 def subharmonic_check(
-    r: Rotation,
-    g: ExpGenerator,
-    s: SpectralParameter,
-    j0: int,
-    n: int,
-    grid_size: int,
+    r: Rotation, g: ExpGenerator, s: SpectralParameter, j0: int, n: int
 ) -> SubharmonicReport:
-    """Mean-value inequality for log ||product(w)|| on the unit circle.
+    """Mean-value inequality for log ||P(w)|| on the unit circle.
 
-    The circle average exploits the structure of the integrand rather
-    than averaging raw samples.  The product P(w) has polynomial entries
-    of degree at most 2kn, so its squared Frobenius norm F on |w| = 1 is
-    a trigonometric polynomial of degree M = 2kn, recovered exactly by an
-    FFT once the sample count exceeds 2M.  With |det P| = eps^(2n)
-    constant on the circle,
+    P(w) has polynomial entries of degree at most M = 2kn, whose exact
+    coefficients come from one row-wise recursion over the steps.  So its
+    squared Frobenius norm F on |w| = 1 is a trigonometric polynomial of
+    degree M whose Fourier coefficients are the summed autocorrelations of
+    the four entries' coefficients: no sampling, no FFT.  With
+    |det P| = eps^(2n) constant on the circle,
 
         log ||P|| = n log(eps) + arccosh(F / (2 eps^(2n))) / 2,
 
@@ -259,45 +263,34 @@ def subharmonic_check(
     (Trefethen-Weideman 2014); a plain uniform-grid mean converges too
     slowly there to be stable under refinement.  The rule is run again
     at GL_NODES / 2 nodes and the difference, in circle-average units,
-    is reported as ``quad_delta``.  The center value at w = 0 still runs
-    through the product code itself, so the check stays independent of
-    the hand-derived closed form n log (1-eps^2)^(1/2).  A circle average
-    or center value that is not finite, as once 2 eps^(2n) leaves the
-    double range, raises NumericalBlowupError.
+    is reported as ``quad_delta``.  The center value is the operator norm
+    of P(0), the constant terms of the same recursion, so the check stays
+    independent of the hand-derived closed form n log (1-eps^2)^(1/2).  A
+    circle average or center value that is not finite, as once
+    2 eps^(2n) leaves the double range, raises NumericalBlowupError.
     """
-    _validate_subharmonic_args(g, j0, n, grid_size)
+    _validate_subharmonic_args(g, j0, n)
 
     deg = 2 * g.k * n  # entry degree; Frobenius harmonics reach +-deg
-    samples = max(grid_size, 2 * deg + 2)
-    w = np.exp(1j * TWO_PI * np.arange(samples) / samples)
-    prods = _analytic_family_products(r, g, s, j0, n, w)
-    fro2 = np.sum(np.abs(prods) ** 2, axis=(-1, -2))
-
-    # Exact Fourier coefficients of F (band-limited, real).
-    coeffs = np.fft.rfft(fro2) / samples
-    coeffs[deg + 1 :] = 0.0
+    prod = _analytic_family_coeffs(r, g, s, j0, n)
+    coeffs = _fro2_coeffs(prod)
 
     floor = 2.0 * g.epsilon ** (2 * n)  # 2 sqrt(D), the sigma-crossing level
 
     # Near-circle roots of F(w) - 2 sqrt(D): breakpoints for the quadrature.
-    full = np.empty(2 * deg + 1, dtype=complex)
-    full[deg:] = coeffs[: deg + 1]
-    full[:deg] = np.conj(coeffs[deg:0:-1])
-    poly = full.copy()
+    poly = np.concatenate([np.conj(coeffs[:0:-1]), coeffs])
     poly[deg] -= floor
-    roots = np.roots(poly[::-1]) if deg > 0 else np.array([])
+    roots = np.roots(poly[::-1])
     angles = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 0.2]) / TWO_PI % 1.0
     breakpoints = sorted(set(np.round(angles, 12)))
 
     edges = np.array([0.0, *breakpoints, 1.0])
     avg_t, avg_half = (
-        _breakpoint_rule(edges, m, coeffs[: deg + 1], floor)
-        for m in (GL_NODES, GL_NODES // 2)
+        _breakpoint_rule(edges, m, coeffs, floor) for m in (GL_NODES, GL_NODES // 2)
     )
     circle = n * math.log(g.epsilon) + 0.5 * avg_t
 
-    center_prod = _analytic_family_products(r, g, s, j0, n, np.array([0.0j]))
-    center = float(np.log(op_norm(center_prod[0])))
+    center = float(np.log(op_norm(prod[..., 0])))
     if not (math.isfinite(circle) and math.isfinite(center)):
         raise NumericalBlowupError(
             f"circle average {circle} or center value {center} is not finite "

@@ -116,17 +116,14 @@ def test_criterion_4_subharmonic_inequality(capsys):
         s = SpectralParameter.from_turn(float(rng.random()))
         j0 = int(rng.integers(0, 2))
         n = int(rng.integers(1, 9))
-        coarse = subharmonic_check(GOLDEN, g, s, j0, n, 2048)
-        fine = subharmonic_check(GOLDEN, g, s, j0, n, 4096)
-        worst_slack = min(worst_slack, coarse.slack)
-        worst_delta = max(
-            worst_delta, abs(coarse.circle_average - fine.circle_average)
-        )
+        rep = subharmonic_check(GOLDEN, g, s, j0, n)
+        worst_slack = min(worst_slack, rep.slack)
+        worst_delta = max(worst_delta, rep.quad_delta)
     ok = worst_slack >= -1e-3 and worst_delta < 1e-6
     report(
         capsys, 4, ok,
         f"10 random tuples: worst slack {worst_slack:+.2e} >= -1e-3, "
-        f"worst refinement delta {worst_delta:.1e} < 1e-6", t0,
+        f"worst quad_delta {worst_delta:.1e} < 1e-6", t0,
     )
 
 

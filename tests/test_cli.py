@@ -240,7 +240,6 @@ def test_subharmonic_report(capsys):
         "--eps", "0.3",
         "--z-grid", "4",
         "--n", "4",
-        "--grid", "256",
     )
     assert rc == 0
     assert "PASS" in out
@@ -333,6 +332,8 @@ def test_usage_error_exit_code():
         (["scan", "--k", "2", "--lambda", "0.01", "--coeffs", "1;1"],
          "need 2k = 4 coefficients, got 2"),
         (["scan", "--eps", "0.5,0.1", "--lambda", "0.01"], "at epsilon = 0.1"),
+        # subharmonic takes no grid: its coefficients are exact.
+        (["subharmonic", "--grid", "64"], "--grid"),
     ],
 )
 def test_rejected_by_parser(capsys, argv, reason):
@@ -342,10 +343,12 @@ def test_rejected_by_parser(capsys, argv, reason):
     assert reason in err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", ["78", "90"])
 def test_subharmonic_breakdown_is_numerical_failure(capsys, n):
     # 2 eps^(2n) leaves the double range: the circle average is inf (n = 78)
-    # or nan (n = 90), which is no verdict either way.
+    # or nan (n = 90), which is no verdict either way, and no numpy warning
+    # leaks out before the error.
     rc, out, err = run(
         capsys, "subharmonic", "--eps", "0.01", "--z-grid", "1", "--n", n
     )
@@ -353,6 +356,23 @@ def test_subharmonic_breakdown_is_numerical_failure(capsys, n):
     assert "numerical failure" in err
     assert "Traceback" not in err
     assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--eps", "1e-170", "--lambda", "0"],
+        ["verify-t2", "--eps", "1e-170"],
+    ],
+    ids=["scan", "verify-t2"],
+)
+def test_underflowed_radius_admits_zero_lambda(capsys, argv):
+    # lambda_max underflows to 0.0 here, yet lambda = 0 is the unperturbed
+    # family: the run gets past configuration and breaks down numerically.
+    rc, _, err = run(capsys, *argv, "--z-grid", "1", "--n", "2")
+    assert rc == 3
+    assert "numerical failure" in err
+    assert "admissible radius" not in err
 
 
 @pytest.mark.parametrize(

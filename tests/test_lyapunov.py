@@ -18,6 +18,8 @@ from szegolyap.dynamics import (
     lambda_max,
 )
 from szegolyap.lyapunov import (
+    _analytic_family_coeffs,
+    _fro2_coeffs,
     birkhoff_scan,
     estimate_birkhoff,
     estimate_phase_average,
@@ -178,10 +180,12 @@ def test_reference_bound_dispatch():
     assert math.isnan(reference_bound(ConstantGenerator(0.1)))
 
 
-def test_subharmonic_center_value_single_step():
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_subharmonic_center_value_single_step(n):
+    # P(0) is diagonal with modulus (1 - eps^2)^(n/2) = 0.8^n.
     g = ExpGenerator(0.6, 1)
-    rep = subharmonic_check(GOLDEN, g, SpectralParameter.from_turn(0.3), 0, 1, 256)
-    assert rep.center_value == pytest.approx(math.log(0.8), abs=1e-12)
+    rep = subharmonic_check(GOLDEN, g, SpectralParameter.from_turn(0.3), 0, n)
+    assert rep.center_value == pytest.approx(n * math.log(0.8), abs=1e-12)
 
 
 def test_subharmonic_slack_nonnegative():
@@ -190,16 +194,24 @@ def test_subharmonic_slack_nonnegative():
         g = ExpGenerator(float(rng.uniform(0.15, 0.85)), int(rng.integers(1, 4)))
         s = SpectralParameter.from_turn(float(rng.random()))
         rep = subharmonic_check(GOLDEN, g, s, int(rng.integers(0, 2)),
-                                int(rng.integers(1, 9)), 1024)
+                                int(rng.integers(1, 9)))
         assert rep.slack >= -1e-3
 
 
-def test_subharmonic_grid_refinement():
-    g = ExpGenerator(0.3, 1)
-    s = SpectralParameter.from_turn(0.5)
-    coarse = subharmonic_check(GOLDEN, g, s, 0, 6, 2048)
-    fine = subharmonic_check(GOLDEN, g, s, 0, 6, 4096)
-    assert abs(coarse.circle_average - fine.circle_average) < 1e-6
+@pytest.mark.parametrize("eps, k, n, j0", [(0.3, 1, 6, 0), (0.456, 2, 5, 1), (0.6, 3, 3, 0)])
+def test_subharmonic_coefficients_match_sampled_fft(eps, k, n, j0):
+    # Independent route: F = ||P||_F^2 = eps^(2n) (e^(2L) + e^(-2L)) from the
+    # direct cocycle log norms L, sampled at more than 2 deg points.
+    g = ExpGenerator(eps, k)
+    s = SpectralParameter.from_turn(0.37)
+    deg = 2 * k * n
+    coeffs = _fro2_coeffs(_analytic_family_coeffs(GOLDEN, g, s, j0, n))
+    samples = 2 * deg + 7
+    logn, _ = grid_log_norms(np.arange(samples) / samples, j0, GOLDEN, g, s.z, n)
+    fro2 = eps ** (2 * n) * (np.exp(2.0 * logn) + np.exp(-2.0 * logn))
+    sampled = np.fft.fft(fro2)[: deg + 1] / samples
+    assert coeffs.shape == (deg + 1,)
+    assert np.max(np.abs(coeffs - sampled)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
 def test_subharmonic_circle_average_pinned():
@@ -208,7 +220,7 @@ def test_subharmonic_circle_average_pinned():
     # (-0.3394248592) without any warning.
     g = ExpGenerator(0.456, 2)
     s = SpectralParameter.from_turn(0.521)
-    rep = subharmonic_check(GOLDEN, g, s, 1, 11, 2048)
+    rep = subharmonic_check(GOLDEN, g, s, 1, 11)
     assert rep.circle_average == pytest.approx(-0.3394355329, abs=1e-9)
 
 
@@ -216,7 +228,7 @@ def test_subharmonic_quad_delta():
     g = ExpGenerator(0.3, 1)
     s = SpectralParameter.from_turn(0.0)
     for j0 in (0, 1):
-        rep = subharmonic_check(GOLDEN, g, s, j0, 4, 2048)
+        rep = subharmonic_check(GOLDEN, g, s, j0, 4)
         assert math.isfinite(rep.quad_delta)
         assert 0.0 <= rep.quad_delta < 1e-9
 
@@ -237,9 +249,9 @@ def test_subharmonic_route_equality():
 def test_subharmonic_rejects_bad_input():
     s = SpectralParameter.from_turn(0.1)
     with pytest.raises(TypeError):
-        subharmonic_check(GOLDEN, ConstantGenerator(0.1), s, 0, 2, 64)
+        subharmonic_check(GOLDEN, ConstantGenerator(0.1), s, 0, 2)
     with pytest.raises(ValueError):
-        subharmonic_check(GOLDEN, ExpGenerator(0.5, -1), s, 0, 2, 64)
+        subharmonic_check(GOLDEN, ExpGenerator(0.5, -1), s, 0, 2)
 
 
 def test_convergence_spread_diagnostic():
