@@ -123,22 +123,28 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
 
 def _coefficients(theta0s, j0, r: Rotation, gens, ms):
     """Coefficients of every orbit at the steps in column ``ms``, shaped
-    (steps, orbits), from one ``evaluate_grid`` call per segment, given the
-    angles and the parity array of that segment; generator ``gens[s]``
-    drives the s-th of ``len(gens)`` equal consecutive segments of the
-    orbits."""
-    thetas = (theta0s + ms * r.alpha) % 1.0
+    (steps, orbits): generator ``gens[s]`` drives the s-th of
+    ``len(gens)`` equal consecutive segments of the orbits and is called
+    once, on that segment's angles and parity array, writing into its
+    columns of the one result.  The angles theta0 + m alpha are reduced by
+    subtracting their floor, which is ``% 1.0`` bit for bit."""
+    thetas = theta0s + ms * r.alpha
+    thetas -= np.floor(thetas)
     parity = np.broadcast_to((j0 + ms) % 2, thetas.shape)
-    segments = zip(gens, np.split(thetas, len(gens), axis=1),
-                   np.split(parity, len(gens), axis=1))
-    return np.concatenate([g.evaluate_grid(t, j) for g, t, j in segments], axis=1)
+    out = np.empty(thetas.shape, dtype=complex)
+    width = thetas.shape[1] // len(gens)
+    for s, g in enumerate(gens):
+        seg = np.s_[:, s * width:(s + 1) * width]
+        out[seg] = g.evaluate_grid(thetas[seg], parity[seg])
+    return out
 
 
 def _check_finite(stack, m0):
     """Name the first step (row of ``stack``, counted from step m0 + 1)
     with a non-finite entry."""
-    finite = np.all(np.isfinite(stack), axis=tuple(range(1, stack.ndim)))
-    if not np.all(finite):
+    finite = np.isfinite(stack)
+    if not finite.all():
+        finite = np.all(finite, axis=tuple(range(1, stack.ndim)))
         step = m0 + int(np.argmin(finite)) + 1
         raise NumericalBlowupError(f"non-finite entries at step {step}")
 
@@ -164,10 +170,11 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     BUDGET of them per block (one step per block for wider batches).  Each
     generator is called once per block, with the (steps, orbits) arrays of
     its segment's angles and parities.  The product is folded step after
-    step in the same arithmetic whatever the block length, and every
-    generator evaluates each (angle, parity) pair on its own, so an
-    orbit's result depends neither on BUDGET nor on the other orbits (or
-    segments) in the batch.
+    step in the same arithmetic whatever the block length, on the entries
+    of the block's stack as (steps, orbits) arrays, into buffers made once
+    per block (and freed at each read); every generator evaluates each
+    (angle, parity) pair on its own, so an orbit's result depends neither
+    on BUDGET nor on the other orbits (or segments) in the batch.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -184,6 +191,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     # orbit's matrix as a contiguous (2, orbits) block.
     cur = np.zeros((2, 2, theta0s.size), dtype=complex)
     cur[0, 0] = cur[1, 1] = 1.0
+    row0, row1 = cur
     # Real rows, one per entry: the squared Frobenius norm sums over them.
     parts = cur.view(float).reshape(4, 2 * theta0s.size)
     logn = np.zeros(theta0s.shape)
@@ -194,31 +202,37 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         ms = np.arange(m0, min(m0 + block, n))[:, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, gens, ms), zs)
         _check_finite(mats, m0)
+        # Each entry of every step as a contiguous (steps, orbits) array.
+        (a00, a01), (a10, a11) = np.moveaxis(mats, (-2, -1), (0, 1))
         scales = np.empty(mats.shape[:2])
-        for i in range(len(mats)):
+        # The fold's buffers (new top row, product, squares, logs) are made
+        # by their first use (out=None allocates) after the stack is built,
+        # then reused; a read frees them for op_norm's temporaries.
+        top = prod = sq = logs = None
+        for i, scale in enumerate(scales):
             # cur = a @ cur, one row at a time on the component arrays.
-            a = mats[i]
-            top = a[:, 0, 0] * cur[0]
-            top += a[:, 0, 1] * cur[1]
-            cur[1] *= a[:, 1, 1]
-            cur[1] += a[:, 1, 0] * cur[0]
-            cur[0] = top
-            scale = scales[i]
+            top = np.multiply(a00[i], row0, out=top)
+            prod = np.multiply(a01[i], row1, out=prod)
+            top += prod
+            row1 *= a11[i]
+            row1 += np.multiply(a10[i], row0, out=prod)
+            row0[...] = top
             if m0 + i + 1 in reads:
+                top = prod = sq = logs = None
                 scale[...] = op_norm(cur.transpose(2, 0, 1))
                 recorded[m0 + i + 1] = logn + np.log(scale)
                 if m0 + i + 1 == n:
                     break
-            sq = np.einsum("ij,ij->j", parts, parts)
+            sq = np.einsum("ij,ij->j", parts, parts, out=sq)
             np.add(sq[0::2], sq[1::2], out=scale)
-            del sq  # not held into the next op_norm or stack build
             scale *= 0.5
             np.sqrt(scale, out=scale)
             cur /= scale
-            logn += np.log(scale)
+            logs = np.log(scale, out=logs)
+            logn += logs
         # The next block's stack is built without this one (or a view of it)
         # held.
-        del mats, a, top
+        del mats, a00, a01, a10, a11, top, prod, sq, logs
         # A non-finite product has a non-finite scale (at step n, its norm).
         _check_finite(scales, m0)
     return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded

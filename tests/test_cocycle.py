@@ -470,16 +470,19 @@ def test_orbit_alone_matches_orbit_in_batch(g, width):
 def test_wide_batch_peak_memory():
     # 32768 orbits, two steps: the one-step stack and the running product
     # take 1 MiB each.  Holding a block's stack (or a view of it) into the
-    # next block shows as a traced peak above 10 MiB.
+    # next block shows as a traced peak above 10 MiB; holding the fold's
+    # buffers into a checkpoint's op_norm, as one above 8 MiB.
     b = 32768
     thetas = np.arange(b) / b
-    tracemalloc.start()
-    try:
-        grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    for marks in (None, [1, 2]):
+        tracemalloc.start()
+        try:
+            grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, 2,
+                           checkpoints=marks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, marks
 
 
 def _oracle_log_norm(fs, z):
@@ -550,3 +553,119 @@ def test_operator_norm_only_at_read_steps(monkeypatch, budget):
         assert np.array_equal(rec[m], grid_log_norms(*args[:5], m)[0])
     last, rec = grid_log_norms(*args, checkpoints=[3, 10])
     assert np.array_equal(rec[10], last)
+
+
+def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
+    """The engine's arithmetic written plainly: the coefficients of all n
+    steps from ``% 1.0`` angles, one stack, and the row-by-row fold with a
+    temporary per product, RMS renormalization at every step and the log
+    operator norm at every read."""
+    b = len(theta0s)
+    ms = np.arange(n)[:, None]
+    thetas = (theta0s + ms * r.alpha) % 1.0
+    parity = np.broadcast_to((j0s + ms) % 2, thetas.shape)
+    w = b // len(gens)
+    fs = np.concatenate([g.evaluate_grid(thetas[:, s * w:(s + 1) * w],
+                                         parity[:, s * w:(s + 1) * w])
+                         for s, g in enumerate(gens)], axis=1)
+    mats = cocycle.szego_matrices(fs, np.broadcast_to(zs, (b,)))
+    cur = np.zeros((2, 2, b), dtype=complex)
+    cur[0, 0] = cur[1, 1] = 1.0
+    parts = cur.view(float).reshape(4, 2 * b)
+    logn, recorded = np.zeros(b), {}
+    for i in range(n):
+        a = mats[i]
+        top = a[:, 0, 0] * cur[0]
+        top += a[:, 0, 1] * cur[1]
+        cur[1] *= a[:, 1, 1]
+        cur[1] += a[:, 1, 0] * cur[0]
+        cur[0] = top
+        if i + 1 in marks or i + 1 == n:
+            recorded[i + 1] = logn + np.log(m2.op_norm(cur.transpose(2, 0, 1)))
+        sq = np.einsum("ij,ij->j", parts, parts)
+        scale = np.sqrt((sq[0::2] + sq[1::2]) * 0.5)
+        cur /= scale
+        logn = logn + np.log(scale)
+    return recorded
+
+
+def _assert_matches_reference(rng, kinds, width, n, marks, budget):
+    gens = [_segment_generator(rng, kind) for kind in kinds]
+    b = len(gens) * width
+    thetas, j0s = rng.random(b), rng.integers(0, 2, b)
+    zs = np.exp(2j * np.pi * rng.random(b))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "BUDGET", budget)
+        logn, rec = grid_log_norms(thetas, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
+    expected = _reference_log_norms(thetas, j0s, GOLDEN, gens, zs, n, marks)
+    assert np.array_equal(logn, expected[n])
+    assert sorted(rec) == sorted(marks)
+    for m in marks:
+        assert np.array_equal(rec[m], expected[m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["exp", "perturbed"]), min_size=1, max_size=4),
+    width=st.integers(1, 40),
+    n=st.integers(1, 80),
+    data=st.data(),
+    budget=st.sampled_from([1, 7, cocycle.BUDGET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_matches_reference_fold(kinds, width, n, data, budget, seed):
+    # Bit for bit: the buffered fold on the stack's entry arrays, the
+    # floor-reduced angles and the per-segment writes change no operation
+    # and no order of the plain reference above.
+    marks = data.draw(st.sets(st.integers(1, n)), label="marks")
+    _assert_matches_reference(np.random.default_rng(seed), kinds, width, n, marks,
+                              budget)
+
+
+def test_engine_matches_reference_fold_wide_batch():
+    # 3000 orbits in blocks of one step, both families fused.
+    _assert_matches_reference(np.random.default_rng(15), ["exp", "perturbed"], 1500,
+                              12, {1, 5, 11}, cocycle.BUDGET)
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3, 4])
+def test_coefficients_match_mod_one_angles(segments):
+    # Floor-reduced angles give every segment's generator the bits of
+    # (theta0 + m alpha) % 1.0, for negative starts and m up to 1e5.
+    rng = np.random.default_rng(16 + segments)
+    kinds = ["exp", "perturbed", "perturbed", "exp"][:segments]
+    gens = [_segment_generator(rng, kind) for kind in kinds]
+    w = 5
+    theta0s = rng.uniform(-3.0, 3.0, segments * w)
+    theta0s[:2] = [-0.0, -1.0]
+    j0s = rng.integers(0, 2, segments * w)
+    ms = np.concatenate([np.arange(4), rng.integers(4, 10**5, 20), [10**5]])[:, None]
+    got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens, ms)
+    thetas = (theta0s + ms * GOLDEN.alpha) % 1.0
+    parity = (j0s + ms) % 2
+    for s, g in enumerate(gens):
+        seg = slice(s * w, (s + 1) * w)
+        assert np.array_equal(got[:, seg], g.evaluate_grid(thetas[:, seg], parity[:, seg]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["exp", "perturbed"]),
+    k=st.integers(1, 200),
+    m=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_norm_is_subadditive(kind, k, m, seed):
+    # log ||A_(k+m)(p)|| <= log ||A_k(p)|| + log ||A_m(T^k p)||, since the
+    # cocycle splits as A_(k+m)(p) = A_m(T^k p) A_k(p) and the operator
+    # norm is submultiplicative.
+    rng = np.random.default_rng(seed)
+    g = _segment_generator(rng, kind)
+    b = 4
+    thetas, j0s = rng.random(b), rng.integers(0, 2, b)
+    zs = np.exp(2j * np.pi * rng.random(b))
+    whole, rec = grid_log_norms(thetas, j0s, GOLDEN, g, zs, k + m, checkpoints=[k])
+    later, _ = grid_log_norms((thetas + k * GOLDEN.alpha) % 1.0, (j0s + k) % 2,
+                              GOLDEN, g, zs, m)
+    split = rec[k] + later
+    assert np.all(whole <= split + 1e-9 * (1 + np.abs(split)))
