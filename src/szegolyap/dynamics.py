@@ -117,6 +117,17 @@ class PerturbedGenerator:
     l = -k, ..., k - 1; for parity j = 1 every phase is negated.
     Construction rejects couplings outside the sufficient admissibility
     radius, so evaluation stays inside the unit disk.
+
+    With w = e^(+-2 pi i theta) and m = (1 - eps^2)^(1/2), the value is
+
+        f = m (w^k + lambda sum_l a_l w^l) = m w^-k P(w),
+        P(w) = w^(2k) + lambda sum_l a_l w^(l + k),
+
+    a polynomial of degree 2k with P(0) = lambda a_-k: the form Herman's
+    subharmonicity argument uses.  ``evaluate_grid`` takes one complex
+    exponential per angle and evaluates the Laurent polynomial by Horner's
+    rule, in w for the powers 0..k and in conj(w) = 1/w for the powers
+    -1..-k; a value depends only on its own angle and parity.
     """
 
     epsilon: float
@@ -154,15 +165,25 @@ class PerturbedGenerator:
     def evaluate_grid(self, thetas, j):
         thetas = np.asarray(thetas, dtype=float)
         sign = 1 - 2 * np.asarray(j)
-        ls = np.arange(-self.k, self.k)
-        # Phase table with the 2k frequencies on a trailing axis; k is small
-        # so the outer product is cheap.
-        phases = np.exp(1j * TWO_PI * sign[..., None] * thetas[..., None] * ls)
-        # Summed term by term: a matrix product would round differently
-        # for one angle than for several.
-        pert = sum(a * phases[..., i] for i, a in enumerate(self.coeffs))
-        base = np.exp(1j * TWO_PI * sign * self.k * thetas)
-        vals = self.modulus * (base + self.lam * pert)
+        w = np.exp(1j * TWO_PI * sign * thetas)
+        wbar = np.conjugate(w)
+        c = [self.lam * a for a in self.coeffs]
+        # Each product has its own out= array, so a value never depends on its
+        # batch: numpy rounds a complex product differently in place (one
+        # element) or with swapped operands (reusing a temporary, >= 256 KiB).
+        pos, neg, spare = np.empty_like(w), np.empty_like(w), np.empty_like(w)
+        # w^k + sum_{l >= 0} c_l w^l by Horner in w ...
+        np.add(w, c[-1], out=pos)
+        for cl in reversed(c[self.k:-1]):
+            np.multiply(pos, w, out=spare)
+            np.add(spare, cl, out=pos)
+        # ... and sum_{l < 0} c_l w^l by Horner in conj(w).
+        np.multiply(wbar, c[0], out=neg)
+        for cl in c[1:self.k]:
+            np.add(neg, cl, out=spare)
+            np.multiply(spare, wbar, out=neg)
+        np.add(pos, neg, out=spare)
+        vals = np.multiply(spare, self.modulus, out=pos)
         worst = np.max(np.abs(vals))
         if worst >= 1.0:
             raise AdmissibilityError(

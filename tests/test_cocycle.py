@@ -447,7 +447,7 @@ def test_reads_do_not_change_results(kind, width, n, data, budget, seed):
             assert np.array_equal(rec[m], grid_log_norms(*args, m)[0])
 
 
-@pytest.mark.parametrize("width", [37, 3000])
+@pytest.mark.parametrize("width", [37, 3000, 20000])
 @pytest.mark.parametrize(
     "g", [ExpGenerator(0.35, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1])],
     ids=["exp", "perturbed"],
@@ -456,7 +456,9 @@ def test_orbit_alone_matches_orbit_in_batch(g, width):
     # An orbit's log norm depends neither on the block length nor on the
     # rest of the batch.  A lone orbit runs in blocks of BUDGET steps, 37
     # orbits in blocks of BUDGET // 37 steps (so 60 steps span two blocks)
-    # and 3000 orbits, more than BUDGET, in blocks of one step.
+    # and 3000 orbits, more than BUDGET, in blocks of one step.  At 20000
+    # orbits a block's coefficients take over 256 KiB, the size from which
+    # numpy reuses temporaries in place.
     rng = np.random.default_rng(width)
     thetas, j0s = rng.random(width), rng.integers(0, 2, width)
     zs = np.exp(2j * np.pi * rng.random(width))

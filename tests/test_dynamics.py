@@ -119,6 +119,55 @@ def test_evaluate_grid_parity_array_matches_scalar_parities(g, shape):
         assert np.array_equal(got[sel], g.evaluate_grid(thetas, j)[sel])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_perturbed_grid_matches_rows_and_single_angles(k):
+    # 16 x 1024 angles make 256 KiB of complex values, the size from which
+    # numpy reuses a temporary and may swap a product's operands; on one
+    # element a product in place takes another loop.  Either would make a
+    # grid value differ from the same angle's value in a row or alone.
+    rng = np.random.default_rng(30 + k)
+    coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+    lam = 0.9 * lambda_max(0.4, coeffs) * np.exp(2j * np.pi * rng.random())
+    g = PerturbedGenerator(0.4, k, lam, coeffs)
+    thetas = rng.random((16, 1024))
+    parity = rng.integers(0, 2, thetas.shape)
+    grid = g.evaluate_grid(thetas, parity)
+    for i in range(thetas.shape[0]):
+        assert np.array_equal(grid[i], g.evaluate_grid(thetas[i], parity[i]))
+    alone = [g.evaluate_grid(thetas.flat[i:i + 1], parity.flat[i])[0]
+             for i in range(thetas.size)]
+    assert np.array_equal(grid.ravel(), alone)
+
+
+def _perturbed_oracle(g, theta, j):
+    """m (e^(+-2 pi i k theta) + lambda sum_l a_l e^(+-2 pi i l theta)) in
+    50 digits at the double theta, every exponential taken on its own."""
+    with mpmath.workdps(50):
+        m = mpmath.sqrt(1 - mpmath.mpf(g.epsilon) ** 2)
+        phase = (1 if j == 0 else -1) * 2 * mpmath.pi * mpmath.mpf(theta)
+        pert = sum(mpmath.mpc(a) * mpmath.expj(l * phase)
+                   for a, l in zip(g.coeffs, range(-g.k, g.k)))
+        return complex(m * (mpmath.expj(g.k * phase) + mpmath.mpc(g.lam) * pert))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.99])
+def test_perturbed_values_match_mpmath_oracle(k, frac):
+    # Within 8k units of 2^-53 of the largest possible modulus
+    # m (1 + |lambda| sum|a_l|).
+    rng = np.random.default_rng(40 + 10 * k + int(100 * frac))
+    eps = float(rng.uniform(0.1, 0.9))
+    coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+    lam = frac * lambda_max(eps, coeffs) * np.exp(2j * np.pi * rng.random())
+    g = PerturbedGenerator(eps, k, lam, coeffs)
+    thetas = np.concatenate([[0.0, 0.25, 0.5, 1.0 - 2.0**-53], rng.random(28)])
+    cap = 8 * k * 2.0**-53 * g.modulus * (1 + abs(lam) * sum(abs(a) for a in g.coeffs))
+    for j in (0, 1):
+        got = g.evaluate_grid(thetas, j)
+        for theta, value in zip(thetas, got):
+            assert abs(value - _perturbed_oracle(g, theta, j)) <= cap, (theta, j)
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         ExpGenerator(0.5, 0)
