@@ -38,7 +38,7 @@ for _ in range(5):
     lhs = (
         conjugator(p, s)
         @ szego_matrix(g.evaluate(p), s)
-        @ mat2.inv(conjugator(pm, s))
+        @ np.linalg.inv(conjugator(pm, s))
     )
     dev = mat2.max_abs_diff(lhs, conjugated_step(p, s, g))
     print(f"  eps={g.epsilon:.3f} k={g.k:+d} j={p.j}: entrywise deviation {dev:.2e}")

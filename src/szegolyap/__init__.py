@@ -32,7 +32,6 @@ from .lyapunov import (
     estimate_phase_average,
     phase_average_profile,
     subharmonic_check,
-    subharmonic_grid_values,
     theorem1_bound,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "phase_average_profile",
     "step",
     "subharmonic_check",
-    "subharmonic_grid_values",
     "szego_matrix",
     "theorem1_bound",
 ]

@@ -74,8 +74,11 @@ def parse_complex_pair(text):
 
 
 def parse_coeff_list(text):
-    """Semicolon-separated list of 're,im' pairs."""
-    return [parse_complex_pair(tok) for tok in text.split(";") if tok.strip()]
+    """Semicolon-separated list of 're,im' pairs, at least one."""
+    coeffs = [parse_complex_pair(tok) for tok in text.split(";") if tok.strip()]
+    if not coeffs:
+        raise argparse.ArgumentTypeError("empty coefficient list")
+    return coeffs
 
 
 # --method value -> the estimators it runs, by their CSV method names.
@@ -84,15 +87,6 @@ _METHODS = {
     "phase": ("phaseAverage",),
     "both": ("birkhoff", "phaseAverage"),
 }
-
-
-def parse_method(text):
-    """Estimator choice -> the CSV method names it runs."""
-    if text not in _METHODS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(_METHODS)})"
-        )
-    return _METHODS[text]
 
 
 def parse_alpha(text):
@@ -148,6 +142,16 @@ def _birkhoff_batch(rng, r, gens, zs, n):
     return gammas.reshape(len(gens), len(zs))
 
 
+def _phase_grid(r, gens, ts, n, grid):
+    """Phase-average estimates over the z points at turns ``ts`` for each
+    generator in ``gens``, shaped (generators, z points)."""
+    return np.array([
+        [estimate_phase_average(r, g, SpectralParameter.from_turn(t), n, grid).gamma_hat
+         for t in ts]
+        for g in gens
+    ])
+
+
 def cmd_bound(args) -> int:
     print(f"{'epsilon':>10}  {'bound':>22}  positive")
     for e in args.eps:
@@ -176,24 +180,17 @@ def cmd_scan(args) -> int:
     ts, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)
     lam_abs = abs(args.lam) if args.lam is not None else 0.0
+    methods = _METHODS[args.method]
     results = {}
-    if "birkhoff" in args.method:
+    if "birkhoff" in methods:
         results["birkhoff"] = _birkhoff_batch(rng, r, gens, zs, args.n)
-    if "phaseAverage" in args.method:
-        results["phaseAverage"] = [
-            [
-                estimate_phase_average(
-                    r, g, SpectralParameter.from_turn(t), args.n, args.grid
-                ).gamma_hat
-                for t in ts
-            ]
-            for g in gens
-        ]
+    if "phaseAverage" in methods:
+        results["phaseAverage"] = _phase_grid(r, gens, ts, args.n, args.grid)
     rows = []
     for e, (eps, g) in enumerate(zip(args.eps, gens)):
         bound = reference_bound(g)
         for i, t in enumerate(ts):
-            for method in args.method:
+            for method in methods:
                 gamma = float(results[method][e][i])
                 rows.append(
                     {
@@ -208,22 +205,11 @@ def cmd_scan(args) -> int:
                     }
                 )
 
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["z_arg"]),
-                    _fmt(row["epsilon"]),
-                    _fmt(row["lambda_abs"]),
-                    str(row["n"]),
-                    row["method"],
-                    _fmt(row["gamma_hat"]),
-                    _fmt(row["bound"]),
-                    _fmt(row["margin"]),
-                ]
-            )
-        )
+    names = CSV_HEADER.split(",")
+    lines = [CSV_HEADER] + [
+        ",".join(_fmt(row[k]) if isinstance(row[k], float) else str(row[k]) for k in names)
+        for row in rows
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -244,18 +230,13 @@ def cmd_verify_t1(args) -> int:
     for eps in args.eps:
         g = ExpGenerator(eps, args.k)
         bound = theorem1_bound(eps)
-        eps_worst = math.inf
-        for t in ts:
-            est = estimate_phase_average(
-                r, g, SpectralParameter.from_turn(t), args.n, args.grid
-            )
-            margin = est.gamma_hat - bound
-            eps_worst = min(eps_worst, margin)
-            if margin < worst[0]:
-                worst = (margin, eps, t)
+        margins = _phase_grid(r, [g], ts, args.n, args.grid)[0] - bound
+        i = int(np.argmin(margins))
+        if margins[i] < worst[0]:
+            worst = (margins[i], eps, ts[i])
         print(
             f"eps = {eps:g}: bound = {bound:.6f}, "
-            f"min margin over z grid = {eps_worst:.3e}"
+            f"min margin over z grid = {margins[i]:.3e}"
         )
     ok = worst[0] >= -args.tol
     print(
@@ -351,8 +332,8 @@ _OPTIONS = {
                               help="rotation number in (0,1), or 'golden'")),
     "z_grid": ("--z-grid", dict(type=positive_int, help="points on the unit circle")),
     "n": ("--n", dict(type=positive_int, help="product length")),
-    "method": ("--method", dict(type=parse_method, default="birkhoff",
-                                metavar="{birkhoff,phase,both}", help="estimator(s)")),
+    "method": ("--method", dict(choices=_METHODS, default="birkhoff",
+                                help="estimator(s)")),
     "lam": ("--lambda", dict(type=parse_complex_pair, metavar="RE,IM",
                              help="perturbation coupling; verify-t2 takes only "
                              "its direction, the ladder sets |lambda|")),
@@ -457,6 +438,9 @@ def main(argv=None) -> int:
     except (DegenerateCoefficientError, NumericalBlowupError, AdmissibilityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import NumericalBlowupError, SpectralParameter, grid_log_norms
-from .dynamics import ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
+from .dynamics import TWO_PI, ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
 from .mat2 import op_norm
-
-TWO_PI = 2.0 * math.pi
 
 # Gauss-Legendre nodes per breakpoint interval of the circle average; the
 # rule at half as many nodes gives the reported node-doubling delta.
@@ -176,35 +174,6 @@ def _fro2_coeffs(prod):
     return sum(np.correlate(p, p, "full")[deg:] for p in prod.reshape(4, -1))
 
 
-def _validate_subharmonic_args(g, j0, n):
-    if not isinstance(g, ExpGenerator):
-        raise TypeError("subharmonic_check is defined for the exponential family only")
-    if g.k < 1:
-        raise ValueError("subharmonic_check requires k >= 1")
-    if j0 not in (0, 1):
-        raise ValueError("j0 must be 0 or 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-
-def subharmonic_grid_values(
-    r: Rotation, g: ExpGenerator, s: SpectralParameter, j0: int, n: int,
-    grid_size: int,
-):
-    """log ||P(w)|| at the uniform grid w = e^(2 pi i m / grid_size).
-
-    P's coefficients evaluated on the grid; useful for cross-route
-    comparisons against the direct cocycle products on a matched grid.
-    """
-    _validate_subharmonic_args(g, j0, n)
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    w = np.exp(1j * TWO_PI * np.arange(grid_size) / grid_size)
-    coeffs = np.moveaxis(_analytic_family_coeffs(r, g, s, j0, n), -1, 0)
-    vals = np.polynomial.polynomial.polyval(w[:, None, None], coeffs, tensor=False)
-    return np.log(op_norm(vals))
-
-
 @functools.cache
 def _gauss_legendre(m: int):
     """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1],
@@ -265,7 +234,14 @@ def subharmonic_check(
     circle average or center value that is not finite, as once
     2 eps^(2n) leaves the double range, raises NumericalBlowupError.
     """
-    _validate_subharmonic_args(g, j0, n)
+    if not isinstance(g, ExpGenerator):
+        raise TypeError("subharmonic_check is defined for the exponential family only")
+    if g.k < 1:
+        raise ValueError("subharmonic_check requires k >= 1")
+    if j0 not in (0, 1):
+        raise ValueError("j0 must be 0 or 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
     deg = 2 * g.k * n  # entry degree; Frobenius harmonics reach +-deg
     prod = _analytic_family_coeffs(r, g, s, j0, n)

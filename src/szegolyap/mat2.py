@@ -30,23 +30,6 @@ def det(x):
     return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
 
 
-def inv(x):
-    """Inverse via the adjugate formula."""
-    x = np.asarray(x)
-    d = det(x)
-    out = np.empty_like(x, dtype=complex)
-    out[..., 0, 0] = x[..., 1, 1]
-    out[..., 0, 1] = -x[..., 0, 1]
-    out[..., 1, 0] = -x[..., 1, 0]
-    out[..., 1, 1] = x[..., 0, 0]
-    return out / d[..., None, None]
-
-
-def herm(x):
-    """Conjugate transpose, batched."""
-    return np.conj(np.swapaxes(np.asarray(x), -1, -2))
-
-
 def op_norm(x):
     """Largest singular value sigma_max, in closed form.
 
@@ -66,7 +49,8 @@ def is_u11(x, tol):
     """True iff x* J x = J entrywise within tol, i.e. x is in U(1,1)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    resid = herm(x) @ J @ np.asarray(x) - J
+    x = np.asarray(x)
+    resid = x.conj().swapaxes(-1, -2) @ J @ x - J
     return bool(np.all(np.abs(resid) <= tol))
 
 

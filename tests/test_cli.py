@@ -273,6 +273,32 @@ def test_config_file_loses_to_any_flag_spelling(tmp_path, capsys, flag):
     assert out.startswith("eps = 0.6:")
 
 
+def test_verify_t1_min_margin_matches_scan_phase_column(capsys):
+    # Both commands take their phase averages from the same z-grid loop.
+    shared = ["--eps", "0.3,0.5", "--z-grid", "4", "--n", "3", "--grid", "32"]
+    rc, out, _ = run(capsys, "verify-t1", *shared)
+    assert rc == 0
+    printed = [line.rsplit("= ", 1)[1] for line in out.splitlines()
+               if line.startswith("eps = ")]
+    rc, out, _ = run(capsys, "scan", "--method", "phase", *shared)
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert printed == [
+        f"{min(float(row[7]) for row in rows if float(row[1]) == eps):.3e}"
+        for eps in (0.3, 0.5)
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "scan.out"
+    rc, _, err = run(capsys, "scan", "--eps", "0.5", "--z-grid", "1", "--n", "2",
+                     flag, str(path))
+    assert rc == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_verify_t1_numerical_failure_exit_code(capsys):
     rc, out, err = run(
         capsys, "verify-t1", "--eps", "1e-9", "--z-grid", "4", "--n", "6",
@@ -363,6 +389,8 @@ def test_usage_error_exit_code():
         (["scan", "--eps", "0.5,0.1", "--lambda", "0.01"], "at epsilon = 0.1"),
         # subharmonic takes no grid: its coefficients are exact.
         (["subharmonic", "--grid", "64"], "--grid"),
+        # An empty list is no list of coefficients, not an all-zero one.
+        (["verify-t2", "--coeffs", ""], "empty coefficient list"),
     ],
 )
 def test_rejected_by_parser(capsys, argv, reason):
@@ -412,8 +440,10 @@ def test_underflowed_radius_admits_zero_lambda(capsys, argv):
     ],
 )
 def test_process_exit_code(argv, code):
+    # -W as in pyproject's filterwarnings, which a subprocess does not inherit.
     proc = subprocess.run(
-        [sys.executable, "-m", "szegolyap.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "szegolyap.cli", *argv],
+        capture_output=True, text=True,
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr

@@ -101,7 +101,7 @@ def test_conjugator_unitary():
         s = SpectralParameter.from_turn(float(rng.random()))
         for j in (0, 1):
             c = conjugator(PhasePoint(0.5, j), s)
-            assert m2.max_abs_diff(m2.herm(c) @ c, np.eye(2)) < 1e-14
+            assert m2.max_abs_diff(c.conj().T @ c, np.eye(2)) < 1e-14
 
 
 def test_conjugation_identity():
@@ -113,7 +113,7 @@ def test_conjugation_identity():
         lhs = (
             conjugator(p, s)
             @ szego_matrix(g.evaluate(p), s)
-            @ m2.inv(conjugator(pm, s))
+            @ np.linalg.inv(conjugator(pm, s))
         )
         assert m2.max_abs_diff(lhs, conjugated_step(p, s, g)) < 1e-12
 

@@ -48,6 +48,8 @@ def test_demo_runs(demo, tmp_path):
     # In a scratch working directory, since demo 05 writes scan.csv and
     # scan.svg where it runs.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    # -W as in pyproject's filterwarnings, which a subprocess does not inherit.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr

@@ -27,7 +27,6 @@ from szegolyap.lyapunov import (
     phase_average_profile,
     reference_bound,
     subharmonic_check,
-    subharmonic_grid_values,
     theorem1_bound,
 )
 
@@ -233,14 +232,18 @@ def test_subharmonic_quad_delta():
 
 
 def test_subharmonic_route_equality():
-    # Analytic-family samples + n log(1/eps) reproduce the direct cocycle
-    # log norms on a matched grid, point by point.
+    # The analytic family's coefficient polynomial P, evaluated on a matched
+    # grid, plus n log(1/eps) reproduces the direct cocycle log norms point
+    # by point: ||P(e^(2 pi i theta))|| = eps^n ||A^z_n(theta, j0)||.
     g = ExpGenerator(0.4, 2)
     s = SpectralParameter.from_turn(0.21)
     n, grid = 5, 512
+    thetas = np.arange(grid) / grid
+    w = np.exp(2j * np.pi * thetas)
     for j0 in (0, 1):
-        vals = subharmonic_grid_values(GOLDEN, g, s, j0, n, grid)
-        thetas = np.arange(grid) / grid
+        coeffs = np.moveaxis(_analytic_family_coeffs(GOLDEN, g, s, j0, n), -1, 0)
+        prod = np.polynomial.polynomial.polyval(w[:, None, None], coeffs, tensor=False)
+        vals = np.log(m2.op_norm(prod))
         logn, _ = grid_log_norms(thetas, j0, GOLDEN, g, s.z, n)
         assert np.max(np.abs(vals + n * math.log(1.0 / g.epsilon) - logn)) < 1e-8
 

@@ -124,10 +124,3 @@ def test_is_u11_identity_and_counterexample():
 def test_is_u11_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         m2.is_u11(np.eye(2), 0.0)
-
-
-def test_inv_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = random_mat(rng)
-        assert m2.max_abs_diff(m2.mul(x, m2.inv(x)), np.eye(2)) < 1e-12
