@@ -9,6 +9,7 @@ Subcommands: ``bound``, ``scan``, ``verify-t1``, ``verify-t2``,
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -176,6 +177,11 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for path in filter(None, (args.out, args.svg)):  # all outputs or none: test first
+        folder = os.path.join(os.path.dirname(os.path.abspath(path)), "")  # "/": dirs only
+        if os.path.isdir(path) or not os.access(path if os.path.isfile(path) else folder, os.W_OK):
+            print(f"error: cannot write {path}", file=sys.stderr)
+            return 2
     r = Rotation(args.alpha)
     ts, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)

@@ -25,6 +25,11 @@ from .mat2 import SWAP, mat2, op_norm
 # overhead, few enough that peak memory barely moves.
 BUDGET = 2048
 
+# Orbits per tile in grid_log_norms.  verify-t1 at 32768 orbits, n = 2, took
+# 1.27/0.95/1.06/1.05/1.01 of the untiled time in tiles of 512/1024/2048/4096/8192
+# and page-faulted 160/185/2921/4414/5065 times, untiled 4864 (2-core Xeon, glibc).
+TILE = 1024
+
 
 class DegenerateCoefficientError(ArithmeticError):
     """A coefficient sits too close to the unit circle for double precision."""
@@ -121,20 +126,17 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
     )
 
 
-def _coefficients(theta0s, j0, r: Rotation, gens, ms):
+def _coefficients(theta0s, j0, r: Rotation, pieces, ms):
     """Coefficients of every orbit at the steps in column ``ms``, shaped
-    (steps, orbits): generator ``gens[s]`` drives the s-th of
-    ``len(gens)`` equal consecutive segments of the orbits and is called
-    once, on that segment's angles and parity array, writing into its
-    columns of the one result.  The angles theta0 + m alpha are reduced by
+    (steps, orbits); one call of g fills the columns ``cols`` of each ``(g,
+    cols)`` in ``pieces``.  The angles theta0 + m alpha are reduced by
     subtracting their floor, which is ``% 1.0`` bit for bit."""
     thetas = theta0s + ms * r.alpha
     thetas -= np.floor(thetas)
     parity = np.broadcast_to((j0 + ms) % 2, thetas.shape)
     out = np.empty(thetas.shape, dtype=complex)
-    width = thetas.shape[1] // len(gens)
-    for s, g in enumerate(gens):
-        seg = np.s_[:, s * width:(s + 1) * width]
+    for g, cols in pieces:
+        seg = np.s_[:, cols]
         out[seg] = g.evaluate_grid(thetas[seg], parity[seg])
     return out
 
@@ -146,7 +148,9 @@ def _check_finite(stack, m0):
     if not finite.all():
         finite = np.all(finite, axis=tuple(range(1, stack.ndim)))
         step = m0 + int(np.argmin(finite)) + 1
-        raise NumericalBlowupError(f"non-finite entries at step {step}")
+        exc = NumericalBlowupError(f"non-finite entries at step {step}")
+        exc.step = step  # grid_log_norms raises the earliest of its tiles'
+        raise exc
 
 
 def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
@@ -166,15 +170,15 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     operator norm of the renormalized product and changes nothing else, so
     no result depends on the checkpoint set.
 
-    The one-step matrices are built a block of steps at a time, at most
-    BUDGET of them per block (one step per block for wider batches).  Each
-    generator is called once per block, with the (steps, orbits) arrays of
-    its segment's angles and parities.  The product is folded step after
-    step in the same arithmetic whatever the block length, on the entries
-    of the block's stack as (steps, orbits) arrays, into buffers made once
-    per block (and freed at each read); every generator evaluates each
-    (angle, parity) pair on its own, so an orbit's result depends neither
-    on BUDGET nor on the other orbits (or segments) in the batch.
+    The orbits are folded over all n steps a tile of at most TILE at a
+    time, so that a tile's temporaries (0.44 MiB at 1024 orbits) stay in
+    the L2 cache and in the heap rather than being trimmed and faulted in
+    again per block (see TILE).  A tile builds at most BUDGET one-step
+    matrices per block and folds them step after step, in the same
+    arithmetic whatever the block length, into buffers made per block.
+    Each generator evaluates every (angle, parity) pair on its own, so an
+    orbit's result depends on neither TILE, BUDGET nor the rest of the
+    batch.  A blowup names the earliest non-finite step of any tile.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -187,6 +191,24 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             f"{theta0s.size} orbits do not split into {len(gens)} equal segments"
         )
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
+    width = theta0s.size // len(gens)
+    recorded, blowups = {m: np.empty(theta0s.size) for m in sorted(wanted | {n})}, []
+    for lo in range(0, theta0s.size, TILE):
+        tile = slice(lo, lo + TILE)
+        pieces = [(g, slice(max(s * width - lo, 0), min(s * width + width - lo, TILE)))
+                  for s, g in enumerate(gens) if lo - width < s * width < lo + TILE]
+        try:
+            _fold(theta0s[tile], j0[tile] if np.ndim(j0) else j0, r, pieces, zs[tile], n,
+                  {m: out[tile] for m, out in recorded.items()})
+        except NumericalBlowupError as exc:
+            blowups.append(exc)
+    if blowups:
+        raise min(blowups, key=lambda exc: exc.step)
+    return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded
+
+
+def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded):
+    """Fold one tile's orbits into ``recorded``; see ``grid_log_norms``."""
     # The running product as component rows: cur[r] holds row r of every
     # orbit's matrix as a contiguous (2, orbits) block.
     cur = np.zeros((2, 2, theta0s.size), dtype=complex)
@@ -195,12 +217,10 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     # Real rows, one per entry: the squared Frobenius norm sums over them.
     parts = cur.view(float).reshape(4, 2 * theta0s.size)
     logn = np.zeros(theta0s.shape)
-    reads = wanted | {n}
-    recorded = {}
     block = max(1, BUDGET // max(theta0s.size, 1))
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None]
-        mats = szego_matrices(_coefficients(theta0s, j0, r, gens, ms), zs)
+        mats = szego_matrices(_coefficients(theta0s, j0, r, pieces, ms), zs)
         _check_finite(mats, m0)
         # Each entry of every step as a contiguous (steps, orbits) array.
         (a00, a01), (a10, a11) = np.moveaxis(mats, (-2, -1), (0, 1))
@@ -217,10 +237,10 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             row1 *= a11[i]
             row1 += np.multiply(a10[i], row0, out=prod)
             row0[...] = top
-            if m0 + i + 1 in reads:
+            if m0 + i + 1 in recorded:
                 top = prod = sq = logs = None
                 scale[...] = op_norm(cur.transpose(2, 0, 1))
-                recorded[m0 + i + 1] = logn + np.log(scale)
+                np.add(logn, np.log(scale), out=recorded[m0 + i + 1])
                 if m0 + i + 1 == n:
                     break
             sq = np.einsum("ij,ij->j", parts, parts, out=sq)
@@ -235,4 +255,3 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         del mats, a00, a01, a10, a11, top, prod, sq, logs
         # A non-finite product has a non-finite scale (at step n, its norm).
         _check_finite(scales, m0)
-    return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded

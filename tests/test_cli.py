@@ -290,13 +290,22 @@ def test_verify_t1_min_margin_matches_scan_phase_column(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
-def test_unwritable_output_is_config_error(tmp_path, capsys, flag):
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, flag):
+    # A bad path is refused before the engine runs, and the other output,
+    # at a good path, is not created: all outputs or none.
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("szegolyap.cli.birkhoff_scan", engine)
     path = tmp_path / "missing" / "scan.out"
-    rc, _, err = run(capsys, "scan", "--eps", "0.5", "--z-grid", "1", "--n", "2",
-                     flag, str(path))
+    good = tmp_path / "good.out"
+    other = {"--out": "--svg", "--svg": "--out"}[flag]
+    rc, out, err = run(capsys, "scan", "--eps", "0.5", "--z-grid", "1", "--n", "2",
+                       flag, str(path), other, str(good))
     assert rc == 2
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+    assert out == "" and not good.exists()
 
 
 def test_verify_t1_numerical_failure_exit_code(capsys):

@@ -241,6 +241,15 @@ def test_blowup_names_first_non_finite_step(monkeypatch, budget):
         grid_log_norms([0.0], 1, Rotation(0.1), LateNaNGenerator(), 1.0 + 0.0j, 10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_blowup_names_first_non_finite_step_over_tiles(monkeypatch):
+    # Tiles of one orbit: the first tile's orbit (from 0) first meets a NaN
+    # coefficient at step 4, the second tile's (from 0.1) at step 3.
+    monkeypatch.setattr(cocycle, "TILE", 1)
+    with pytest.raises(NumericalBlowupError, match=r"at step 3$"):
+        grid_log_norms([0.0, 0.1], 1, Rotation(0.1), LateNaNGenerator(), 1.0 + 0.0j, 10)
+
+
 def test_orbit_product_single_step():
     g = ExpGenerator(0.5, 1)
     s = SpectralParameter.from_turn(0.2)
@@ -327,19 +336,22 @@ def test_grid_log_norms_rejects_bad_steps(n, marks):
 def test_block_budget_does_not_change_results(monkeypatch):
     # BUDGET / 4 orbits make default blocks of 4 steps; the checkpoints fall
     # inside blocks and at their ends, including the last, short block.
+    # Tiles of 1 and 7 orbits split the batch into blocks of BUDGET // tile.
     b = cocycle.BUDGET // 4
     rng = np.random.default_rng(11)
     args = (rng.random(b), rng.integers(0, 2, b), GOLDEN, ExpGenerator(0.3, 2),
             np.exp(2j * np.pi * rng.random(b)), 10)
     marks = [1, 2, 4, 5, 8, 9, 10]
     logn, rec = grid_log_norms(*args, checkpoints=marks)
-    monkeypatch.setattr(cocycle, "BUDGET", 1)
-    logn_1, rec_1 = grid_log_norms(*args, checkpoints=marks)
-    assert np.array_equal(logn, logn_1)
-    assert sorted(rec) == sorted(rec_1) == marks
-    for m in marks:
-        assert np.array_equal(rec[m], rec_1[m])
     assert np.array_equal(rec[10], logn)
+    for tile, budget in [(cocycle.TILE, 1), (1, 1), (7, 1), (7, cocycle.BUDGET)]:
+        monkeypatch.setattr(cocycle, "TILE", tile)
+        monkeypatch.setattr(cocycle, "BUDGET", budget)
+        logn_1, rec_1 = grid_log_norms(*args, checkpoints=marks)
+        assert np.array_equal(logn, logn_1)
+        assert sorted(rec) == sorted(rec_1) == marks
+        for m in marks:
+            assert np.array_equal(rec[m], rec_1[m])
 
 
 def test_block_budget_does_not_change_perturbed_results(monkeypatch):
@@ -348,15 +360,18 @@ def test_block_budget_does_not_change_perturbed_results(monkeypatch):
     # as the same angle does among many.
     rng = np.random.default_rng(13)
     g = PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1])
-    default = cocycle.BUDGET
+    default, default_tile = cocycle.BUDGET, cocycle.TILE
     for j0s in (np.array([0, 0, 1, 1, 0, 1, 1]), np.array([1, 0])):
         b = len(j0s)
         args = (rng.random(b), j0s, GOLDEN, g, np.exp(2j * np.pi * rng.random(b)), 50)
         monkeypatch.setattr(cocycle, "BUDGET", default)
+        monkeypatch.setattr(cocycle, "TILE", default_tile)
         logn, _ = grid_log_norms(*args)
-        for budget in (1, 7, 64):
-            monkeypatch.setattr(cocycle, "BUDGET", budget)
-            assert np.array_equal(grid_log_norms(*args)[0], logn)
+        for tile in (1, 3, default_tile):
+            monkeypatch.setattr(cocycle, "TILE", tile)
+            for budget in (1, 7, 64):
+                monkeypatch.setattr(cocycle, "BUDGET", budget)
+                assert np.array_equal(grid_log_norms(*args)[0], logn)
 
 
 def test_mixed_start_parities_match_single_parity_calls():
@@ -388,12 +403,13 @@ def _segment_generator(rng, kind):
     width=st.integers(1, 8),
     n=st.integers(1, 40),
     budget=st.sampled_from([1, 7, cocycle.BUDGET]),
+    tile=st.sampled_from([1, 7, cocycle.TILE]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, seed):
+def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, tile, seed):
     # One call over consecutive segments, each with its own generator, gives
     # every orbit the bits of a call over its segment alone, whatever the
-    # block budget.
+    # block budget and however the tiles cut the segments.
     rng = np.random.default_rng(seed)
     gens = [_segment_generator(rng, kind) for kind in kinds]
     b = len(gens) * width
@@ -402,6 +418,7 @@ def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, seed):
     marks = [1, n // 2 + 1, n]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
+        mp.setattr(cocycle, "TILE", tile)
         fused, rec = grid_log_norms(thetas, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
     for s, g in enumerate(gens):
         seg = slice(s * width, (s + 1) * width)
@@ -428,9 +445,10 @@ def test_segments_must_split_the_orbits_evenly():
     n=st.integers(1, 60),
     data=st.data(),
     budget=st.sampled_from([1, 7, cocycle.BUDGET]),
+    tile=st.sampled_from([1, 7, cocycle.TILE]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_reads_do_not_change_results(kind, width, n, data, budget, seed):
+def test_reads_do_not_change_results(kind, width, n, data, budget, tile, seed):
     # A checkpoint only observes the product: the final log norms equal
     # those of a call without checkpoints, and recorded[m] those of a call
     # of m steps, bit for bit.
@@ -440,6 +458,7 @@ def test_reads_do_not_change_results(kind, width, n, data, budget, seed):
             _segment_generator(rng, kind), np.exp(2j * np.pi * rng.random(width)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
+        mp.setattr(cocycle, "TILE", tile)
         logn, rec = grid_log_norms(*args, n, checkpoints=marks)
         assert np.array_equal(logn, grid_log_norms(*args, n)[0])
         assert sorted(rec) == sorted(marks)
@@ -456,9 +475,7 @@ def test_orbit_alone_matches_orbit_in_batch(g, width):
     # An orbit's log norm depends neither on the block length nor on the
     # rest of the batch.  A lone orbit runs in blocks of BUDGET steps, 37
     # orbits in blocks of BUDGET // 37 steps (so 60 steps span two blocks)
-    # and 3000 orbits, more than BUDGET, in blocks of one step.  At 20000
-    # orbits a block's coefficients take over 256 KiB, the size from which
-    # numpy reuses temporaries in place.
+    # and 3000 and 20000 orbits in tiles of TILE, the last one short.
     rng = np.random.default_rng(width)
     thetas, j0s = rng.random(width), rng.integers(0, 2, width)
     zs = np.exp(2j * np.pi * rng.random(width))
@@ -469,22 +486,29 @@ def test_orbit_alone_matches_orbit_in_batch(g, width):
         assert alone[0] == batch[i]
 
 
-def test_wide_batch_peak_memory():
-    # 32768 orbits, two steps: the one-step stack and the running product
-    # take 1 MiB each.  Holding a block's stack (or a view of it) into the
-    # next block shows as a traced peak above 10 MiB; holding the fold's
-    # buffers into a checkpoint's op_norm, as one above 8 MiB.
-    b = 32768
+def _traced_peak(b, marks):
     thetas = np.arange(b) / b
+    tracemalloc.start()
+    try:
+        grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, 2,
+                       checkpoints=marks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_batch_peak_memory():
+    # Two steps.  The traced peak was 0.44 MiB at TILE = 1024 orbits, one
+    # tile (0.45 with checkpoints), and 0.69 (0.94) at 32768 orbits; folded
+    # as one batch, 32768 orbits peaked at 7.38 (7.63).  Beyond one tile a
+    # batch may add only its result vectors: the log norms, one per
+    # checkpoint and the copy returned for a checkpoint at n.
     for marks in (None, [1, 2]):
-        tracemalloc.start()
-        try:
-            grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, 2,
-                           checkpoints=marks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 2**20, marks
+        one_tile = _traced_peak(cocycle.TILE, marks)
+        for b in (4 * cocycle.TILE, 16 * cocycle.TILE):
+            bound = one_tile + (len(marks or ()) + 2) * 8 * b
+            assert _traced_peak(b, marks) <= bound, (marks, b)
+        assert _traced_peak(32768, marks) <= 1.25 * 2**20, marks
 
 
 def _oracle_log_norm(fs, z):
@@ -591,13 +615,16 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     return recorded
 
 
-def _assert_matches_reference(rng, kinds, width, n, marks, budget):
+def _assert_matches_reference(rng, kinds, width, n, marks, budget, tile, shared=False):
     gens = [_segment_generator(rng, kind) for kind in kinds]
     b = len(gens) * width
     thetas, j0s = rng.random(b), rng.integers(0, 2, b)
     zs = np.exp(2j * np.pi * rng.random(b))
+    if shared:
+        j0s, zs = j0s[0], zs[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
+        mp.setattr(cocycle, "TILE", tile)
         logn, rec = grid_log_norms(thetas, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
     expected = _reference_log_norms(thetas, j0s, GOLDEN, gens, zs, n, marks)
     assert np.array_equal(logn, expected[n])
@@ -613,21 +640,28 @@ def _assert_matches_reference(rng, kinds, width, n, marks, budget):
     n=st.integers(1, 80),
     data=st.data(),
     budget=st.sampled_from([1, 7, cocycle.BUDGET]),
+    tile=st.sampled_from([1, 7, cocycle.TILE]),
+    shared=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_engine_matches_reference_fold(kinds, width, n, data, budget, seed):
+def test_engine_matches_reference_fold(kinds, width, n, data, budget, tile, shared,
+                                       seed):
     # Bit for bit: the buffered fold on the stack's entry arrays, the
-    # floor-reduced angles and the per-segment writes change no operation
-    # and no order of the plain reference above.
+    # floor-reduced angles, the per-segment writes and the tiles, which cut
+    # segments wherever they fall, change no operation and no order of the
+    # plain reference above, with start parities and spectral parameters
+    # per orbit or ``shared`` by all.
     marks = data.draw(st.sets(st.integers(1, n)), label="marks")
     _assert_matches_reference(np.random.default_rng(seed), kinds, width, n, marks,
-                              budget)
+                              budget, tile, shared)
 
 
 def test_engine_matches_reference_fold_wide_batch():
-    # 3000 orbits in blocks of one step, both families fused.
-    _assert_matches_reference(np.random.default_rng(15), ["exp", "perturbed"], 1500,
-                              12, {1, 5, 11}, cocycle.BUDGET)
+    # 3000 orbits, both families fused, in tiles of 7, 1000 (which cut the
+    # first segment) and TILE, with blocks of BUDGET // tile steps.
+    for tile in (7, 1000, cocycle.TILE):
+        _assert_matches_reference(np.random.default_rng(15), ["exp", "perturbed"],
+                                  1500, 12, {1, 5, 11}, cocycle.BUDGET, tile)
 
 
 @pytest.mark.parametrize("segments", [1, 2, 3, 4])
@@ -642,7 +676,8 @@ def test_coefficients_match_mod_one_angles(segments):
     theta0s[:2] = [-0.0, -1.0]
     j0s = rng.integers(0, 2, segments * w)
     ms = np.concatenate([np.arange(4), rng.integers(4, 10**5, 20), [10**5]])[:, None]
-    got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens, ms)
+    pieces = [(g, slice(s * w, (s + 1) * w)) for s, g in enumerate(gens)]
+    got = cocycle._coefficients(theta0s, j0s, GOLDEN, pieces, ms)
     thetas = (theta0s + ms * GOLDEN.alpha) % 1.0
     parity = (j0s + ms) % 2
     for s, g in enumerate(gens):
