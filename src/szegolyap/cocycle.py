@@ -20,9 +20,9 @@ import numpy as np
 from .dynamics import PhasePoint, Rotation, ExpGenerator
 from .mat2 import SWAP, mat2, op_norm
 
-# One-step matrices built per block of steps in grid_log_norms.  2048 of
-# them take 128 KB: enough steps per block to spread the per-block Python
-# overhead, few enough that peak memory barely moves.
+# One-step matrices built per block of steps in grid_log_norms.  2048 take
+# 128 KiB as a stack, about 350 KiB while being built: enough to spread the
+# per-block Python overhead, few enough that peak memory barely moves.
 BUDGET = 2048
 
 # Orbits per tile in grid_log_norms.  verify-t1 at 32768 orbits, n = 2, took
@@ -86,10 +86,13 @@ def szego_matrices(f, z):
     c = rem**-0.5
     out = np.empty((2, 2) + f.shape, dtype=complex)
     out[0, 0] = c * z
-    out[0, 1] = -c * np.conj(f)
-    out[1, 0] = -c * f * z
+    # Both off-diagonals from t = -c f: conj(t) is -c conj(f) (up to the sign
+    # of a zero imaginary part, which no norm sees) and t z is -c f z.
+    t = -c * f
+    np.conjugate(t, out=out[0, 1, ...])
+    np.multiply(t, z, out=out[1, 0, ...])
     out[1, 1] = c
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def szego_matrix(f_val: complex, s: SpectralParameter):
@@ -171,14 +174,15 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     no result depends on the checkpoint set.
 
     The orbits are folded over all n steps a tile of at most TILE at a
-    time, so that a tile's temporaries (0.44 MiB at 1024 orbits) stay in
-    the L2 cache and in the heap rather than being trimmed and faulted in
-    again per block (see TILE).  A tile builds at most BUDGET one-step
-    matrices per block and folds them step after step, in the same
-    arithmetic whatever the block length, into buffers made per block.
-    Each generator evaluates every (angle, parity) pair on its own, so an
-    orbit's result depends on neither TILE, BUDGET nor the rest of the
-    batch.  A blowup names the earliest non-finite step of any tile.
+    time, so that a tile's memory (a traced peak of 0.58 MiB at 1024 orbits
+    and two steps) stays in the L2 cache and in the heap rather than being
+    trimmed and faulted in again per block (see TILE).  A tile builds at
+    most BUDGET one-step matrices per block and folds them step after step,
+    in the same arithmetic whatever the block length, into buffers made
+    once per call.  Each generator evaluates every (angle, parity) pair on
+    its own, so an orbit's result depends on neither TILE, BUDGET nor the
+    rest of the batch.  A blowup names the earliest non-finite step of any
+    tile.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -193,13 +197,17 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
     width = theta0s.size // len(gens)
     recorded, blowups = {m: np.empty(theta0s.size) for m in sorted(wanted | {n})}, []
+    # The fold's buffers, made once per call and cut to each tile's width:
+    # cur, p, q; then squares, logs, log norms and a block's scales.
+    b = min(TILE, theta0s.size)
+    work = np.empty(12 * b, dtype=complex), np.empty(4 * b + max(BUDGET, b))
     for lo in range(0, theta0s.size, TILE):
         tile = slice(lo, lo + TILE)
         pieces = [(g, slice(max(s * width - lo, 0), min(s * width + width - lo, TILE)))
                   for s, g in enumerate(gens) if lo - width < s * width < lo + TILE]
         try:
             _fold(theta0s[tile], j0[tile] if np.ndim(j0) else j0, r, pieces, zs[tile], n,
-                  {m: out[tile] for m, out in recorded.items()})
+                  {m: out[tile] for m, out in recorded.items()}, work)
         except NumericalBlowupError as exc:
             blowups.append(exc)
     if blowups:
@@ -207,51 +215,47 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded
 
 
-def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded):
-    """Fold one tile's orbits into ``recorded``; see ``grid_log_norms``."""
-    # The running product as component rows: cur[r] holds row r of every
-    # orbit's matrix as a contiguous (2, orbits) block.
-    cur = np.zeros((2, 2, theta0s.size), dtype=complex)
-    cur[0, 0] = cur[1, 1] = 1.0
+def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
+    """Fold one tile's orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
+    b = theta0s.size
+    # The running product and the two halves of the next one as component
+    # rows: cur[r] holds row r of every orbit's matrix as a contiguous
+    # (2, orbits) block.
+    cur, p, q = work[0][:12 * b].reshape(3, 2, 2, b)
+    cur[...] = np.eye(2)[:, :, None]
     row0, row1 = cur
     # Real rows, one per entry: the squared Frobenius norm sums over them.
-    parts = cur.view(float).reshape(4, 2 * theta0s.size)
-    logn = np.zeros(theta0s.shape)
-    block = max(1, BUDGET // max(theta0s.size, 1))
+    parts = cur.view(float).reshape(4, 2 * b)
+    sq, logs, logn, scales = (work[1][:2 * b], work[1][2 * b:3 * b],
+                              work[1][3 * b:4 * b], work[1][4 * b:])
+    logn[...] = 0.0
+    block = max(1, BUDGET // b)
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, pieces, ms), zs)
         _check_finite(mats, m0)
-        # Each entry of every step as a contiguous (steps, orbits) array.
-        (a00, a01), (a10, a11) = np.moveaxis(mats, (-2, -1), (0, 1))
-        scales = np.empty(mats.shape[:2])
-        # The fold's buffers (new top row, product, squares, logs) are made
-        # by their first use (out=None allocates) after the stack is built,
-        # then reused; a read frees them for op_norm's temporaries.
-        top = prod = sq = logs = None
-        for i, scale in enumerate(scales):
-            # cur = a @ cur, one row at a time on the component arrays.
-            top = np.multiply(a00[i], row0, out=top)
-            prod = np.multiply(a01[i], row1, out=prod)
-            top += prod
-            row1 *= a11[i]
-            row1 += np.multiply(a10[i], row0, out=prod)
-            row0[...] = top
+        # Each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits).
+        left, right = mats.transpose(3, 0, 2, 1)[..., None, :]
+        block_scales = scales[:ms.size * b].reshape(ms.size, b)
+        for i, scale in enumerate(block_scales):
+            # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0 +
+            # a[r, 1] row1.  a11 is real with imaginary part +0, so a11 row1
+            # rounds as row1 a11, the tests' row-by-row reference fold.
+            np.multiply(left[i], row0, out=p)
+            np.multiply(right[i], row1, out=q)
+            np.add(p, q, out=cur)
             if m0 + i + 1 in recorded:
-                top = prod = sq = logs = None
                 scale[...] = op_norm(cur.transpose(2, 0, 1))
                 np.add(logn, np.log(scale), out=recorded[m0 + i + 1])
                 if m0 + i + 1 == n:
                     break
-            sq = np.einsum("ij,ij->j", parts, parts, out=sq)
+            np.einsum("ij,ij->j", parts, parts, out=sq)
             np.add(sq[0::2], sq[1::2], out=scale)
             scale *= 0.5
             np.sqrt(scale, out=scale)
             cur /= scale
-            logs = np.log(scale, out=logs)
-            logn += logs
-        # The next block's stack is built without this one (or a view of it)
-        # held.
-        del mats, a00, a01, a10, a11, top, prod, sq, logs
+            logn += np.log(scale, out=logs)
+        # The next block's stack is built without this one held.
+        del mats, left, right
         # A non-finite product has a non-finite scale (at step n, its norm).
-        _check_finite(scales, m0)
+        _check_finite(block_scales, m0)

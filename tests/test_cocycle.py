@@ -85,6 +85,64 @@ def test_szego_degenerate_coefficient():
         szego_matrix(1.0 - 1e-17, s)
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("vector_z", [False, True], ids=["scalar-z", "vector-z"])
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize(
+    "g",
+    [ExpGenerator(0.4, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1]),
+     ConstantGenerator(0.3 - 0.6j), ConstantGenerator(0.5)],
+    ids=["exp", "perturbed", "constant", "real-constant"],
+)
+def test_szego_entries_the_fold_relies_on(g, j, vector_z):
+    # The fold multiplies a11 row1 where the row-by-row fold took row1 a11;
+    # the two round alike because a11 = c has imaginary part exactly +0.
+    # Both off-diagonals come from t = -c f: a01 = conj(t) must equal
+    # -c conj(f) and a10 = t z must equal -c f z.  array_equal on the real
+    # views compares every real and imaginary part as a number, so -0.0 and
+    # +0.0 count as equal: where f is real (theta = 0 here, or a real
+    # constant) conj(t) flips the sign of a01's zero imaginary part, and
+    # only there do the bits differ.  A signed zero changes no nonzero sum
+    # or product, so no norm sees it.
+    rng = np.random.default_rng(31 + j + 2 * vector_z)
+    thetas = rng.random((5, 40))
+    thetas[0, :3] = [0.0, 0.25, 0.5]
+    z = np.exp(2j * np.pi * rng.random(40)) if vector_z else complex(np.exp(0.7j))
+    f = g.evaluate_grid(thetas, j)
+    mats = cocycle.szego_matrices(f, z)
+    a11 = mats[..., 1, 1]
+    assert np.all(a11.imag == 0.0) and not np.any(np.signbit(a11.imag))
+    f, z = np.broadcast_arrays(f, z)
+    c = a11.real
+    a01, old = mats[..., 0, 1], -c * np.conj(f)
+    assert np.array_equal(a01.view(float), old.view(float))
+    assert np.array_equal(_bits(a01[f.imag != 0]), _bits(old[f.imag != 0]))
+    assert np.array_equal(mats[..., 1, 0].view(np.uint64), (-c * f * z).view(np.uint64))
+
+
+def test_szego_matrices_batch_invariant():
+    # One orbit's matrices do not depend on the rest of the batch: numpy
+    # picks its complex-multiply loop by operand shape, and the broadcast in
+    # szego_matrices keeps that choice the same for a column as for the
+    # whole stack.  Bits compared, signed zeros included.
+    rng = np.random.default_rng(32)
+    for steps, width in [(1, 1), (1, 2), (3, 1), (2, 5), (7, 16), (32, 64),
+                         (2, 1024), (9, 3000)]:
+        f = 0.9 * np.sqrt(rng.random((steps, width))) * np.exp(
+            2j * np.pi * rng.random((steps, width)))
+        zs = np.exp(2j * np.pi * rng.random(width))
+        for z in (zs, zs[0]):
+            wide = _bits(cocycle.szego_matrices(f, z))
+            for col in rng.choice(width, min(width, 6), replace=False):
+                alone = cocycle.szego_matrices(f[:, col:col + 1],
+                                               z[col:col + 1] if np.ndim(z) else z)
+                assert np.array_equal(_bits(alone), wide[:, col:col + 1]), (
+                    steps, width, col, np.ndim(z))
+
+
 def test_conjugator_parity_zero_is_swap():
     s = SpectralParameter.from_turn(0.31)
     assert m2.max_abs_diff(conjugator(PhasePoint(0.9, 0), s), m2.SWAP) == 0.0
@@ -486,11 +544,11 @@ def test_orbit_alone_matches_orbit_in_batch(g, width):
         assert alone[0] == batch[i]
 
 
-def _traced_peak(b, marks):
+def _traced_peak(b, marks, n=2):
     thetas = np.arange(b) / b
     tracemalloc.start()
     try:
-        grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, 2,
+        grid_log_norms(thetas, 0, GOLDEN, ExpGenerator(0.5, 1), 1.0 + 0.0j, n,
                        checkpoints=marks)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -498,8 +556,8 @@ def _traced_peak(b, marks):
 
 
 def test_wide_batch_peak_memory():
-    # Two steps.  The traced peak was 0.44 MiB at TILE = 1024 orbits, one
-    # tile (0.45 with checkpoints), and 0.69 (0.94) at 32768 orbits; folded
+    # Two steps.  The traced peak was 0.58 MiB at TILE = 1024 orbits, one
+    # tile (0.58 with checkpoints), and 0.82 (1.07) at 32768 orbits; folded
     # as one batch, 32768 orbits peaked at 7.38 (7.63).  Beyond one tile a
     # batch may add only its result vectors: the log norms, one per
     # checkpoint and the copy returned for a checkpoint at n.
@@ -509,6 +567,18 @@ def test_wide_batch_peak_memory():
             bound = one_tile + (len(marks or ()) + 2) * 8 * b
             assert _traced_peak(b, marks) <= bound, (marks, b)
         assert _traced_peak(32768, marks) <= 1.25 * 2**20, marks
+
+
+def test_fold_memory_does_not_grow_with_steps():
+    # The fold's buffers are made once per call and a block's stack of
+    # one-step matrices is dropped before the next is built, so 4096 steps
+    # (128 blocks of BUDGET // 64 steps at 64 orbits) peak as high as 64
+    # steps (two blocks), to within one block's stack.  The traced peak was
+    # 0.364 MiB for both.
+    stack = 4 * 16 * (cocycle.BUDGET // 64) * 64
+    for marks in (None, [1, 63, 64]):
+        short = _traced_peak(64, marks, 64)
+        assert abs(_traced_peak(64, marks, 4096) - short) <= stack, marks
 
 
 def _oracle_log_norm(fs, z):
