@@ -130,17 +130,18 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
 
 
 def _coefficients(theta0s, j0, r: Rotation, pieces, ms):
-    """Coefficients of every orbit at the steps in column ``ms``, shaped
-    (steps, orbits); one call of g fills the columns ``cols`` of each ``(g,
-    cols)`` in ``pieces``.  The angles theta0 + m alpha are reduced by
+    """Coefficients of every orbit at the steps in ``ms``, shaped as the
+    angles theta0 + m alpha broadcast with the parities j0 + m (mod 2); one
+    call of g fills the columns ``cols`` (last axis) of each ``(g, cols)`` in
+    ``pieces``, with every angle passed once.  The angles are reduced by
     subtracting their floor, which is ``% 1.0`` bit for bit."""
     thetas = theta0s + ms * r.alpha
     thetas -= np.floor(thetas)
-    parity = np.broadcast_to((j0 + ms) % 2, thetas.shape)
-    out = np.empty(thetas.shape, dtype=complex)
-    for g, cols in pieces:
-        seg = np.s_[:, cols]
-        out[seg] = g.evaluate_grid(thetas[seg], parity[seg])
+    parity = (j0 + ms) % 2
+    out = np.empty(np.broadcast(thetas, parity).shape, dtype=complex)
+    for g, cols in pieces:  # parities shared by all angles go to every piece whole
+        seg = np.s_[..., cols]
+        out[seg] = g.evaluate_grid(thetas[seg], parity[seg] if parity.shape[-1] > 1 else parity)
     return out
 
 
@@ -161,34 +162,39 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
 
     The one renormalized product engine: every estimator runs through it.
     ``g`` is a coefficient generator, or a sequence of them that splits
-    the orbits into equal consecutive segments, one per generator, so that
-    several families run as one batch.  ``j0`` is the starting parity, a
-    scalar or a vector paired with ``theta0s``; ``zs`` may likewise be a
-    scalar (shared spectral parameter) or a vector.  Returns
-    ``(log_norms, recorded)`` where ``recorded[m]`` holds the log norms
-    after m steps for each m in ``checkpoints`` (all in 1..n).  Every step
+    the N angles ``theta0s`` into equal consecutive segments, one per
+    generator, so that several families run as one batch.  ``j0`` is the
+    starting parity: a scalar or a vector paired with ``theta0s`` (N
+    orbits), or a column of R parities, shape (R, 1), for an (R, N) grid of
+    orbits.  ``zs`` is a scalar (shared spectral parameter) or a vector
+    paired with ``theta0s``.  Returns ``(log_norms, recorded)``, shaped like
+    the orbits, where ``recorded[m]`` holds the log norms after m steps for
+    each m in ``checkpoints`` (all in 1..n).  Every step
     divides the running product by the root mean square of its entries,
     sqrt(||cur||_F^2 / 2), in [sigma_max / sqrt(2), sigma_max], and sums
     the logs of these scales; a read (a checkpoint, or step n) adds the log
     operator norm of the renormalized product and changes nothing else, so
     no result depends on the checkpoint set.
 
-    The orbits are folded over all n steps a tile of at most TILE at a
-    time, so that a tile's memory (a traced peak of 0.58 MiB at 1024 orbits
-    and two steps) stays in the L2 cache and in the heap rather than being
-    trimmed and faulted in again per block (see TILE).  A tile builds at
-    most BUDGET one-step matrices per block and folds them step after step,
-    in the same arithmetic whatever the block length, into buffers made
-    once per call.  Each generator evaluates every (angle, parity) pair on
-    its own, so an orbit's result depends on neither TILE, BUDGET nor the
-    rest of the batch.  A blowup names the earliest non-finite step of any
-    tile.
+    The orbits are folded over all n steps a tile at a time, all R rows of
+    TILE // R angles (at least one), so that a tile's memory (a traced peak
+    of 0.58 MiB at 1024 orbits and two steps) stays in the L2 cache and in
+    the heap rather than being trimmed and faulted in again per block (see
+    TILE).  A tile builds at most BUDGET one-step matrices per block, each
+    angle's coefficients for all R rows from one generator call, and folds
+    them step after step, in the same arithmetic whatever the block length,
+    into buffers made once per call; a read writes into the results in
+    place.  Each generator evaluates every (angle, parity) pair on its own,
+    so an orbit's result depends on neither TILE, BUDGET nor the rest of
+    the batch.  A blowup names the earliest non-finite step of any tile.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
         raise ValueError(f"n must be >= 1 and checkpoints in 1..n, got n = {n}, "
                          f"checkpoints {sorted(wanted)}")
     theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
+    j0 = np.asarray(j0)
+    shape = np.broadcast_shapes(j0.shape, theta0s.shape)
     gens = tuple(g) if isinstance(g, (list, tuple)) else (g,)
     if not gens or theta0s.size % len(gens):
         raise ValueError(
@@ -196,18 +202,21 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         )
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
     width = theta0s.size // len(gens)
-    recorded, blowups = {m: np.empty(theta0s.size) for m in sorted(wanted | {n})}, []
+    rows = math.prod(shape[:-1])
+    angles = max(1, TILE // rows)
+    recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []
     # The fold's buffers, made once per call and cut to each tile's width:
     # cur, p, q; then squares, logs, log norms and a block's scales.
-    b = min(TILE, theta0s.size)
+    b = rows * min(angles, theta0s.size)
     work = np.empty(12 * b, dtype=complex), np.empty(4 * b + max(BUDGET, b))
-    for lo in range(0, theta0s.size, TILE):
-        tile = slice(lo, lo + TILE)
-        pieces = [(g, slice(max(s * width - lo, 0), min(s * width + width - lo, TILE)))
-                  for s, g in enumerate(gens) if lo - width < s * width < lo + TILE]
+    for lo in range(0, theta0s.size, angles):
+        tile = slice(lo, lo + angles)
+        pieces = [(g, slice(max(s * width - lo, 0), min(s * width + width - lo, angles)))
+                  for s, g in enumerate(gens) if lo - width < s * width < lo + angles]
         try:
-            _fold(theta0s[tile], j0[tile] if np.ndim(j0) else j0, r, pieces, zs[tile], n,
-                  {m: out[tile] for m, out in recorded.items()}, work)
+            _fold(theta0s[tile], j0[..., tile] if j0.size > rows else j0, r, pieces,
+                  zs[tile], n, {m: out.reshape(rows, -1)[:, tile]
+                                for m, out in recorded.items()}, work)
         except NumericalBlowupError as exc:
             blowups.append(exc)
     if blowups:
@@ -216,13 +225,13 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
 
 
 def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
-    """Fold one tile's orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
-    b = theta0s.size
+    """Fold a tile's (R, angles) orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
+    shape = recorded[n].shape
+    b = math.prod(shape)
     # The running product and the two halves of the next one as component
     # rows: cur[r] holds row r of every orbit's matrix as a contiguous
     # (2, orbits) block.
     cur, p, q = work[0][:12 * b].reshape(3, 2, 2, b)
-    cur[...] = np.eye(2)[:, :, None]
     row0, row1 = cur
     # Real rows, one per entry: the squared Frobenius norm sums over them.
     parts = cur.view(float).reshape(4, 2 * b)
@@ -231,22 +240,26 @@ def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
     logn[...] = 0.0
     block = max(1, BUDGET // b)
     for m0 in range(0, n, block):
-        ms = np.arange(m0, min(m0 + block, n))[:, None]
-        mats = szego_matrices(_coefficients(theta0s, j0, r, pieces, ms), zs)
+        ms = np.arange(m0, min(m0 + block, n))[:, None, None]
+        mats = szego_matrices(_coefficients(theta0s, j0, r, pieces, ms), zs).reshape(-1, b, 2, 2)
         _check_finite(mats, m0)
         # Each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits).
         left, right = mats.transpose(3, 0, 2, 1)[..., None, :]
         block_scales = scales[:ms.size * b].reshape(ms.size, b)
         for i, scale in enumerate(block_scales):
-            # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0 +
-            # a[r, 1] row1.  a11 is real with imaginary part +0, so a11 row1
-            # rounds as row1 a11, the tests' row-by-row reference fold.
-            np.multiply(left[i], row0, out=p)
-            np.multiply(right[i], row1, out=q)
-            np.add(p, q, out=cur)
+            if m0 + i:
+                # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0
+                # + a[r, 1] row1.  a11 is real with imaginary part +0, so
+                # a11 row1 rounds as row1 a11, the tests' row-by-row fold.
+                np.multiply(left[i], row0, out=p)
+                np.multiply(right[i], row1, out=q)
+                np.add(p, q, out=cur)
+            else:  # a @ 1 = a, up to the signs of zeros, which no norm sees
+                cur[...] = mats[0].transpose(1, 2, 0)
             if m0 + i + 1 in recorded:
                 scale[...] = op_norm(cur.transpose(2, 0, 1))
-                np.add(logn, np.log(scale), out=recorded[m0 + i + 1])
+                np.add(logn.reshape(shape), np.log(scale).reshape(shape),
+                       out=recorded[m0 + i + 1])
                 if m0 + i + 1 == n:
                     break
             np.einsum("ij,ij->j", parts, parts, out=sq)

@@ -82,9 +82,10 @@ class ExpGenerator:
 
     def evaluate_grid(self, thetas, j):
         """Vectorized evaluation at angles ``thetas`` and parities ``j``
-        (a scalar or an integer array broadcasting with ``thetas``)."""
-        sign = 1 - 2 * np.asarray(j)
-        return self.modulus * np.exp(1j * TWO_PI * self.k * sign * np.asarray(thetas))
+        (a scalar or an integer array broadcasting with ``thetas``): one
+        exponential per angle, conjugated where j = 1, bit for bit e^(-iy)."""
+        phase = np.exp(1j * TWO_PI * self.k * np.asarray(thetas))
+        return self.modulus * np.where(np.asarray(j) == 1, phase.conj(), phase)
 
 
 def lambda_max(epsilon: float, coeffs) -> float:
@@ -124,10 +125,11 @@ class PerturbedGenerator:
         P(w) = w^(2k) + lambda sum_l a_l w^(l + k),
 
     a polynomial of degree 2k with P(0) = lambda a_-k: the form Herman's
-    subharmonicity argument uses.  ``evaluate_grid`` takes one complex
-    exponential per angle and evaluates the Laurent polynomial by Horner's
-    rule, in w for the powers 0..k and in conj(w) = 1/w for the powers
-    -1..-k; a value depends only on its own angle and parity.
+    subharmonicity argument uses.  ``evaluate_grid(thetas, j)`` takes one
+    complex exponential per angle, on the angles' own shape, conjugates it
+    where j = 1 and evaluates the Laurent polynomial by Horner's rule, in
+    w for the powers 0..k and in conj(w) = 1/w for the powers -1..-k; a
+    value depends only on its own angle and parity.
     """
 
     epsilon: float
@@ -163,9 +165,8 @@ class PerturbedGenerator:
         return complex(self.evaluate_grid(np.array([p.theta]), p.j)[0])
 
     def evaluate_grid(self, thetas, j):
-        thetas = np.asarray(thetas, dtype=float)
-        sign = 1 - 2 * np.asarray(j)
-        w = np.exp(1j * TWO_PI * sign * thetas)
+        w = np.exp(1j * TWO_PI * np.asarray(thetas, dtype=float))
+        w = np.where(np.asarray(j) == 1, np.conjugate(w), w)
         wbar = np.conjugate(w)
         c = [self.lam * a for a in self.coeffs]
         # Each product has its own out= array, so a value never depends on its

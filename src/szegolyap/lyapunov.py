@@ -104,16 +104,17 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
 
 def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     """(1/m) * mean over the uniform theta grid and both parities of
-    log ||A^z_m(theta, j)|| for each m in the ascending ``marks``, from one
-    engine call per parity that reads every mark."""
+    log ||A^z_m(theta, j)|| for each m in the ascending ``marks``: row 0's
+    mean plus row 1's of one engine call from both parities, read as its
+    log norms at the last mark (no copy) and as checkpoints before it."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     thetas = np.arange(grid_size) / grid_size
-    totals = np.zeros(len(marks))
-    for j0 in (0, 1):
-        _, rec = grid_log_norms(thetas, j0, r, g, s.z, marks[-1], checkpoints=marks)
-        totals += [np.mean(rec[m]) for m in marks]
-    return totals / (2.0 * np.asarray(marks))
+    last, rec = grid_log_norms(thetas, [[0], [1]], r, g, s.z, marks[-1],
+                               checkpoints=marks[:-1])
+    rec[marks[-1]] = last
+    totals = [np.mean(rec[m][0]) + np.mean(rec[m][1]) for m in marks]
+    return np.asarray(totals) / (2.0 * np.asarray(marks))
 
 
 def phase_average_profile(

@@ -21,6 +21,7 @@ from szegolyap.cocycle import (
     szego_matrix,
 )
 from szegolyap.dynamics import (
+    AdmissibilityError,
     ConstantGenerator,
     ExpGenerator,
     GOLDEN_MEAN,
@@ -308,6 +309,45 @@ def test_blowup_names_first_non_finite_step_over_tiles(monkeypatch):
         grid_log_norms([0.0, 0.1], 1, Rotation(0.1), LateNaNGenerator(), 1.0 + 0.0j, 10)
 
 
+class RowOneFaultGenerator:
+    """``value`` (NaN, or 1.0 for a degenerate step) where the angle is
+    near 0.3 and the parity is 1, else 0.5 e^(2 pi i theta).  From the
+    angles 0.5 and 0.1 the rotation by 0.1 reaches 0.3 at step 9 and step
+    3, with parity 1 on the orbits that start from parity 1 only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def evaluate_grid(self, thetas, j):
+        thetas = np.asarray(thetas)
+        fault = (np.abs(thetas - 0.3) < 0.05) & (np.asarray(j) == 1)
+        return np.where(fault, self.value, 0.5 * np.exp(2j * np.pi * thetas))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("budget", [1, cocycle.BUDGET], ids=["one-step", "default"])
+@pytest.mark.parametrize("tile", [1, 2, cocycle.TILE])
+def test_faults_on_one_parity_row(monkeypatch, budget, tile):
+    # Both parities in one call, in tiles of one angle (TILE 1 or 2) or
+    # one tile: the blowup named is the earliest of all tiles and rows,
+    # though only row 1 meets a fault; the other faults propagate as they
+    # are raised.
+    monkeypatch.setattr(cocycle, "BUDGET", budget)
+    monkeypatch.setattr(cocycle, "TILE", tile)
+    args = [0.5, 0.1], [[0], [1]], Rotation(0.1)
+    with pytest.raises(NumericalBlowupError, match=r"at step 3$") as info:
+        grid_log_norms(*args, RowOneFaultGenerator(np.nan), 1.0, 12)
+    assert info.value.step == 3
+    with pytest.raises(DegenerateCoefficientError):
+        grid_log_norms(*args, RowOneFaultGenerator(1.0), 1.0, 12)
+    # Rows of parity 0 alone meet no fault.
+    grid_log_norms(args[0], 0, args[2], RowOneFaultGenerator(np.nan), 1.0, 12)
+    g = PerturbedGenerator(0.5, 1, 0.0, [1, 1])
+    object.__setattr__(g, "lam", 0.9)  # past the radius the constructor enforces
+    with pytest.raises(AdmissibilityError):
+        grid_log_norms(*args, g, 1.0, 12)
+
+
 def test_orbit_product_single_step():
     g = ExpGenerator(0.5, 1)
     s = SpectralParameter.from_turn(0.2)
@@ -486,6 +526,48 @@ def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, tile, s
         assert np.array_equal(fused[seg], alone)
         for m in marks:
             assert np.array_equal(rec[m][seg], rec_alone[m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["exp", "perturbed", "constant"]), min_size=1,
+                   max_size=3),
+    width=st.integers(1, 30),
+    n=st.integers(1, 40),
+    data=st.data(),
+    budget=st.sampled_from([1, 7, cocycle.BUDGET]),
+    tile=st.sampled_from([1, 2, 3, cocycle.TILE]),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_paired_parities_match_per_parity_calls(kinds, width, n, data, budget, tile,
+                                                shared, seed):
+    # Both starting parities as rows of one call, in tiles of TILE // 2
+    # angles (at least one) with an angle's coefficients taken once for both
+    # rows, give row j the bytes of a call from parity j alone.  The
+    # perturbed family has complex lambda and a_l, so its parity-1 value is
+    # not the conjugate of its parity-0 value.
+    marks = data.draw(st.sets(st.integers(1, n)), label="marks")
+    rng = np.random.default_rng(seed)
+    gens = [ConstantGenerator(complex(*rng.uniform(-0.6, 0.6, 2))) if kind == "constant"
+            else _segment_generator(rng, kind) for kind in kinds]
+    b = len(gens) * width
+    thetas = rng.random(b)
+    thetas[rng.random(b) < 0.2] = 0.0
+    zs = np.exp(2j * np.pi * rng.random(1 if shared else b))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "BUDGET", budget)
+        mp.setattr(cocycle, "TILE", tile)
+        paired, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, gens, zs, n,
+                                     checkpoints=marks)
+        assert paired.shape == (2, b) and sorted(rec) == sorted(marks)
+        for j in (0, 1):
+            alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, gens, zs, n,
+                                              checkpoints=marks)
+            assert paired[j].tobytes() == alone.tobytes()
+            for m in marks:
+                assert rec[m].shape == (2, b)
+                assert rec[m][j].tobytes() == rec_alone[m].tobytes()
 
 
 def test_segments_must_split_the_orbits_evenly():

@@ -15,6 +15,7 @@ from szegolyap.dynamics import (
     PerturbedGenerator,
     PhasePoint,
     Rotation,
+    TWO_PI,
     lambda_max,
     step,
 )
@@ -137,6 +138,62 @@ def test_perturbed_grid_matches_rows_and_single_angles(k):
     alone = [g.evaluate_grid(thetas.flat[i:i + 1], parity.flat[i])[0]
              for i in range(thetas.size)]
     assert np.array_equal(grid.ravel(), alone)
+
+
+def _sign_formula(g, thetas, j):
+    """Values from one exponential per (angle, parity) pair, the phase's
+    sign 1 - 2j in the exponent, and the same Horner products as
+    ``PerturbedGenerator.evaluate_grid``."""
+    sign = 1 - 2 * np.asarray(j)
+    if isinstance(g, ExpGenerator):
+        return g.modulus * np.exp(1j * TWO_PI * g.k * sign * np.asarray(thetas))
+    w = np.exp(1j * TWO_PI * sign * np.asarray(thetas))
+    wbar = np.conjugate(w)
+    c = [g.lam * a for a in g.coeffs]
+    pos, neg, spare = np.empty_like(w), np.empty_like(w), np.empty_like(w)
+    np.add(w, c[-1], out=pos)
+    for cl in reversed(c[g.k:-1]):
+        np.multiply(pos, w, out=spare)
+        np.add(spare, cl, out=pos)
+    np.multiply(wbar, c[0], out=neg)
+    for cl in c[1:g.k]:
+        np.add(neg, cl, out=spare)
+        np.multiply(spare, wbar, out=neg)
+    np.add(pos, neg, out=spare)
+    return np.multiply(spare, g.modulus, out=pos)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ExpGenerator(0.41, 2),
+        ExpGenerator(0.3, -3),
+        ExpGenerator(0.7, 1),
+        PerturbedGenerator(0.5, 2, 0.3 * lambda_max(0.5, [1, 0.5j, -1, 2]) * (0.6 + 0.8j),
+                           [1, 0.5j, -1, 2]),
+        PerturbedGenerator(0.2, 1, 0.9 * lambda_max(0.2, [0.3 - 1j, 2j]) * 1j,
+                           [0.3 - 1j, 2j]),
+    ],
+    ids=["exp", "exp-negative-k", "exp-k1", "perturbed-k2", "perturbed-k1"],
+)
+def test_evaluate_grid_shares_each_angle_across_a_parity_axis(g):
+    # Angles shaped (L, 1, b) and parities (L, 2, 1): one exponential per
+    # angle serves both rows, and each row has the bytes of a call with
+    # that row's parities, and of the exponential taken per (angle,
+    # parity) with the sign 1 - 2j, signed zeros included (angle 0).  This
+    # rests on numpy's complex exp giving e^(-iy) = conj(e^(iy)) exactly.
+    rng = np.random.default_rng(13)
+    steps = 6
+    thetas = rng.random((steps, 700))
+    thetas[0, :5] = [0.0, 0.25, 0.5, 0.75, 2.0**-60]
+    parity = (np.array([[0], [1]]) + np.arange(steps)[:, None, None]) % 2
+    got = g.evaluate_grid(thetas[:, None, :], parity)
+    assert got.shape == (steps, 2, 700)
+    for row in (0, 1):
+        assert got[:, row].tobytes() == g.evaluate_grid(thetas, parity[:, row]).tobytes()
+    full = np.broadcast_to(parity, got.shape)
+    assert got.tobytes() == _sign_formula(g, np.broadcast_to(thetas[:, None, :], got.shape),
+                                          full).tobytes()
 
 
 def _perturbed_oracle(g, theta, j):

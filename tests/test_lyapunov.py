@@ -1,11 +1,13 @@
 """Tests for the estimators, the positivity bound, and the subharmonic checker."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from szegolyap import cocycle, lyapunov
 from szegolyap import mat2 as m2
 from szegolyap.cocycle import SpectralParameter, grid_log_norms, szego_matrix
 from szegolyap.dynamics import (
@@ -115,12 +117,57 @@ def test_phase_average_finite_n_inequality_slice():
         assert np.all(prof >= bound - 1e-3)
 
 
-def test_profile_matches_single_estimates():
-    g = ExpGenerator(0.5, 2)
+@pytest.mark.parametrize("tile", [1, 3, cocycle.TILE])
+@pytest.mark.parametrize(
+    "g",
+    [ExpGenerator(0.5, 2), PerturbedGenerator(0.4, 1, 0.03j, [0.5 - 1j, 1j]),
+     ConstantGenerator(0.3 - 0.2j)],
+    ids=["exp", "perturbed", "constant"],
+)
+def test_profile_matches_single_estimates(monkeypatch, g, tile):
+    monkeypatch.setattr(cocycle, "TILE", tile)
     s = SpectralParameter.from_turn(0.4)
     prof = phase_average_profile(GOLDEN, g, s, 5, 64)
     for n in range(1, 6):
         assert prof[n - 1] == estimate_phase_average(GOLDEN, g, s, n, 64).gamma_hat
+
+
+def test_phase_average_runs_one_engine_call(monkeypatch):
+    # Both starting parities run as the two rows of one engine call.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return grid_log_norms(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "grid_log_norms", counting)
+    g, s = ExpGenerator(0.5, 1), SpectralParameter.from_turn(0.2)
+    estimate_phase_average(GOLDEN, g, s, 3, 16)
+    assert calls == [(2, 1)]
+    phase_average_profile(GOLDEN, g, s, 4, 16)
+    assert calls == [(2, 1)] * 2
+
+
+def _traced_peak(run):
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phase_average_peak_memory():
+    # Traced peaks in bytes with one engine call per parity, which held the
+    # first call's results through the second and copied the log norms of
+    # the last mark: 4886272 for a profile to n = 64 over 4096 angles,
+    # 1644824 for the verify_t1_wide benchmark's estimate (n = 2, 32768
+    # angles).  One call for both parities, without the copy, peaked at
+    # 4845936 and 1382520.
+    g, s = ExpGenerator(0.5, 1), SpectralParameter.from_turn(0.0)
+    assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, s, 64, 4096)) <= 4886272
+    assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, s, 2, 32768)) <= 1644824
 
 
 def test_cross_estimator_consistency():
