@@ -117,6 +117,14 @@ def test_phase_average_finite_n_inequality_slice():
         assert np.all(prof >= bound - 1e-3)
 
 
+def test_profile_matches_single_estimates():
+    g = ExpGenerator(0.5, 2)
+    s = SpectralParameter.from_turn(0.4)
+    prof = phase_average_profile(GOLDEN, g, s, 5, 64)
+    for n in range(1, 6):
+        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, s, n, 64).gamma_hat
+
+
 @pytest.mark.parametrize("tile", [1, 3, cocycle.TILE])
 @pytest.mark.parametrize(
     "g",
@@ -124,7 +132,7 @@ def test_phase_average_finite_n_inequality_slice():
      ConstantGenerator(0.3 - 0.2j)],
     ids=["exp", "perturbed", "constant"],
 )
-def test_profile_matches_single_estimates(monkeypatch, g, tile):
+def test_profile_matches_single_estimates_across_tiles(monkeypatch, g, tile):
     monkeypatch.setattr(cocycle, "TILE", tile)
     s = SpectralParameter.from_turn(0.4)
     prof = phase_average_profile(GOLDEN, g, s, 5, 64)
