@@ -130,11 +130,10 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
 
 
 def _coefficients(theta0s, j0, r: Rotation, pieces, ms):
-    """Coefficients of every orbit at the steps in ``ms``, shaped as the
-    angles theta0 + m alpha broadcast with the parities j0 + m (mod 2); one
-    call of g fills the columns ``cols`` (last axis) of each ``(g, cols)`` in
-    ``pieces``, with every angle passed once.  The angles are reduced by
-    subtracting their floor, which is ``% 1.0`` bit for bit."""
+    """Coefficients of every orbit at the steps in ``ms``: the angles theta0
+    + m alpha, reduced by subtracting their floor (``% 1.0`` bit for bit),
+    broadcast with the parities j0 + m (mod 2).  One call of g, each angle
+    passed once, fills the columns ``cols`` of each ``(g, cols)``."""
     thetas = theta0s + ms * r.alpha
     thetas -= np.floor(thetas)
     parity = (j0 + ms) % 2
@@ -158,35 +157,33 @@ def _check_finite(stack, m0):
 
 
 def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
-    """log ||A^z_n(theta, j)|| for a vector of starting points.
+    """log ||A^z_n(theta, j)|| for a batch of starting points.
 
     The one renormalized product engine: every estimator runs through it.
-    ``g`` is a coefficient generator, or a sequence of them that splits
-    the N angles ``theta0s`` into equal consecutive segments, one per
-    generator, so that several families run as one batch.  ``j0`` is the
-    starting parity: a scalar or a vector paired with ``theta0s`` (N
-    orbits), or a column of R parities, shape (R, 1), for an (R, N) grid of
-    orbits.  ``zs`` is a scalar (shared spectral parameter) or a vector
-    paired with ``theta0s``.  Returns ``(log_norms, recorded)``, shaped like
-    the orbits, where ``recorded[m]`` holds the log norms after m steps for
-    each m in ``checkpoints`` (all in 1..n).  Every step
-    divides the running product by the root mean square of its entries,
+    The angles ``theta0s`` and parities ``j0`` broadcast to the orbits: N
+    angles with a scalar or N parities, or an (R, N) grid, such as N angles
+    broadcast to R rows (``np.broadcast_to``; one exponential per angle)
+    against a column of R parities.  ``g`` is a coefficient generator, or a
+    sequence of them that splits the N angles into equal consecutive
+    segments, so that several families run as one batch; ``zs`` is a scalar
+    or paired with the N angles.  Returns ``(log_norms, recorded)``, shaped
+    like the orbits, where ``recorded[m]`` holds the log norms after m steps
+    for each m in ``checkpoints`` (all in 1..n).  Every step divides the
+    running product by the root mean square of its entries,
     sqrt(||cur||_F^2 / 2), in [sigma_max / sqrt(2), sigma_max], and sums
     the logs of these scales; a read (a checkpoint, or step n) adds the log
     operator norm of the renormalized product and changes nothing else, so
     no result depends on the checkpoint set.
 
     The orbits are folded over all n steps a tile at a time, all R rows of
-    TILE // R angles (at least one), so that a tile's memory (a traced peak
-    of 0.58 MiB at 1024 orbits and two steps) stays in the L2 cache and in
-    the heap rather than being trimmed and faulted in again per block (see
-    TILE).  A tile builds at most BUDGET one-step matrices per block, each
-    angle's coefficients for all R rows from one generator call, and folds
-    them step after step, in the same arithmetic whatever the block length,
-    into buffers made once per call; a read writes into the results in
-    place.  Each generator evaluates every (angle, parity) pair on its own,
-    so an orbit's result depends on neither TILE, BUDGET nor the rest of
-    the batch.  A blowup names the earliest non-finite step of any tile.
+    TILE // R angles (at least one), so that a tile's memory stays in the
+    L2 cache and in the heap (see TILE).  A tile builds at most BUDGET
+    one-step matrices per block, each angle's coefficients for all R rows
+    from one generator call, and folds them step by step, in the same
+    arithmetic at any block length, into buffers made once per call.  A
+    generator evaluates each (angle, parity) pair on its own, so no result
+    depends on TILE, BUDGET or the rest of the batch.  A blowup names the
+    earliest non-finite step of any tile.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -195,26 +192,26 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
     j0 = np.asarray(j0)
     shape = np.broadcast_shapes(j0.shape, theta0s.shape)
+    theta0s = theta0s[:1] if theta0s.ndim == 2 and not theta0s.strides[0] else theta0s
+    size = theta0s.shape[-1]
     gens = tuple(g) if isinstance(g, (list, tuple)) else (g,)
-    if not gens or theta0s.size % len(gens):
-        raise ValueError(
-            f"{theta0s.size} orbits do not split into {len(gens)} equal segments"
-        )
-    zs = np.broadcast_to(np.asarray(zs, dtype=complex), theta0s.shape)
-    width = theta0s.size // len(gens)
+    if not gens or size % len(gens):
+        raise ValueError(f"{size} angles do not split into {len(gens)} equal segments")
+    zs = np.broadcast_to(np.asarray(zs, dtype=complex), size)
+    width = size // len(gens)
     rows = math.prod(shape[:-1])
     angles = max(1, TILE // rows)
     recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []
     # The fold's buffers, made once per call and cut to each tile's width:
     # cur, p, q; then squares, logs, log norms and a block's scales.
-    b = rows * min(angles, theta0s.size)
+    b = rows * min(angles, size)
     work = np.empty(12 * b, dtype=complex), np.empty(4 * b + max(BUDGET, b))
-    for lo in range(0, theta0s.size, angles):
+    for lo in range(0, size, angles):
         tile = slice(lo, lo + angles)
         pieces = [(g, slice(max(s * width - lo, 0), min(s * width + width - lo, angles)))
                   for s, g in enumerate(gens) if lo - width < s * width < lo + angles]
         try:
-            _fold(theta0s[tile], j0[..., tile] if j0.size > rows else j0, r, pieces,
+            _fold(theta0s[..., tile], j0[..., tile] if j0.size > rows else j0, r, pieces,
                   zs[tile], n, {m: out.reshape(rows, -1)[:, tile]
                                 for m, out in recorded.items()}, work)
         except NumericalBlowupError as exc:
@@ -226,8 +223,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
 
 def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
     """Fold a tile's (R, angles) orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
-    shape = recorded[n].shape
-    b = math.prod(shape)
+    b = math.prod(shape := recorded[n].shape)
     # The running product and the two halves of the next one as component
     # rows: cur[r] holds row r of every orbit's matrix as a contiguous
     # (2, orbits) block.

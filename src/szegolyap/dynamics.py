@@ -53,6 +53,15 @@ def step(p: PhasePoint, r: Rotation) -> PhasePoint:
     return PhasePoint((p.theta + r.alpha) % 1.0, (p.j + 1) % 2)
 
 
+def _phase(thetas, j, k):
+    """e^(2 pi i k theta), one exponential per angle, broadcast against the
+    parities j and conjugated where j = 1: bit for bit e^(-2 pi i k theta)."""
+    w = np.exp(1j * TWO_PI * k * np.asarray(thetas, dtype=float))
+    if np.ndim(j) == 0:  # one parity for every angle: no mask, no copy
+        return w.conj() if j == 1 else w
+    return np.where(np.asarray(j) == 1, w.conj(), w)
+
+
 @dataclass(frozen=True)
 class ExpGenerator:
     """Simple-exponential coefficients (1 - eps^2)^(1/2) e^(+-2 pi i k theta).
@@ -81,11 +90,9 @@ class ExpGenerator:
         )
 
     def evaluate_grid(self, thetas, j):
-        """Vectorized evaluation at angles ``thetas`` and parities ``j``
-        (a scalar or an integer array broadcasting with ``thetas``): one
-        exponential per angle, conjugated where j = 1, bit for bit e^(-iy)."""
-        phase = np.exp(1j * TWO_PI * self.k * np.asarray(thetas))
-        return self.modulus * np.where(np.asarray(j) == 1, phase.conj(), phase)
+        """Vectorized evaluation at angles ``thetas`` and parities ``j`` (a
+        scalar or an integer array broadcasting with ``thetas``), by ``_phase``."""
+        return self.modulus * _phase(thetas, j, self.k)
 
 
 def lambda_max(epsilon: float, coeffs) -> float:
@@ -125,11 +132,10 @@ class PerturbedGenerator:
         P(w) = w^(2k) + lambda sum_l a_l w^(l + k),
 
     a polynomial of degree 2k with P(0) = lambda a_-k: the form Herman's
-    subharmonicity argument uses.  ``evaluate_grid(thetas, j)`` takes one
-    complex exponential per angle, on the angles' own shape, conjugates it
-    where j = 1 and evaluates the Laurent polynomial by Horner's rule, in
-    w for the powers 0..k and in conj(w) = 1/w for the powers -1..-k; a
-    value depends only on its own angle and parity.
+    subharmonicity argument uses.  ``evaluate_grid`` takes one complex
+    exponential per angle (``_phase``) and evaluates the Laurent polynomial
+    by Horner's rule, in w for the powers 0..k and in conj(w) = 1/w for the
+    powers -1..-k; a value depends only on its own angle and parity.
     """
 
     epsilon: float
@@ -165,8 +171,7 @@ class PerturbedGenerator:
         return complex(self.evaluate_grid(np.array([p.theta]), p.j)[0])
 
     def evaluate_grid(self, thetas, j):
-        w = np.exp(1j * TWO_PI * np.asarray(thetas, dtype=float))
-        w = np.where(np.asarray(j) == 1, np.conjugate(w), w)
+        w = _phase(thetas, j, 1)
         wbar = np.conjugate(w)
         c = [self.lam * a for a in self.coeffs]
         # Each product has its own out= array, so a value never depends on its

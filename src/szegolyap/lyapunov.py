@@ -105,11 +105,10 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
 def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     """(1/m) * mean over the uniform theta grid and both parities of
     log ||A^z_m(theta, j)|| for each m in the ascending ``marks``: row 0's
-    mean plus row 1's of one engine call from both parities, read as its
-    log norms at the last mark (no copy) and as checkpoints before it."""
+    mean plus row 1's, from one engine call on the grid broadcast to both parities."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    thetas = np.arange(grid_size) / grid_size
+    thetas = np.broadcast_to(np.arange(grid_size) / grid_size, (2, grid_size))
     last, rec = grid_log_norms(thetas, [[0], [1]], r, g, s.z, marks[-1],
                                checkpoints=marks[:-1])
     rec[marks[-1]] = last

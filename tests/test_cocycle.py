@@ -561,6 +561,11 @@ def test_paired_parities_match_per_parity_calls(kinds, width, n, data, budget, t
         paired, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, gens, zs, n,
                                      checkpoints=marks)
         assert paired.shape == (2, b) and sorted(rec) == sorted(marks)
+        # The angles broadcast to both rows are the same call.
+        rows, rec_rows = grid_log_norms(np.broadcast_to(thetas, (2, b)), [[0], [1]], GOLDEN,
+                                        gens, zs, n, checkpoints=marks)
+        assert rows.tobytes() == paired.tobytes()
+        assert all(rec_rows[m].tobytes() == rec[m].tobytes() for m in marks)
         for j in (0, 1):
             alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, gens, zs, n,
                                               checkpoints=marks)
@@ -568,6 +573,43 @@ def test_paired_parities_match_per_parity_calls(kinds, width, n, data, budget, t
             for m in marks:
                 assert rec[m].shape == (2, b)
                 assert rec[m][j].tobytes() == rec_alone[m].tobytes()
+
+
+class RecordingGenerator:
+    """An exponential generator that records the shape of every angle array."""
+
+    def __init__(self, g):
+        self.g, self.shapes = g, []
+
+    def evaluate_grid(self, thetas, j):
+        self.shapes.append(np.shape(thetas))
+        return self.g.evaluate_grid(thetas, j)
+
+
+@pytest.mark.parametrize("tile", [1, 3, cocycle.TILE])
+def test_angle_grid_rows(monkeypatch, tile):
+    # An (R, N) grid of angles against a column of parities gives each row
+    # the bytes of a call with that row's angles and parity; rows broadcast
+    # from one (stride 0) pass each angle to the generator once, rows that
+    # differ pass all of them.
+    monkeypatch.setattr(cocycle, "TILE", tile)
+    rng = np.random.default_rng(5)
+    thetas, j0 = rng.random((3, 40)), np.array([[1], [0], [1]])
+    rec_g = RecordingGenerator(ExpGenerator(0.45, 2))
+    out, rec = grid_log_norms(thetas, j0, GOLDEN, rec_g, 1j, 7, checkpoints=[3])
+    assert out.shape == rec[3].shape == (3, 40)
+    assert all(shape[1] == 3 for shape in rec_g.shapes)
+    for row in range(3):
+        alone, rec_alone = grid_log_norms(thetas[row], j0[row, 0], GOLDEN, rec_g.g, 1j, 7,
+                                          checkpoints=[3])
+        assert out[row].tobytes() == alone.tobytes()
+        assert rec[3][row].tobytes() == rec_alone[3].tobytes()
+    rec_g.shapes.clear()
+    shared = grid_log_norms(np.broadcast_to(thetas[0], (3, 40)), j0, GOLDEN, rec_g, 1j, 7)[0]
+    assert all(shape[1] == 1 for shape in rec_g.shapes)
+    for row in range(3):
+        alone = grid_log_norms(thetas[0], j0[row, 0], GOLDEN, rec_g.g, 1j, 7)[0]
+        assert shared[row].tobytes() == alone.tobytes()
 
 
 def test_segments_must_split_the_orbits_evenly():

@@ -125,12 +125,17 @@ def test_profile_matches_single_estimates():
         assert prof[n - 1] == estimate_phase_average(GOLDEN, g, s, n, 64).gamma_hat
 
 
-@pytest.mark.parametrize("tile", [1, 3, cocycle.TILE])
+_PERTURBED = PerturbedGenerator(0.4, 1, 0.03j, [0.5 - 1j, 1j])
+
+
 @pytest.mark.parametrize(
-    "g",
-    [ExpGenerator(0.5, 2), PerturbedGenerator(0.4, 1, 0.03j, [0.5 - 1j, 1j]),
-     ConstantGenerator(0.3 - 0.2j)],
-    ids=["exp", "perturbed", "constant"],
+    "g, tile",
+    # The exponential family at the default tile is the test above.
+    [(ExpGenerator(0.5, 2), 1), (ExpGenerator(0.5, 2), 3)]
+    + [(g, tile) for g in (_PERTURBED, ConstantGenerator(0.3 - 0.2j))
+       for tile in (1, 3, cocycle.TILE)],
+    ids=["exp-1", "exp-3", "perturbed-1", "perturbed-3", "perturbed-default",
+         "constant-1", "constant-3", "constant-default"],
 )
 def test_profile_matches_single_estimates_across_tiles(monkeypatch, g, tile):
     monkeypatch.setattr(cocycle, "TILE", tile)
@@ -141,19 +146,22 @@ def test_profile_matches_single_estimates_across_tiles(monkeypatch, g, tile):
 
 
 def test_phase_average_runs_one_engine_call(monkeypatch):
-    # Both starting parities run as the two rows of one engine call.
+    # Both starting parities run as the two rows of one engine call, whose
+    # angles are the grid broadcast to both rows: one angle per orbit (the
+    # benchmark's tracer counts the engine's work as angles times n), each
+    # angle's exponential taken once.
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(np.shape(args[1]))
+        calls.append((args[0].shape, args[0].strides[0], np.shape(args[1])))
         return grid_log_norms(*args, **kwargs)
 
     monkeypatch.setattr(lyapunov, "grid_log_norms", counting)
     g, s = ExpGenerator(0.5, 1), SpectralParameter.from_turn(0.2)
     estimate_phase_average(GOLDEN, g, s, 3, 16)
-    assert calls == [(2, 1)]
+    assert calls == [((2, 16), 0, (2, 1))]
     phase_average_profile(GOLDEN, g, s, 4, 16)
-    assert calls == [(2, 1)] * 2
+    assert calls == [((2, 16), 0, (2, 1))] * 2
 
 
 def _traced_peak(run):
