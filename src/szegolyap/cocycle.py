@@ -76,9 +76,11 @@ def szego_matrices(f, z):
     )
     # 1 - |f|^2 in extended precision: the plain double-precision form
     # cancels catastrophically as |f| -> 1 and would pollute the prefactor.
-    re = f.real.astype(np.longdouble)
-    im = f.imag.astype(np.longdouble)
-    rem = (1.0 - (re * re + im * im)).astype(np.float64)
+    # Summed in place and subtracted straight into doubles, so that no
+    # extended-precision copy of f is held.
+    rem = np.square(f.real, dtype=np.longdouble)
+    rem += np.square(f.imag, dtype=np.longdouble)
+    rem = np.subtract(1.0, rem, out=np.empty(f.shape))
     if np.any(rem <= 0.0):
         raise DegenerateCoefficientError(
             "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
@@ -262,7 +264,9 @@ def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
             np.add(sq[0::2], sq[1::2], out=scale)
             scale *= 0.5
             np.sqrt(scale, out=scale)
-            cur /= scale
+            # numpy divides by s + 0j as (re + im 0) (1/s): the bits of
+            # multiplying by the reciprocal, wherever the entries are finite.
+            cur *= np.divide(1.0, scale, out=logs)
             logn += np.log(scale, out=logs)
         # The next block's stack is built without this one held.
         del mats, left, right

@@ -5,7 +5,9 @@ with the flip on Z_2.  Coefficient generators map a phase point to a value
 in the open unit disk.  The cocycle engine is generic over anything with
 an ``evaluate_grid(thetas, j)`` method, whose parity ``j`` is a scalar or
 an integer array broadcasting with the angles ``thetas``; ``evaluate`` at a
-single phase point serves scalar checks.
+single phase point serves scalar checks.  A generator whose parity-1 values
+are the conjugates of its parity-0 values, bit for bit, may say so with a
+true ``conjugate_parity``; an object without the attribute is read as false.
 """
 
 import math
@@ -71,6 +73,10 @@ class ExpGenerator:
 
     epsilon: float
     k: int
+
+    # f(theta, 1) = conj f(theta, 0) bit for bit (``_phase``); read by the
+    # phase average, whose parity-1 orbits are then conjugates of parity-0 ones.
+    conjugate_parity = True
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -167,6 +173,12 @@ class PerturbedGenerator:
     def modulus(self) -> float:
         return math.sqrt(1.0 - self.epsilon**2)
 
+    @property
+    def conjugate_parity(self) -> bool:
+        """f(theta, 1) = conj f(theta, 0) bit for bit: Horner's +, x and
+        conj(w) commute with conjugation when every lambda a_l is real."""
+        return all((self.lam * a).imag == 0 for a in self.coeffs)
+
     def evaluate(self, p: PhasePoint) -> complex:
         return complex(self.evaluate_grid(np.array([p.theta]), p.j)[0])
 
@@ -208,6 +220,11 @@ class ConstantGenerator:
         object.__setattr__(self, "value", complex(self.value))
         if abs(self.value) >= 1.0:
             raise AdmissibilityError(f"|value| = {abs(self.value)} is not < 1")
+
+    @property
+    def conjugate_parity(self) -> bool:
+        """f(theta, 1) = conj f(theta, 0): the value is real."""
+        return self.value.imag == 0
 
     def evaluate(self, p: PhasePoint) -> complex:
         return self.value

@@ -104,15 +104,27 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
 
 def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     """(1/m) * mean over the uniform theta grid and both parities of
-    log ||A^z_m(theta, j)|| for each m in the ascending ``marks``: row 0's
-    mean plus row 1's, from one engine call on the grid broadcast to both parities."""
+    log ||A^z_m(theta, j)|| for each m in the ascending ``marks``: the mean
+    of the parity-0 row plus that of the parity-1 row, from one engine call
+    on the grid broadcast to the rows.
+
+    The parity flip negates every phase.  Where the generator declares
+    ``conjugate_parity`` (f(theta, 1) = conj f(theta, 0) bit for bit),
+    A^z(theta, 1) = conj A^conj(z)(theta, 0), and conjugation commutes
+    exactly with every operation of the engine (+, x, |.|, sqrt, the
+    extended 1 - |f|^2), so log ||A^z_m(theta, 1)|| = log ||A^conj(z)_m(theta, 0)||
+    byte for byte.  At a real z the parity-1 row is then the parity-0 row:
+    only that row runs and its mean counts twice, the bits of two equal rows.
+    """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    thetas = np.broadcast_to(np.arange(grid_size) / grid_size, (2, grid_size))
-    last, rec = grid_log_norms(thetas, [[0], [1]], r, g, s.z, marks[-1],
+    symmetric = s.z.imag == 0 and getattr(g, "conjugate_parity", False)
+    parities = [[0]] if symmetric else [[0], [1]]
+    thetas = np.broadcast_to(np.arange(grid_size) / grid_size, (len(parities), grid_size))
+    last, rec = grid_log_norms(thetas, parities, r, g, s.z, marks[-1],
                                checkpoints=marks[:-1])
     rec[marks[-1]] = last
-    totals = [np.mean(rec[m][0]) + np.mean(rec[m][1]) for m in marks]
+    totals = [np.mean(rec[m][0]) + np.mean(rec[m][-1]) for m in marks]
     return np.asarray(totals) / (2.0 * np.asarray(marks))
 
 

@@ -680,11 +680,12 @@ def _traced_peak(b, marks, n=2):
 
 
 def test_wide_batch_peak_memory():
-    # Two steps.  The traced peak was 0.58 MiB at TILE = 1024 orbits, one
-    # tile (0.58 with checkpoints), and 0.82 (1.07) at 32768 orbits; folded
-    # as one batch, 32768 orbits peaked at 7.38 (7.63).  Beyond one tile a
-    # batch may add only its result vectors: the log norms, one per
-    # checkpoint and the copy returned for a checkpoint at n.
+    # Two steps.  The traced peak is 0.51 MiB at TILE = 1024 orbits, one
+    # tile (0.52 with checkpoints), and 0.76 (1.01) at 32768 orbits, since
+    # 1 - |f|^2 keeps no extended-precision copies of f (0.58, 0.58, 0.82
+    # and 1.07 with them); folded as one batch, 32768 orbits peaked at 7.38
+    # (7.63).  Beyond one tile a batch may add only its result vectors: the
+    # log norms, one per checkpoint and the copy returned for a checkpoint at n.
     for marks in (None, [1, 2]):
         one_tile = _traced_peak(cocycle.TILE, marks)
         for b in (4 * cocycle.TILE, 16 * cocycle.TILE):
@@ -697,8 +698,8 @@ def test_fold_memory_does_not_grow_with_steps():
     # The fold's buffers are made once per call and a block's stack of
     # one-step matrices is dropped before the next is built, so 4096 steps
     # (128 blocks of BUDGET // 64 steps at 64 orbits) peak as high as 64
-    # steps (two blocks), to within one block's stack.  The traced peak was
-    # 0.364 MiB for both.
+    # steps (two blocks), to within one block's stack.  The traced peak is
+    # 0.301 MiB for both (0.364 with extended-precision copies of f).
     stack = 4 * 16 * (cocycle.BUDGET // 64) * 64
     for marks in (None, [1, 63, 64]):
         short = _traced_peak(64, marks, 64)

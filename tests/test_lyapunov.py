@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegolyap import cocycle, lyapunov
 from szegolyap import mat2 as m2
@@ -164,6 +166,137 @@ def test_phase_average_runs_one_engine_call(monkeypatch):
     assert calls == [((2, 16), 0, (2, 1))] * 2
 
 
+def _family(rng, kind):
+    """A random generator: exponential, or perturbed with real or complex
+    products lambda a_l (real ones from a real or an imaginary lambda)."""
+    eps = float(rng.uniform(0.05, 0.95))
+    k = int(rng.integers(1, 4))
+    if kind == "exp":
+        return ExpGenerator(eps, k * int(rng.choice([-1, 1])))
+    coeffs = rng.normal(size=2 * k) + 0j
+    turn = rng.choice([0.0, 0.25, 0.5])
+    if kind == "complex":
+        coeffs += 1j * rng.normal(size=2 * k)
+        turn = rng.random()
+    elif turn == 0.25:  # imaginary lambda against imaginary a_l
+        coeffs *= 1j
+    lam = rng.uniform(0.1, 0.9) * lambda_max(eps, coeffs) * np.exp(2j * np.pi * turn)
+    if kind == "real":
+        lam = complex(round(lam.real, 12), 0.0) if turn != 0.25 else 1j * round(lam.imag, 12)
+    return PerturbedGenerator(eps, k, lam, coeffs)
+
+
+def _conjugated(g):
+    """The generator with conj(lambda) and conj(a_l): its parity-0 values
+    are the parity-1 values of ``g`` conjugated."""
+    if isinstance(g, ExpGenerator):
+        return g
+    return PerturbedGenerator(g.epsilon, g.k, g.lam.conjugate(),
+                              [a.conjugate() for a in g.coeffs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["exp", "real", "complex"]),
+    width=st.integers(1, 300),
+    n=st.integers(1, 60),
+    data=st.data(),
+    real_z=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_one_row_is_conjugate_parity_zero_row(kind, width, n, data, real_z, seed):
+    # The parity flip negates every phase, so A^z(theta, 1) is the conjugate
+    # of A^conj(z)(theta, 0) for the conjugated generator, and the engine's
+    # log norms of the two agree byte for byte at every read.
+    marks = data.draw(st.sets(st.integers(1, n)), label="marks")
+    rng = np.random.default_rng(seed)
+    g = _family(rng, kind)
+    thetas = rng.random(width)
+    thetas[rng.random(width) < 0.2] = 0.0
+    z = complex(rng.choice([1.0, -1.0])) if real_z else complex(np.exp(2j * np.pi * rng.random()))
+    rows, rec = grid_log_norms(np.broadcast_to(thetas, (2, width)), [[0], [1]], GOLDEN, g,
+                               z, n, checkpoints=marks)
+    mirror, rec_mirror = grid_log_norms(thetas, 0, GOLDEN, _conjugated(g), z.conjugate(), n,
+                                        checkpoints=marks)
+    assert rows[1].tobytes() == mirror.tobytes()
+    assert all(rec[m][1].tobytes() == rec_mirror[m].tobytes() for m in marks)
+
+
+@pytest.mark.parametrize("kind", ["exp", "real", "complex", "constant"])
+def test_conjugate_parity_declared_exactly_where_it_holds(kind):
+    thetas = np.linspace(0.0, 1.0, 1001, endpoint=False)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        if kind == "constant":
+            g = ConstantGenerator(complex(rng.uniform(-0.6, 0.6), rng.choice([0.0, 0.3])))
+        else:
+            g = _family(rng, kind)
+        holds = np.array_equal(g.evaluate_grid(thetas, 1), np.conj(g.evaluate_grid(thetas, 0)))
+        symmetric = g.value.imag == 0 if kind == "constant" else kind != "complex"
+        assert g.conjugate_parity == holds == symmetric, (kind, seed)
+    # The unperturbed member of the family is symmetric whatever its a_l.
+    assert PerturbedGenerator(0.5, 1, 0.0, [1j, 2 + 1j]).conjugate_parity
+
+
+class Undeclared:
+    """A generator without ``conjugate_parity``: read as not symmetric."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def evaluate_grid(self, thetas, j):
+        return self.g.evaluate_grid(thetas, j)
+
+
+def test_phase_average_runs_one_row_only_where_symmetric(monkeypatch):
+    # The shape of the parity column of each engine call.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return grid_log_norms(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "grid_log_norms", spy)
+    real = PerturbedGenerator(0.5, 2, 0.01, [1, -2, 0.5, 1])
+    complex_ = PerturbedGenerator(0.5, 2, 0.01, [1, -2j, 0.5, 1])
+    cases = [
+        (ExpGenerator(0.5, 1), 0.0, (1, 1)),
+        (ExpGenerator(0.5, 1), 0.5, (2, 1)),  # from_turn(0.5) is not real
+        (ExpGenerator(0.5, 1), 0.3, (2, 1)),
+        (real, 0.0, (1, 1)),
+        (real, 0.3, (2, 1)),
+        (complex_, 0.0, (2, 1)),
+        (complex_, 0.3, (2, 1)),
+        (Undeclared(ExpGenerator(0.5, 1)), 0.0, (2, 1)),
+    ]
+    for g, turn, rows in cases:
+        calls.clear()
+        estimate_phase_average(GOLDEN, g, SpectralParameter.from_turn(turn), 3, 16)
+        phase_average_profile(GOLDEN, g, SpectralParameter.from_turn(turn), 3, 16)
+        assert calls == [rows, rows], (g, turn)
+    calls.clear()
+    estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), SpectralParameter.from_z(-1.0), 3, 16)
+    assert calls == [(1, 1)]
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "g", [ExpGenerator(0.3, 2), ExpGenerator(0.7, -1),
+          PerturbedGenerator(0.5, 2, 0.01, [1, -2, 0.5, 1]), ConstantGenerator(0.4)],
+    ids=["exp", "exp-negative-k", "perturbed-real", "constant-real"],
+)
+def test_one_row_means_equal_two_row_means(g, z):
+    # At a real z the one parity row counted twice has the bits of the two
+    # rows' means added.
+    s = SpectralParameter.from_z(z)
+    thetas = np.broadcast_to(np.arange(300) / 300, (2, 300))
+    last, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, g, z, 7, checkpoints=range(1, 7))
+    rec[7] = last
+    two_rows = [(np.mean(rec[m][0]) + np.mean(rec[m][1])) / (2.0 * m) for m in range(1, 8)]
+    assert estimate_phase_average(GOLDEN, g, s, 7, 300).gamma_hat == two_rows[-1]
+    assert phase_average_profile(GOLDEN, g, s, 7, 300).tolist() == two_rows
+
+
 def _traced_peak(run):
     run()
     tracemalloc.start()
@@ -180,10 +313,14 @@ def test_phase_average_peak_memory():
     # the last mark: 4886272 for a profile to n = 64 over 4096 angles,
     # 1644824 for the verify_t1_wide benchmark's estimate (n = 2, 32768
     # angles).  One call for both parities, without the copy, peaked at
-    # 4845936 and 1382520.
-    g, s = ExpGenerator(0.5, 1), SpectralParameter.from_turn(0.0)
-    assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, s, 64, 4096)) <= 4886272
-    assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, s, 2, 32768)) <= 1644824
+    # 4845936 and 1382520, and at 4780544 and 1317256 once 1 - |f|^2 kept
+    # no extended-precision copies of f.  At z = 1 the parity-0 row runs
+    # alone: 2683320 and 1055088.
+    g = ExpGenerator(0.5, 1)
+    for turn in (0.0, 0.3):
+        s = SpectralParameter.from_turn(turn)
+        assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, s, 64, 4096)) <= 4886272
+        assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, s, 2, 32768)) <= 1644824
 
 
 def test_cross_estimator_consistency():
