@@ -144,24 +144,13 @@ def _birkhoff_batch(rng, r, gens, zs, n):
 
 
 def _phase_grid(r, gens, ts, n, grid):
-    """Phase-average estimates over the z points at the turns ``ts`` = i/Z of
-    ``_z_points`` for each generator in ``gens``, shaped (generators, z points).
-
-    For a generator that declares ``conjugate_parity``, the estimate at
-    conj(z) is the one at z bit for bit: its parity rows swap (see
-    ``lyapunov._phase_means``) and their two means commute.  So only the
-    turns i/Z, i = 0 .. Z // 2, are computed, and turn (Z - i)/Z gets the
-    value of turn i/Z: the estimate at conj(from_turn(i/Z)), which differs
-    from a direct run at from_turn((Z - i)/Z) only by that exponential's
-    rounding.  Other generators run every turn.
-    """
-    rows = []
-    for g in gens:
-        half = len(ts) // 2 + 1 if getattr(g, "conjugate_parity", False) else len(ts)
-        row = [estimate_phase_average(r, g, SpectralParameter.from_turn(t), n, grid).gamma_hat
-               for t in ts[:half]]
-        rows.append(row + row[1:len(ts) - half + 1][::-1])
-    return np.array(rows)
+    """Phase-average estimates over the z points at turns ``ts`` for each
+    generator in ``gens``, shaped (generators, z points)."""
+    return np.array([
+        [estimate_phase_average(r, g, SpectralParameter.from_turn(t), n, grid).gamma_hat
+         for t in ts]
+        for g in gens
+    ])
 
 
 def cmd_bound(args) -> int:
@@ -241,9 +230,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_t1(args) -> int:
-    """Phase averages against the bound over the z grid, per epsilon.  The
-    worst z_arg is the first minimum, so of a pair of turns i/Z and
-    (Z - i)/Z with equal estimates (``_phase_grid``) it names the lower."""
     r = Rotation(args.alpha)
     ts, _ = _z_points(args.z_grid)
     worst = (math.inf, None, None)

@@ -264,9 +264,7 @@ def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
             np.add(sq[0::2], sq[1::2], out=scale)
             scale *= 0.5
             np.sqrt(scale, out=scale)
-            # numpy divides by s + 0j as (re + im 0) (1/s): the bits of
-            # multiplying by the reciprocal, wherever the entries are finite.
-            cur *= np.divide(1.0, scale, out=logs)
+            cur /= scale
             logn += np.log(scale, out=logs)
         # The next block's stack is built without this one held.
         del mats, left, right

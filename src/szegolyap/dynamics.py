@@ -221,11 +221,6 @@ class ConstantGenerator:
         if abs(self.value) >= 1.0:
             raise AdmissibilityError(f"|value| = {abs(self.value)} is not < 1")
 
-    @property
-    def conjugate_parity(self) -> bool:
-        """f(theta, 1) = conj f(theta, 0): the value is real."""
-        return self.value.imag == 0
-
     def evaluate(self, p: PhasePoint) -> complex:
         return self.value
 

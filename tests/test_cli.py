@@ -7,11 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from szegolyap import cli
 from szegolyap.cli import CSV_HEADER, main
-from szegolyap.cocycle import SpectralParameter
-from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, PerturbedGenerator, Rotation
-from szegolyap.lyapunov import birkhoff_scan, estimate_phase_average, theorem1_bound
+from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, Rotation
+from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
 
 
 def run(capsys, *argv):
@@ -480,65 +478,3 @@ def test_commands_run_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == ["subharmonic", "0", "verify-t1", "0", "scan", "0"]
-
-
-_REAL_PERTURBED = PerturbedGenerator(0.5, 2, 0.01, [1, -2, 0.5, 1])
-
-
-@pytest.mark.parametrize("z_grid", [1, 2, 5, 32])
-@pytest.mark.parametrize("g", [ExpGenerator(0.4, 2), _REAL_PERTURBED],
-                         ids=["exp", "perturbed-real"])
-def test_phase_grid_mirrors_conjugate_turns(g, z_grid):
-    # Turns i/Z, i <= Z // 2, are computed; turn (Z - i)/Z holds the
-    # estimate at conj(from_turn(i/Z)), two parity rows, bit for bit, which
-    # is within rounding of a direct run at from_turn((Z - i)/Z).
-    r, n, grid = Rotation(GOLDEN_MEAN), 3, 64
-    ts, _ = cli._z_points(z_grid)
-    got = cli._phase_grid(r, [g], ts, n, grid)[0]
-    assert got.shape == (z_grid,)
-    for i, t in enumerate(ts):
-        direct = estimate_phase_average(r, g, SpectralParameter.from_turn(t), n, grid).gamma_hat
-        if i <= z_grid // 2:
-            assert got[i] == direct
-            continue
-        z = SpectralParameter.from_turn(ts[z_grid - i]).z.conjugate()
-        mirror = estimate_phase_average(r, g, SpectralParameter.from_z(z), n, grid).gamma_hat
-        assert got[i] == mirror
-        assert abs(got[i] - direct) <= 1e-12
-
-
-def test_complex_coefficient_scan_computes_every_turn(capsys, monkeypatch):
-    calls = []
-
-    def spy(r, g, s, n, grid):
-        calls.append(s.z)
-        return estimate_phase_average(r, g, s, n, grid)
-
-    monkeypatch.setattr(cli, "estimate_phase_average", spy)
-    common = ["scan", "--eps", "0.5", "--k", "2", "--z-grid", "6", "--n", "4",
-              "--method", "phase", "--grid", "32", "--lambda", "0.01,0"]
-    rc, out, _ = run(capsys, *common, "--coeffs", "1;0,1;1;1")
-    assert rc == 0
-    assert len(calls) == 6
-    g = PerturbedGenerator(0.5, 2, 0.01, [1, 1j, 1, 1])
-    for line, t in zip(out.splitlines()[1:], np.arange(6) / 6):
-        s = SpectralParameter.from_turn(t)
-        assert float(line.split(",")[5]) == estimate_phase_average(
-            Rotation(GOLDEN_MEAN), g, s, 4, 32).gamma_hat
-    calls.clear()
-    rc, _, _ = run(capsys, *common, "--coeffs", "1;-1;1;1")
-    assert rc == 0
-    assert len(calls) == 4
-
-
-def test_readme_verify_t1_output_as_with_every_turn_run(capsys, monkeypatch):
-    # The README command prints what it printed when every turn was run
-    # directly; the worst z_arg of a tied pair is the lower turn.
-    argv = ["verify-t1", "--eps", "0.5", "--z-grid", "32", "--n", "6", "--grid", "2048"]
-    rc, mirrored, _ = run(capsys, *argv)
-    assert rc == 0
-    monkeypatch.setattr(cli, "_phase_grid", lambda r, gens, ts, n, grid: np.array([
-        [estimate_phase_average(r, g, SpectralParameter.from_turn(t), n, grid).gamma_hat
-         for t in ts] for g in gens]))
-    assert run(capsys, *argv) == (rc, mirrored, "")
-    assert float(mirrored.split("z_arg = ")[1].split(" ")[0]) <= 0.5

@@ -222,18 +222,13 @@ def test_parity_one_row_is_conjugate_parity_zero_row(kind, width, n, data, real_
     assert all(rec[m][1].tobytes() == rec_mirror[m].tobytes() for m in marks)
 
 
-@pytest.mark.parametrize("kind", ["exp", "real", "complex", "constant"])
+@pytest.mark.parametrize("kind", ["exp", "real", "complex"])
 def test_conjugate_parity_declared_exactly_where_it_holds(kind):
     thetas = np.linspace(0.0, 1.0, 1001, endpoint=False)
     for seed in range(6):
-        rng = np.random.default_rng(seed)
-        if kind == "constant":
-            g = ConstantGenerator(complex(rng.uniform(-0.6, 0.6), rng.choice([0.0, 0.3])))
-        else:
-            g = _family(rng, kind)
+        g = _family(np.random.default_rng(seed), kind)
         holds = np.array_equal(g.evaluate_grid(thetas, 1), np.conj(g.evaluate_grid(thetas, 0)))
-        symmetric = g.value.imag == 0 if kind == "constant" else kind != "complex"
-        assert g.conjugate_parity == holds == symmetric, (kind, seed)
+        assert g.conjugate_parity == holds == (kind != "complex"), (kind, seed)
     # The unperturbed member of the family is symmetric whatever its a_l.
     assert PerturbedGenerator(0.5, 1, 0.0, [1j, 2 + 1j]).conjugate_parity
 
@@ -268,6 +263,7 @@ def test_phase_average_runs_one_row_only_where_symmetric(monkeypatch):
         (complex_, 0.0, (2, 1)),
         (complex_, 0.3, (2, 1)),
         (Undeclared(ExpGenerator(0.5, 1)), 0.0, (2, 1)),
+        (ConstantGenerator(0.4), 0.0, (2, 1)),  # declares nothing
     ]
     for g, turn, rows in cases:
         calls.clear()
@@ -282,8 +278,8 @@ def test_phase_average_runs_one_row_only_where_symmetric(monkeypatch):
 @pytest.mark.parametrize("z", [1.0, -1.0])
 @pytest.mark.parametrize(
     "g", [ExpGenerator(0.3, 2), ExpGenerator(0.7, -1),
-          PerturbedGenerator(0.5, 2, 0.01, [1, -2, 0.5, 1]), ConstantGenerator(0.4)],
-    ids=["exp", "exp-negative-k", "perturbed-real", "constant-real"],
+          PerturbedGenerator(0.5, 2, 0.01, [1, -2, 0.5, 1])],
+    ids=["exp", "exp-negative-k", "perturbed-real"],
 )
 def test_one_row_means_equal_two_row_means(g, z):
     # At a real z the one parity row counted twice has the bits of the two
