@@ -134,13 +134,12 @@ def _z_points(z_grid):
 
 def _birkhoff_batch(rng, r, gens, zs, n):
     """Birkhoff estimates over the z points ``zs`` for each generator in
-    ``gens``, shaped (generators, z points), from one engine batch.  The
-    start points are drawn generator by generator, in the order separate
-    scans would draw them."""
+    ``gens``, shaped (generators, z points), from one engine batch on that
+    grid, one generator per row.  The start points are drawn generator by
+    generator, in the order separate scans would draw them."""
     starts = [(rng.random(len(zs)), rng.integers(0, 2, len(zs))) for _ in gens]
-    theta0s, j0s = (np.concatenate(part) for part in zip(*starts))
-    gammas = birkhoff_scan(theta0s, j0s, r, gens, np.tile(zs, len(gens)), n)
-    return gammas.reshape(len(gens), len(zs))
+    theta0s, j0s = (np.array(part) for part in zip(*starts))
+    return birkhoff_scan(theta0s, j0s, r, gens, zs, n)
 
 
 def _phase_grid(r, gens, ts, n, grid):

@@ -131,18 +131,22 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
     )
 
 
-def _coefficients(theta0s, j0, r: Rotation, pieces, ms):
-    """Coefficients of every orbit at the steps in ``ms``: the angles theta0
-    + m alpha, reduced by subtracting their floor (``% 1.0`` bit for bit),
-    broadcast with the parities j0 + m (mod 2).  One call of g, each angle
-    passed once, fills the columns ``cols`` of each ``(g, cols)``."""
+def _coefficients(theta0s, j0, r: Rotation, g, ms):
+    """Coefficients of a tile's orbits at the steps in ``ms``: the angles
+    theta0 + m alpha, reduced by subtracting their floor (``% 1.0`` bit for
+    bit), broadcast with the parities j0 + m (mod 2).  One generator takes
+    every orbit in one call, each angle once for all rows; a sequence of one
+    generator per row takes its row's orbits."""
     thetas = theta0s + ms * r.alpha
     thetas -= np.floor(thetas)
     parity = (j0 + ms) % 2
     out = np.empty(np.broadcast(thetas, parity).shape, dtype=complex)
-    for g, cols in pieces:  # parities shared by all angles go to every piece whole
-        seg = np.s_[..., cols]
-        out[seg] = g.evaluate_grid(thetas[seg], parity[seg] if parity.shape[-1] > 1 else parity)
+    if isinstance(g, (list, tuple)):  # one generator per row
+        thetas, parity = np.broadcast_arrays(thetas, parity)
+        for row, gen in enumerate(g):
+            out[:, row] = gen.evaluate_grid(thetas[:, row], parity[:, row])
+    else:
+        out[...] = g.evaluate_grid(thetas, parity)
     return out
 
 
@@ -162,26 +166,26 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     """log ||A^z_n(theta, j)|| for a batch of starting points.
 
     The one renormalized product engine: every estimator runs through it.
-    The angles ``theta0s`` and parities ``j0`` broadcast to the orbits: N
-    angles with a scalar or N parities, or an (R, N) grid, such as N angles
-    broadcast to R rows (``np.broadcast_to``; one exponential per angle)
-    against a column of R parities.  ``g`` is a coefficient generator, or a
-    sequence of them that splits the N angles into equal consecutive
-    segments, so that several families run as one batch; ``zs`` is a scalar
-    or paired with the N angles.  Returns ``(log_norms, recorded)``, shaped
-    like the orbits, where ``recorded[m]`` holds the log norms after m steps
-    for each m in ``checkpoints`` (all in 1..n).  Every step divides the
-    running product by the root mean square of its entries,
-    sqrt(||cur||_F^2 / 2), in [sigma_max / sqrt(2), sigma_max], and sums
-    the logs of these scales; a read (a checkpoint, or step n) adds the log
-    operator norm of the renormalized product and changes nothing else, so
-    no result depends on the checkpoint set.
+    The orbits are the (R, N) grid that the angles ``theta0s`` and the
+    parities ``j0`` broadcast to, R = 1 if both are 1-D or scalar: N angles
+    with a scalar or N parities, N angles against a column of R parities,
+    shape (R, 1), or an (R, N) array of each.  ``g`` is one coefficient
+    generator, which takes each angle once for all rows, or a sequence of
+    one generator per row, so that several families run as one batch;
+    ``zs`` is a scalar or one per column.  Returns ``(log_norms,
+    recorded)``, shaped like the orbits, where ``recorded[m]`` holds the
+    log norms after m steps for each m in ``checkpoints`` (all in 1..n).
+    Every step divides the running product by the root mean square of its
+    entries, sqrt(||cur||_F^2 / 2), in [sigma_max / sqrt(2), sigma_max], and
+    sums the logs of these scales; a read (a checkpoint, or step n) adds the
+    log operator norm of the renormalized product and changes nothing else,
+    so no result depends on the checkpoint set.
 
     The orbits are folded over all n steps a tile at a time, all R rows of
-    TILE // R angles (at least one), so that a tile's memory stays in the
+    TILE // R columns (at least one), so that a tile's memory stays in the
     L2 cache and in the heap (see TILE).  A tile builds at most BUDGET
-    one-step matrices per block, each angle's coefficients for all R rows
-    from one generator call, and folds them step by step, in the same
+    one-step matrices per block, with one generator call per block (one
+    per row for a sequence), and folds them step by step, in the same
     arithmetic at any block length, into buffers made once per call.  A
     generator evaluates each (angle, parity) pair on its own, so no result
     depends on TILE, BUDGET or the rest of the batch.  A blowup names the
@@ -192,29 +196,24 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         raise ValueError(f"n must be >= 1 and checkpoints in 1..n, got n = {n}, "
                          f"checkpoints {sorted(wanted)}")
     theta0s = np.atleast_1d(np.asarray(theta0s, dtype=float))
-    j0 = np.asarray(j0)
-    shape = np.broadcast_shapes(j0.shape, theta0s.shape)
-    theta0s = theta0s[:1] if theta0s.ndim == 2 and not theta0s.strides[0] else theta0s
-    size = theta0s.shape[-1]
-    gens = tuple(g) if isinstance(g, (list, tuple)) else (g,)
-    if not gens or size % len(gens):
-        raise ValueError(f"{size} angles do not split into {len(gens)} equal segments")
+    shape = np.broadcast_shapes(np.shape(j0), theta0s.shape)
+    theta0s, j0 = np.atleast_2d(theta0s, j0)
+    rows, size = np.broadcast_shapes(theta0s.shape, j0.shape)
+    if isinstance(g, (list, tuple)) and len(g) != rows:
+        raise ValueError(f"{len(g)} generators for {rows} rows of orbits: "
+                         "pass one generator, or one per row")
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), size)
-    width = size // len(gens)
-    rows = math.prod(shape[:-1])
-    angles = max(1, TILE // rows)
+    cols = max(1, TILE // rows)
     recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []
-    # The fold's buffers, made once per call and cut to each tile's width:
+    # The fold's buffers, made once per call and cut to each tile:
     # cur, p, q; then squares, logs, log norms and a block's scales.
-    b = rows * min(angles, size)
+    b = rows * min(cols, size)
     work = np.empty(12 * b, dtype=complex), np.empty(4 * b + max(BUDGET, b))
-    for lo in range(0, size, angles):
-        tile = slice(lo, lo + angles)
-        pieces = [(g, slice(max(s * width - lo, 0), min(s * width + width - lo, angles)))
-                  for s, g in enumerate(gens) if lo - width < s * width < lo + angles]
+    for lo in range(0, size, cols):
+        tile = slice(lo, lo + cols)
         try:
-            _fold(theta0s[..., tile], j0[..., tile] if j0.size > rows else j0, r, pieces,
-                  zs[tile], n, {m: out.reshape(rows, -1)[:, tile]
+            _fold(*(a[:, tile] if a.shape[1] > 1 else a for a in (theta0s, j0)), r, g,
+                  zs[tile], n, {m: out.reshape(rows, size)[:, tile]
                                 for m, out in recorded.items()}, work)
         except NumericalBlowupError as exc:
             blowups.append(exc)
@@ -223,8 +222,8 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded
 
 
-def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
-    """Fold a tile's (R, angles) orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
+def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
+    """Fold a tile's (R, columns) orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
     b = math.prod(shape := recorded[n].shape)
     # The running product and the two halves of the next one as component
     # rows: cur[r] holds row r of every orbit's matrix as a contiguous
@@ -239,7 +238,7 @@ def _fold(theta0s, j0, r: Rotation, pieces, zs, n: int, recorded, work):
     block = max(1, BUDGET // b)
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
-        mats = szego_matrices(_coefficients(theta0s, j0, r, pieces, ms), zs).reshape(-1, b, 2, 2)
+        mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
         _check_finite(mats, m0)
         # Each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits).
         left, right = mats.transpose(3, 0, 2, 1)[..., None, :]

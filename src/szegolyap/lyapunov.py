@@ -91,13 +91,13 @@ def estimate_birkhoff(
 
 
 def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
-    """Birkhoff estimates for paired (start point, spectral parameter) jobs.
+    """Birkhoff estimates for a grid of (start point, spectral parameter) jobs.
 
-    ``theta0s``, ``j0s`` and ``zs`` are equal-length vectors; entry i uses
-    start (theta0s[i], j0s[i]) and parameter zs[i].  ``g`` is one
-    generator, or a sequence of them for equal consecutive segments of the
-    jobs (see ``grid_log_norms``).  All orbits, of either starting parity
-    and every segment, run as one batched product.
+    ``theta0s`` and ``j0s`` broadcast to the (R, N) grid of orbits and
+    ``zs`` is a scalar or one per column; orbit (i, c) starts at
+    (theta0s[i, c], j0s[i, c]) with parameter zs[c].  ``g`` is one
+    generator, or one per row (see ``grid_log_norms``).  All orbits, of
+    either starting parity and every row, run as one batched product.
     """
     return grid_log_norms(theta0s, j0s, r, g, zs, n)[0] / n
 
@@ -106,7 +106,7 @@ def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     """(1/m) * mean over the uniform theta grid and both parities of
     log ||A^z_m(theta, j)|| for each m in the ascending ``marks``: the mean
     of the parity-0 row plus that of the parity-1 row, from one engine call
-    on the grid broadcast to the rows.
+    on the angle grid against the parity column.
 
     The parity flip negates every phase.  Where the generator declares
     ``conjugate_parity`` (f(theta, 1) = conj f(theta, 0) bit for bit),
@@ -120,9 +120,8 @@ def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
         raise ValueError("grid_size must be >= 1")
     symmetric = s.z.imag == 0 and getattr(g, "conjugate_parity", False)
     parities = [[0]] if symmetric else [[0], [1]]
-    thetas = np.broadcast_to(np.arange(grid_size) / grid_size, (len(parities), grid_size))
-    last, rec = grid_log_norms(thetas, parities, r, g, s.z, marks[-1],
-                               checkpoints=marks[:-1])
+    last, rec = grid_log_norms(np.arange(grid_size) / grid_size, parities, r, g, s.z,
+                               marks[-1], checkpoints=marks[:-1])
     rec[marks[-1]] = last
     totals = [np.mean(rec[m][0]) + np.mean(rec[m][-1]) for m in marks]
     return np.asarray(totals) / (2.0 * np.asarray(marks))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from szegolyap import lyapunov
 from szegolyap.cli import CSV_HEADER, main
 from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, Rotation
 from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
@@ -99,6 +100,26 @@ def test_scan_matches_per_eps_birkhoff_scans(capsys):
             g17 = [format(float(x), ".17g") for x in (t, eps, gamma, bound, gamma - bound)]
             lines.append(",".join(g17[:2] + ["0", "50", "birkhoff"] + g17[2:]))
     assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["scan", "--eps", "0.3,0.5", "--z-grid", "8", "--n", "20"], (2, 8)),
+    (["verify-t2", "--eps", "0.5", "--z-grid", "4", "--n", "20"], (6, 4)),
+])
+def test_birkhoff_workloads_run_one_engine_call(capsys, monkeypatch, argv, grid):
+    # Every family (one per epsilon, or the unperturbed family and the five
+    # ladder rungs) is one row of start points of one engine call, over the
+    # z points.  The benchmark's tracer counts the engine's work as
+    # np.size(theta0s) times n, which here is every orbit.
+    calls, engine = [], lyapunov.grid_log_norms
+
+    def spy(*args, **kwargs):
+        calls.append((np.shape(args[0]), np.size(args[0]), np.broadcast(*args[:2]).size))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "grid_log_norms", spy)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [(grid, grid[0] * grid[1], grid[0] * grid[1])]
 
 
 def test_scan_empty_eps(capsys):

@@ -485,7 +485,7 @@ def test_mixed_start_parities_match_single_parity_calls():
         assert np.array_equal(mixed[sel], single)
 
 
-def _segment_generator(rng, kind):
+def _random_generator(rng, kind):
     eps = float(rng.uniform(0.2, 0.9))
     k = int(rng.integers(1, 4))
     if kind == "exp":
@@ -504,35 +504,35 @@ def _segment_generator(rng, kind):
     tile=st.sampled_from([1, 7, cocycle.TILE]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, tile, seed):
-    # One call over consecutive segments, each with its own generator, gives
-    # every orbit the bits of a call over its segment alone, whatever the
-    # block budget and however the tiles cut the segments.
+def test_fused_rows_match_per_row_calls(kinds, width, n, budget, tile, seed):
+    # One call over the rows of an orbit grid, each row with its own
+    # generator, gives every orbit the bits of a call over its row alone,
+    # whatever the block budget and however the tiles cut the rows.
     rng = np.random.default_rng(seed)
-    gens = [_segment_generator(rng, kind) for kind in kinds]
-    b = len(gens) * width
-    thetas, j0s = rng.random(b), rng.integers(0, 2, b)
-    zs = np.exp(2j * np.pi * rng.random(b))
+    gens = [_random_generator(rng, kind) for kind in kinds]
+    shape = (len(gens), width)
+    thetas, j0s = rng.random(shape), rng.integers(0, 2, shape)
+    zs = np.exp(2j * np.pi * rng.random(width))
     marks = [1, n // 2 + 1, n]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
         mp.setattr(cocycle, "TILE", tile)
         fused, rec = grid_log_norms(thetas, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
-    for s, g in enumerate(gens):
-        seg = slice(s * width, (s + 1) * width)
+    assert fused.shape == shape
+    for row, g in enumerate(gens):
         alone, rec_alone = grid_log_norms(
-            thetas[seg], j0s[seg], GOLDEN, g, zs[seg], n, checkpoints=marks
+            thetas[row], j0s[row], GOLDEN, g, zs, n, checkpoints=marks
         )
-        assert np.array_equal(fused[seg], alone)
+        assert np.array_equal(fused[row], alone)
         for m in marks:
-            assert np.array_equal(rec[m][seg], rec_alone[m])
+            assert np.array_equal(rec[m][row], rec_alone[m])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     kinds=st.lists(st.sampled_from(["exp", "perturbed", "constant"]), min_size=1,
-                   max_size=3),
-    width=st.integers(1, 30),
+                   max_size=2),
+    width=st.integers(1, 60),
     n=st.integers(1, 40),
     data=st.data(),
     budget=st.sampled_from([1, 7, cocycle.BUDGET]),
@@ -542,36 +542,37 @@ def test_fused_segments_match_per_segment_calls(kinds, width, n, budget, tile, s
 )
 def test_paired_parities_match_per_parity_calls(kinds, width, n, data, budget, tile,
                                                 shared, seed):
-    # Both starting parities as rows of one call, in tiles of TILE // 2
-    # angles (at least one) with an angle's coefficients taken once for both
-    # rows, give row j the bytes of a call from parity j alone.  The
-    # perturbed family has complex lambda and a_l, so its parity-1 value is
-    # not the conjugate of its parity-0 value.
+    # Both starting parities as the rows of one call on one row of angles,
+    # in tiles of TILE // 2 columns (at least one) with an angle's
+    # coefficients taken once for both rows by one generator, or row by row
+    # by one generator per row, give row j the bytes of a call from parity j
+    # alone.  The perturbed family has complex lambda and a_l, so its
+    # parity-1 value is not the conjugate of its parity-0 value.
     marks = data.draw(st.sets(st.integers(1, n)), label="marks")
     rng = np.random.default_rng(seed)
     gens = [ConstantGenerator(complex(*rng.uniform(-0.6, 0.6, 2))) if kind == "constant"
-            else _segment_generator(rng, kind) for kind in kinds]
-    b = len(gens) * width
-    thetas = rng.random(b)
-    thetas[rng.random(b) < 0.2] = 0.0
-    zs = np.exp(2j * np.pi * rng.random(1 if shared else b))
+            else _random_generator(rng, kind) for kind in kinds]
+    g = gens if len(gens) == 2 else gens[0]
+    thetas = rng.random(width)
+    thetas[rng.random(width) < 0.2] = 0.0
+    zs = np.exp(2j * np.pi * rng.random(1 if shared else width))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
         mp.setattr(cocycle, "TILE", tile)
-        paired, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, gens, zs, n,
+        paired, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, g, zs, n,
                                      checkpoints=marks)
-        assert paired.shape == (2, b) and sorted(rec) == sorted(marks)
-        # The angles broadcast to both rows are the same call.
-        rows, rec_rows = grid_log_norms(np.broadcast_to(thetas, (2, b)), [[0], [1]], GOLDEN,
-                                        gens, zs, n, checkpoints=marks)
+        assert paired.shape == (2, width) and sorted(rec) == sorted(marks)
+        # The same angles written out in both rows are the same call.
+        rows, rec_rows = grid_log_norms(np.stack([thetas, thetas]), [[0], [1]], GOLDEN,
+                                        g, zs, n, checkpoints=marks)
         assert rows.tobytes() == paired.tobytes()
         assert all(rec_rows[m].tobytes() == rec[m].tobytes() for m in marks)
         for j in (0, 1):
-            alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, gens, zs, n,
-                                              checkpoints=marks)
+            alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, gens[j % len(gens)], zs,
+                                              n, checkpoints=marks)
             assert paired[j].tobytes() == alone.tobytes()
             for m in marks:
-                assert rec[m].shape == (2, b)
+                assert rec[m].shape == (2, width)
                 assert rec[m][j].tobytes() == rec_alone[m].tobytes()
 
 
@@ -589,9 +590,9 @@ class RecordingGenerator:
 @pytest.mark.parametrize("tile", [1, 3, cocycle.TILE])
 def test_angle_grid_rows(monkeypatch, tile):
     # An (R, N) grid of angles against a column of parities gives each row
-    # the bytes of a call with that row's angles and parity; rows broadcast
-    # from one (stride 0) pass each angle to the generator once, rows that
-    # differ pass all of them.
+    # the bytes of a call with that row's angles and parity; one row of
+    # angles against the column passes each angle to the generator once,
+    # R rows of angles pass all of them.
     monkeypatch.setattr(cocycle, "TILE", tile)
     rng = np.random.default_rng(5)
     thetas, j0 = rng.random((3, 40)), np.array([[1], [0], [1]])
@@ -605,19 +606,23 @@ def test_angle_grid_rows(monkeypatch, tile):
         assert out[row].tobytes() == alone.tobytes()
         assert rec[3][row].tobytes() == rec_alone[3].tobytes()
     rec_g.shapes.clear()
-    shared = grid_log_norms(np.broadcast_to(thetas[0], (3, 40)), j0, GOLDEN, rec_g, 1j, 7)[0]
+    shared = grid_log_norms(thetas[0], j0, GOLDEN, rec_g, 1j, 7)[0]
+    assert shared.shape == (3, 40)
     assert all(shape[1] == 1 for shape in rec_g.shapes)
     for row in range(3):
         alone = grid_log_norms(thetas[0], j0[row, 0], GOLDEN, rec_g.g, 1j, 7)[0]
         assert shared[row].tobytes() == alone.tobytes()
 
 
-def test_segments_must_split_the_orbits_evenly():
-    gens = [ExpGenerator(0.5, 1), ExpGenerator(0.3, 1)]
-    with pytest.raises(ValueError, match="equal segments"):
-        grid_log_norms(np.zeros(3), 0, GOLDEN, gens, 1.0, 5)
-    with pytest.raises(ValueError, match="equal segments"):
+def test_generators_must_match_the_rows():
+    # A sequence of generators holds exactly one per row of the orbit grid.
+    gens = [ExpGenerator(0.5, 1), ExpGenerator(0.3, 1), ExpGenerator(0.4, 2)]
+    with pytest.raises(ValueError, match="for 1 rows"):
         grid_log_norms(np.zeros(2), 0, GOLDEN, [], 1.0, 5)
+    with pytest.raises(ValueError, match="for 3 rows"):
+        grid_log_norms(np.zeros(4), [[0], [1], [0]], GOLDEN, gens[:2], 1.0, 5)
+    with pytest.raises(ValueError, match="for 1 rows"):
+        grid_log_norms(np.zeros(3), 0, GOLDEN, gens, 1.0, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,7 +642,7 @@ def test_reads_do_not_change_results(kind, width, n, data, budget, tile, seed):
     marks = data.draw(st.sets(st.integers(1, n)), label="marks")
     rng = np.random.default_rng(seed)
     args = (rng.random(width), rng.integers(0, 2, width), GOLDEN,
-            _segment_generator(rng, kind), np.exp(2j * np.pi * rng.random(width)))
+            _random_generator(rng, kind), np.exp(2j * np.pi * rng.random(width)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
         mp.setattr(cocycle, "TILE", tile)
@@ -778,18 +783,18 @@ def test_operator_norm_only_at_read_steps(monkeypatch, budget):
 
 def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     """The engine's arithmetic written plainly: the coefficients of all n
-    steps from ``% 1.0`` angles, one stack, and the row-by-row fold with a
+    steps from ``% 1.0`` angles, one generator call per row of the (R, N)
+    start grid, one stack of all R N orbits, and the row-by-row fold with a
     temporary per product, RMS renormalization at every step and the log
     operator norm at every read."""
-    b = len(theta0s)
+    rows, w = theta0s.shape
+    b = rows * w
     ms = np.arange(n)[:, None]
-    thetas = (theta0s + ms * r.alpha) % 1.0
-    parity = np.broadcast_to((j0s + ms) % 2, thetas.shape)
-    w = b // len(gens)
-    fs = np.concatenate([g.evaluate_grid(thetas[:, s * w:(s + 1) * w],
-                                         parity[:, s * w:(s + 1) * w])
-                         for s, g in enumerate(gens)], axis=1)
-    mats = cocycle.szego_matrices(fs, np.broadcast_to(zs, (b,)))
+    j0s = np.broadcast_to(j0s, theta0s.shape)
+    fs = np.concatenate([g.evaluate_grid((theta0s[i] + ms * r.alpha) % 1.0,
+                                         np.broadcast_to((j0s[i] + ms) % 2, (n, w)))
+                         for i, g in enumerate(gens)], axis=1)
+    mats = cocycle.szego_matrices(fs, np.tile(np.broadcast_to(zs, (w,)), rows))
     cur = np.zeros((2, 2, b), dtype=complex)
     cur[0, 0] = cur[1, 1] = 1.0
     parts = cur.view(float).reshape(4, 2 * b)
@@ -802,7 +807,7 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
         cur[1] += a[:, 1, 0] * cur[0]
         cur[0] = top
         if i + 1 in marks or i + 1 == n:
-            recorded[i + 1] = logn + np.log(m2.op_norm(cur.transpose(2, 0, 1)))
+            recorded[i + 1] = (logn + np.log(m2.op_norm(cur.transpose(2, 0, 1)))).reshape(rows, w)
         sq = np.einsum("ij,ij->j", parts, parts)
         scale = np.sqrt((sq[0::2] + sq[1::2]) * 0.5)
         cur /= scale
@@ -811,12 +816,12 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
 
 
 def _assert_matches_reference(rng, kinds, width, n, marks, budget, tile, shared=False):
-    gens = [_segment_generator(rng, kind) for kind in kinds]
-    b = len(gens) * width
-    thetas, j0s = rng.random(b), rng.integers(0, 2, b)
-    zs = np.exp(2j * np.pi * rng.random(b))
+    gens = [_random_generator(rng, kind) for kind in kinds]
+    shape = (len(gens), width)
+    thetas, j0s = rng.random(shape), rng.integers(0, 2, shape)
+    zs = np.exp(2j * np.pi * rng.random(width))
     if shared:
-        j0s, zs = j0s[0], zs[0]
+        j0s, zs = j0s[0, 0], zs[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
         mp.setattr(cocycle, "TILE", tile)
@@ -842,42 +847,43 @@ def _assert_matches_reference(rng, kinds, width, n, marks, budget, tile, shared=
 def test_engine_matches_reference_fold(kinds, width, n, data, budget, tile, shared,
                                        seed):
     # Bit for bit: the buffered fold on the stack's entry arrays, the
-    # floor-reduced angles, the per-segment writes and the tiles, which cut
-    # segments wherever they fall, change no operation and no order of the
-    # plain reference above, with start parities and spectral parameters
-    # per orbit or ``shared`` by all.
+    # floor-reduced angles, the per-row writes and the tiles, which cut the
+    # rows wherever they fall, change no operation and no order of the
+    # plain reference above, with start parities per orbit and spectral
+    # parameters per column, or both ``shared`` by all.
     marks = data.draw(st.sets(st.integers(1, n)), label="marks")
     _assert_matches_reference(np.random.default_rng(seed), kinds, width, n, marks,
                               budget, tile, shared)
 
 
 def test_engine_matches_reference_fold_wide_batch():
-    # 3000 orbits, both families fused, in tiles of 7, 1000 (which cut the
-    # first segment) and TILE, with blocks of BUDGET // tile steps.
+    # 3000 orbits, both families fused as two rows of 1500, in tiles of 7,
+    # 1000 (500 columns, which cut both rows) and TILE, with blocks of
+    # BUDGET // tile steps.
     for tile in (7, 1000, cocycle.TILE):
         _assert_matches_reference(np.random.default_rng(15), ["exp", "perturbed"],
                                   1500, 12, {1, 5, 11}, cocycle.BUDGET, tile)
 
 
-@pytest.mark.parametrize("segments", [1, 2, 3, 4])
-def test_coefficients_match_mod_one_angles(segments):
-    # Floor-reduced angles give every segment's generator the bits of
-    # (theta0 + m alpha) % 1.0, for negative starts and m up to 1e5.
-    rng = np.random.default_rng(16 + segments)
-    kinds = ["exp", "perturbed", "perturbed", "exp"][:segments]
-    gens = [_segment_generator(rng, kind) for kind in kinds]
-    w = 5
-    theta0s = rng.uniform(-3.0, 3.0, segments * w)
-    theta0s[:2] = [-0.0, -1.0]
-    j0s = rng.integers(0, 2, segments * w)
-    ms = np.concatenate([np.arange(4), rng.integers(4, 10**5, 20), [10**5]])[:, None]
-    pieces = [(g, slice(s * w, (s + 1) * w)) for s, g in enumerate(gens)]
-    got = cocycle._coefficients(theta0s, j0s, GOLDEN, pieces, ms)
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_coefficients_match_mod_one_angles(rows):
+    # Floor-reduced angles give every row's generator, and one generator
+    # for all rows, the bits of (theta0 + m alpha) % 1.0, for negative
+    # starts and m up to 1e5.
+    rng = np.random.default_rng(16 + rows)
+    kinds = ["exp", "perturbed", "perturbed", "exp"][:rows]
+    gens = [_random_generator(rng, kind) for kind in kinds]
+    theta0s = rng.uniform(-3.0, 3.0, (rows, 5))
+    theta0s[0, :2] = [-0.0, -1.0]
+    j0s = rng.integers(0, 2, (rows, 5))
+    ms = np.concatenate([np.arange(4), rng.integers(4, 10**5, 20), [10**5]])[:, None, None]
     thetas = (theta0s + ms * GOLDEN.alpha) % 1.0
     parity = (j0s + ms) % 2
-    for s, g in enumerate(gens):
-        seg = slice(s * w, (s + 1) * w)
-        assert np.array_equal(got[:, seg], g.evaluate_grid(thetas[:, seg], parity[:, seg]))
+    got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens, ms)
+    for row, g in enumerate(gens):
+        assert np.array_equal(got[:, row], g.evaluate_grid(thetas[:, row], parity[:, row]))
+    got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens[-1], ms)
+    assert np.array_equal(got, gens[-1].evaluate_grid(thetas, parity))
 
 
 @settings(max_examples=40, deadline=None)
@@ -892,7 +898,7 @@ def test_log_norm_is_subadditive(kind, k, m, seed):
     # cocycle splits as A_(k+m)(p) = A_m(T^k p) A_k(p) and the operator
     # norm is submultiplicative.
     rng = np.random.default_rng(seed)
-    g = _segment_generator(rng, kind)
+    g = _random_generator(rng, kind)
     b = 4
     thetas, j0s = rng.random(b), rng.integers(0, 2, b)
     zs = np.exp(2j * np.pi * rng.random(b))

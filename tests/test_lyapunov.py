@@ -148,22 +148,24 @@ def test_profile_matches_single_estimates_across_tiles(monkeypatch, g, tile):
 
 
 def test_phase_average_runs_one_engine_call(monkeypatch):
-    # Both starting parities run as the two rows of one engine call, whose
-    # angles are the grid broadcast to both rows: one angle per orbit (the
-    # benchmark's tracer counts the engine's work as angles times n), each
-    # angle's exponential taken once.
+    # Both starting parities run as the two rows of one engine call: the
+    # 1-D angle grid against the parity column, each angle's exponential
+    # taken once for both rows.  At a real z the column holds parity 0 only.
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append((args[0].shape, args[0].strides[0], np.shape(args[1])))
+        calls.append((np.shape(args[0]), np.shape(args[1])))
         return grid_log_norms(*args, **kwargs)
 
     monkeypatch.setattr(lyapunov, "grid_log_norms", counting)
     g, s = ExpGenerator(0.5, 1), SpectralParameter.from_turn(0.2)
     estimate_phase_average(GOLDEN, g, s, 3, 16)
-    assert calls == [((2, 16), 0, (2, 1))]
+    assert calls == [((16,), (2, 1))]
     phase_average_profile(GOLDEN, g, s, 4, 16)
-    assert calls == [((2, 16), 0, (2, 1))] * 2
+    assert calls == [((16,), (2, 1))] * 2
+    calls.clear()
+    estimate_phase_average(GOLDEN, g, SpectralParameter.from_z(1.0), 3, 16)
+    assert calls == [((16,), (1, 1))]
 
 
 def _family(rng, kind):
@@ -214,8 +216,7 @@ def test_parity_one_row_is_conjugate_parity_zero_row(kind, width, n, data, real_
     thetas = rng.random(width)
     thetas[rng.random(width) < 0.2] = 0.0
     z = complex(rng.choice([1.0, -1.0])) if real_z else complex(np.exp(2j * np.pi * rng.random()))
-    rows, rec = grid_log_norms(np.broadcast_to(thetas, (2, width)), [[0], [1]], GOLDEN, g,
-                               z, n, checkpoints=marks)
+    rows, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, g, z, n, checkpoints=marks)
     mirror, rec_mirror = grid_log_norms(thetas, 0, GOLDEN, _conjugated(g), z.conjugate(), n,
                                         checkpoints=marks)
     assert rows[1].tobytes() == mirror.tobytes()
@@ -285,8 +286,8 @@ def test_one_row_means_equal_two_row_means(g, z):
     # At a real z the one parity row counted twice has the bits of the two
     # rows' means added.
     s = SpectralParameter.from_z(z)
-    thetas = np.broadcast_to(np.arange(300) / 300, (2, 300))
-    last, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, g, z, 7, checkpoints=range(1, 7))
+    last, rec = grid_log_norms(np.arange(300) / 300, [[0], [1]], GOLDEN, g, z, 7,
+                               checkpoints=range(1, 7))
     rec[7] = last
     two_rows = [(np.mean(rec[m][0]) + np.mean(rec[m][1])) / (2.0 * m) for m in range(1, 8)]
     assert estimate_phase_average(GOLDEN, g, s, 7, 300).gamma_hat == two_rows[-1]
