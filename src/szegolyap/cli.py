@@ -210,12 +210,12 @@ def cmd_scan(args) -> int:
                     }
                 )
 
-    names = CSV_HEADER.split(",")
-    lines = [CSV_HEADER] + [
-        ",".join(_fmt(row[k]) if isinstance(row[k], float) else str(row[k]) for k in names)
-        for row in rows
-    ]
-    text = "\n".join(lines) + "\n"
+    # One f-string per row, the columns of CSV_HEADER; floats as _fmt writes them.
+    text = CSV_HEADER + "\n" + "".join(
+        f"{r['z_arg']:.17g},{r['epsilon']:.17g},{r['lambda_abs']:.17g},{r['n']},"
+        f"{r['method']},{r['gamma_hat']:.17g},{r['bound']:.17g},{r['margin']:.17g}\n"
+        for r in rows
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -186,10 +186,11 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     L2 cache and in the heap (see TILE).  A tile builds at most BUDGET
     one-step matrices per block, with one generator call per block (one
     per row for a sequence), and folds them step by step, in the same
-    arithmetic at any block length, into buffers made once per call.  A
-    generator evaluates each (angle, parity) pair on its own, so no result
-    depends on TILE, BUDGET or the rest of the batch.  A blowup names the
-    earliest non-finite step of any tile.
+    arithmetic at any block length, into a buffer made once per call; the
+    logs of a block's scales join the sum, in step order, at the end of the
+    block and at each read.  A generator evaluates each (angle, parity) pair
+    on its own, so no result depends on TILE, BUDGET or the rest of the
+    batch.  A blowup names the earliest non-finite step of any tile.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -205,10 +206,9 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), size)
     cols = max(1, TILE // rows)
     recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []
-    # The fold's buffers, made once per call and cut to each tile:
-    # cur, p, q; then squares, logs, log norms and a block's scales.
-    b = rows * min(cols, size)
-    work = np.empty(12 * b, dtype=complex), np.empty(4 * b + max(BUDGET, b))
+    # The fold's buffer, made once per call and cut to each tile: the
+    # product and the halves of the next one.
+    work = np.empty(12 * rows * min(cols, size), dtype=complex)
     for lo in range(0, size, cols):
         tile = slice(lo, lo + cols)
         try:
@@ -219,6 +219,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             blowups.append(exc)
     if blowups:
         raise min(blowups, key=lambda exc: exc.step)
+    _check_finite(recorded[n].reshape(1, -1), n - 1)  # the product of all n steps
     return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded
 
 
@@ -228,44 +229,69 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
     # The running product and the two halves of the next one as component
     # rows: cur[r] holds row r of every orbit's matrix as a contiguous
     # (2, orbits) block.
-    cur, p, q = work[0][:12 * b].reshape(3, 2, 2, b)
+    cur, p, q = work[:12 * b].reshape(3, 2, 2, b)
     row0, row1 = cur
-    # Real rows, one per entry: the squared Frobenius norm sums over them.
+    # Real rows, one per entry, squared into the memory of p and q, dead by
+    # then: the squared Frobenius norm sums over them.
     parts = cur.view(float).reshape(4, 2 * b)
-    sq, logs, logn, scales = (work[1][:2 * b], work[1][2 * b:3 * b],
-                              work[1][3 * b:4 * b], work[1][4 * b:])
-    logn[...] = 0.0
+    squares = work[4 * b:12 * b].view(float).reshape(8, 2 * b)
+    squares, sq = squares[:4], squares[4]
     block = max(1, BUDGET // b)
+    # A block's scales: row i + 1 takes the scale of the product that the
+    # block's step i multiplies, replaced by its log when the logs join the
+    # sum carried in row 0, in step order, at a read or at the end of the
+    # block.  The spare last column keeps two columns at least, so that
+    # np.add.reduce adds one row after another (a single column would be
+    # summed pairwise).
+    logs = np.zeros((block + 1, b + 1))
+    scales = logs[:, :b]
+    marks = iter(sorted(recorded))
+    mark = next(marks)
+
+    def read(i):
+        """Record the log norm of the product of steps 1 .. mark."""
+        np.add(scales[i].reshape(shape),
+               np.log(op_norm(cur.transpose(2, 0, 1))).reshape(shape), out=recorded[mark])
+
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
         _check_finite(mats, m0)
         # Each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits).
         left, right = mats.transpose(3, 0, 2, 1)[..., None, :]
-        block_scales = scales[:ms.size * b].reshape(ms.size, b)
-        for i, scale in enumerate(block_scales):
-            if m0 + i:
-                # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0
-                # + a[r, 1] row1.  a11 is real with imaginary part +0, so
-                # a11 row1 rounds as row1 a11, the tests' row-by-row fold.
-                np.multiply(left[i], row0, out=p)
-                np.multiply(right[i], row1, out=q)
-                np.add(p, q, out=cur)
-            else:  # a @ 1 = a, up to the signs of zeros, which no norm sees
-                cur[...] = mats[0].transpose(1, 2, 0)
-            if m0 + i + 1 in recorded:
-                scale[...] = op_norm(cur.transpose(2, 0, 1))
-                np.add(logn.reshape(shape), np.log(scale).reshape(shape),
-                       out=recorded[m0 + i + 1])
-                if m0 + i + 1 == n:
-                    break
-            np.einsum("ij,ij->j", parts, parts, out=sq)
+        done, at = 0, mark - m0
+        if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees;
+            cur[...] = mats[0].transpose(1, 2, 0)  # row 1 carries the empty sum
+            done = 1
+        for i, (a0, a1, scale) in enumerate(
+                zip(left[done:], right[done:], scales[done + 1:]), done):
+            if i == at:
+                _sum_logs(logs[done:i + 1], logs[i])
+                read(i)
+                mark, done = next(marks), i
+                at = mark - m0
+            np.square(parts, out=squares)
+            np.add.reduce(squares, out=sq)
             np.add(sq[0::2], sq[1::2], out=scale)
             scale *= 0.5
             np.sqrt(scale, out=scale)
             cur /= scale
-            logn += np.log(scale, out=logs)
+            # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0 +
+            # a[r, 1] row1.  a11 is real with imaginary part +0, so a11 row1
+            # rounds as row1 a11, the tests' row-by-row fold.
+            np.multiply(a0, row0, out=p)
+            np.multiply(a1, row1, out=q)
+            np.add(p, q, out=cur)
+        _sum_logs(logs[done:len(ms) + 1], logs[0])
         # The next block's stack is built without this one held.
-        del mats, left, right
-        # A non-finite product has a non-finite scale (at step n, its norm).
-        _check_finite(block_scales, m0)
+        mats = left = right = a0 = a1 = None
+        # A non-finite product has a non-finite scale and log (row i + 1:
+        # the product of the first m0 + i steps).
+        _check_finite(logs[1:len(ms) + 1], m0 - 1)
+    read(0)
+
+
+def _sum_logs(rows, out):
+    """rows[0] plus the logs of the scales in rows[1:], row by row, into ``out``."""
+    np.log(rows[1:, :-1], out=rows[1:, :-1])
+    np.add.reduce(rows, out=out)

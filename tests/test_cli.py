@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line harness."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,15 @@ from szegolyap import lyapunov
 from szegolyap.cli import CSV_HEADER, main
 from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, Rotation
 from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _subprocess_env():
+    """The environment with src/ on PYTHONPATH: pytest's ``pythonpath``
+    setting reaches this interpreter's sys.path, not a child's."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run(capsys, *argv):
@@ -473,7 +484,7 @@ def test_process_exit_code(argv, code):
     # -W as in pyproject's filterwarnings, which a subprocess does not inherit.
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "szegolyap.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_subprocess_env(),
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -495,7 +506,7 @@ def test_commands_run_without_scipy():
         "    assert rc == 0, argv\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == ["subharmonic", "0", "verify-t1", "0", "scan", "0"]

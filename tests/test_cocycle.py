@@ -452,6 +452,31 @@ def test_block_budget_does_not_change_results(monkeypatch):
             assert np.array_equal(rec[m], rec_1[m])
 
 
+def test_deferred_log_sums_run_in_step_order(monkeypatch):
+    # A block's logs join the carried sum at a read or at the block's end,
+    # one row after another.  BUDGET = 36 makes blocks of 36 steps for a
+    # lone orbit and of 12 for three, so the reads below fall at a block's
+    # first (13), middle (18) and last (24) step of the three-row call and
+    # in the lone orbit's first block of 36; a pairwise sum of nine or more
+    # logs (as np.add.reduce makes of a single column) would round apart.
+    monkeypatch.setattr(cocycle, "BUDGET", 36)
+    rng = np.random.default_rng(19)
+    gens = [ExpGenerator(0.3, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1j, -1, 0.5]),
+            ExpGenerator(0.6, -1)]
+    thetas, j0s = rng.random((3, 1)), np.array([[0], [1], [1]])
+    z = np.exp(2j * np.pi * rng.random(1))
+    n, marks = 40, [1, 13, 18, 24]
+    batch, rec = grid_log_norms(thetas, j0s, GOLDEN, gens, z, n, checkpoints=marks)
+    alone, rec_alone = grid_log_norms(thetas[1], 1, GOLDEN, gens[1], z, n,
+                                      checkpoints=marks)
+    plain, _ = grid_log_norms(thetas[1], 1, GOLDEN, gens[1], z, n)
+    assert _bits(batch[1]).tolist() == _bits(alone).tolist() == _bits(plain).tolist()
+    for m in marks:
+        assert _bits(rec[m][1]).tolist() == _bits(rec_alone[m]).tolist()
+        short, _ = grid_log_norms(thetas[1], 1, GOLDEN, gens[1], z, m)
+        assert _bits(short).tolist() == _bits(rec_alone[m]).tolist()
+
+
 def test_block_budget_does_not_change_perturbed_results(monkeypatch):
     # The perturbed coefficients are summed term by term, so a parity call
     # with a single angle (one orbit per start parity, BUDGET = 1) rounds
