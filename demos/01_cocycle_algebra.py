@@ -40,5 +40,5 @@ for _ in range(5):
         @ szego_matrix(g.evaluate(p), s)
         @ np.linalg.inv(conjugator(pm, s))
     )
-    dev = mat2.max_abs_diff(lhs, conjugated_step(p, s, g))
+    dev = np.max(np.abs(lhs - conjugated_step(p, s, g)))
     print(f"  eps={g.epsilon:.3f} k={g.k:+d} j={p.j}: entrywise deviation {dev:.2e}")

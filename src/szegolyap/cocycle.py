@@ -5,10 +5,9 @@ coefficient value f in D is
 
     A = (1 - |f|^2)^(-1/2) [[z, -conj(f)], [-f z, 1]],
 
-an element of U(1,1) with det A = z.  Orbit products are accumulated with
-per-step renormalization: the running matrix is divided by a positive
-scale at every step and the stripped scales are summed in log form, so
-products of any length never overflow.
+an element of U(1,1) with det A = z.  Orbit products are renormalized by
+exact powers of two, whose exponents are summed per orbit, so products of
+any length never overflow and the scaling never rounds.
 """
 
 import cmath
@@ -29,6 +28,12 @@ BUDGET = 2048
 # 1.27/0.95/1.06/1.05/1.01 of the untiled time in tiles of 512/1024/2048/4096/8192
 # and page-faulted 160/185/2921/4414/5065 times, untiled 4864 (2-core Xeon, glibc).
 TILE = 1024
+
+# The exponent of an orbit product's largest part stays within +-SPAN
+# between rescalings, far enough from both ends of the double range that
+# op_norm's fourth powers neither overflow nor underflow.
+SPAN = 200
+LN2 = math.log(2.0)
 
 
 class DegenerateCoefficientError(ArithmeticError):
@@ -175,22 +180,26 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     ``zs`` is a scalar or one per column.  Returns ``(log_norms,
     recorded)``, shaped like the orbits, where ``recorded[m]`` holds the
     log norms after m steps for each m in ``checkpoints`` (all in 1..n).
-    Every step divides the running product by the root mean square of its
-    entries, sqrt(||cur||_F^2 / 2), in [sigma_max / sqrt(2), sigma_max], and
-    sums the logs of these scales; a read (a checkpoint, or step n) adds the
-    log operator norm of the renormalized product and changes nothing else,
-    so no result depends on the checkpoint set.
+    Every SPAN // log2(8 c w) steps, c the largest prefactor of a block and
+    w = max(|z|, 1/|z|), each orbit's product is scaled by the power of two
+    that brings its largest real or imaginary part into [1/2, 1), and the
+    exponents are summed per orbit.  Such a scaling is exact and commutes
+    with every operation of the fold and of op_norm (away from underflow,
+    at parts some 2^800 below the largest), so a read (a checkpoint, or
+    step n) is a canonical form of the computed product's norm: with m, e
+    = frexp(op_norm(product)) it records (E + e) log 2 + log m, E the
+    exponents summed so far, and changes nothing.
 
     The orbits are folded over all n steps a tile at a time, all R rows of
-    TILE // R columns (at least one), so that a tile's memory stays in the
-    L2 cache and in the heap (see TILE).  A tile builds at most BUDGET
+    TILE // R columns (at least one).  A tile builds at most BUDGET
     one-step matrices per block, with one generator call per block (one
     per row for a sequence), and folds them step by step, in the same
-    arithmetic at any block length, into a buffer made once per call; the
-    logs of a block's scales join the sum, in step order, at the end of the
-    block and at each read.  A generator evaluates each (angle, parity) pair
-    on its own, so no result depends on TILE, BUDGET or the rest of the
-    batch.  A blowup names the earliest non-finite step of any tile.
+    arithmetic at any block length.  A generator evaluates each (angle,
+    parity) pair on its own, so a result depends only on (theta0, j0, z,
+    g, n): not on the rest of the batch, TILE, BUDGET, the checkpoints or
+    the steps at which the product was rescaled, and is reproducible bit
+    for bit.  A blowup names the earliest step of any tile with a
+    non-finite one-step matrix.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -231,67 +240,56 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
     # (2, orbits) block.
     cur, p, q = work[:12 * b].reshape(3, 2, 2, b)
     row0, row1 = cur
-    # Real rows, one per entry, squared into the memory of p and q, dead by
-    # then: the squared Frobenius norm sums over them.
-    parts = cur.view(float).reshape(4, 2 * b)
-    squares = work[4 * b:12 * b].view(float).reshape(8, 2 * b)
-    squares, sq = squares[:4], squares[4]
+    # The product's real and imaginary parts per orbit, and the exponents
+    # of the powers of two stripped from them so far.
+    parts = cur.view(float).reshape(4, b, 2)
+    exps = np.zeros(b, dtype=int)
+    # A step moves the exponent of a product's largest part by less than
+    # log2(8 c w), c the prefactor and w = max(|z|, 1/|z|): a part of a @ cur
+    # is at most 2 sqrt(2) c w times cur's largest, and sigma_max, within
+    # a factor sqrt(8) of the largest part, falls at most to sigma_min(a) =
+    # |z| / sigma_max(a) >= 1 / (2 c w) times its value.  At z = 0 nothing
+    # bounds the fall: a shift of SPAN + 1 rescales before every step.
+    w = np.abs(zs)
+    w = max(w.max(), 1.0 / w.min()) if w.min() else math.inf
     block = max(1, BUDGET // b)
-    # A block's scales: row i + 1 takes the scale of the product that the
-    # block's step i multiplies, replaced by its log when the logs join the
-    # sum carried in row 0, in step order, at a read or at the end of the
-    # block.  The spare last column keeps two columns at least, so that
-    # np.add.reduce adds one row after another (a single column would be
-    # summed pairwise).
-    logs = np.zeros((block + 1, b + 1))
-    scales = logs[:, :b]
     marks = iter(sorted(recorded))
-    mark = next(marks)
+    mark, room = next(marks), SPAN
 
-    def read(i):
+    def read():
         """Record the log norm of the product of steps 1 .. mark."""
-        np.add(scales[i].reshape(shape),
-               np.log(op_norm(cur.transpose(2, 0, 1))).reshape(shape), out=recorded[mark])
+        m, e = np.frexp(op_norm(cur.transpose(2, 0, 1)))
+        recorded[mark][...] = ((exps + e) * LN2 + np.log(m)).reshape(shape)
 
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
         _check_finite(mats, m0)
+        c = mats[..., 1, 1].real.max()
+        shift = math.ceil(min(SPAN + 1, math.log2(8.0 * c * w)))
         # Each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits).
         left, right = mats.transpose(3, 0, 2, 1)[..., None, :]
         done, at = 0, mark - m0
-        if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees;
-            cur[...] = mats[0].transpose(1, 2, 0)  # row 1 carries the empty sum
-            done = 1
-        for i, (a0, a1, scale) in enumerate(
-                zip(left[done:], right[done:], scales[done + 1:]), done):
+        if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees
+            cur[...] = mats[0].transpose(1, 2, 0)
+            done, room = 1, room - shift
+        for i, (a0, a1) in enumerate(zip(left[done:], right[done:]), done):
             if i == at:
-                _sum_logs(logs[done:i + 1], logs[i])
-                read(i)
-                mark, done = next(marks), i
+                read()
+                mark = next(marks)
                 at = mark - m0
-            np.square(parts, out=squares)
-            np.add.reduce(squares, out=sq)
-            np.add(sq[0::2], sq[1::2], out=scale)
-            scale *= 0.5
-            np.sqrt(scale, out=scale)
-            cur /= scale
+            if room < shift:  # the largest part back into [1/2, 1)
+                e = np.frexp(np.abs(parts).max(axis=(0, 2)))[1]
+                np.ldexp(parts, -e[:, None], out=parts)
+                exps += e
+                room = SPAN
+            room -= shift
             # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0 +
             # a[r, 1] row1.  a11 is real with imaginary part +0, so a11 row1
             # rounds as row1 a11, the tests' row-by-row fold.
             np.multiply(a0, row0, out=p)
             np.multiply(a1, row1, out=q)
             np.add(p, q, out=cur)
-        _sum_logs(logs[done:len(ms) + 1], logs[0])
         # The next block's stack is built without this one held.
         mats = left = right = a0 = a1 = None
-        # A non-finite product has a non-finite scale and log (row i + 1:
-        # the product of the first m0 + i steps).
-        _check_finite(logs[1:len(ms) + 1], m0 - 1)
-    read(0)
-
-
-def _sum_logs(rows, out):
-    """rows[0] plus the logs of the scales in rows[1:], row by row, into ``out``."""
-    np.log(rows[1:, :-1], out=rows[1:, :-1])
-    np.add.reduce(rows, out=out)
+    read()

@@ -52,8 +52,3 @@ def is_u11(x, tol):
     x = np.asarray(x)
     resid = x.conj().swapaxes(-1, -2) @ J @ x - J
     return bool(np.all(np.abs(resid) <= tol))
-
-
-def max_abs_diff(x, y):
-    """Entrywise max-modulus distance; the matrix metric used in tests."""
-    return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))

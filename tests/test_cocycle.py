@@ -35,6 +35,11 @@ from szegolyap.lyapunov import estimate_birkhoff
 GOLDEN = Rotation(GOLDEN_MEAN)
 
 
+def max_abs_diff(x, y):
+    """Entrywise max-modulus distance between two matrices."""
+    return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
+
+
 def random_admissible(rng):
     """Random (p, s, g) tuple in the exponential family."""
     p = PhasePoint(float(rng.random()), int(rng.integers(0, 2)))
@@ -55,7 +60,7 @@ def test_spectral_parameter_validation():
 
 def test_szego_free_case():
     s = SpectralParameter.from_turn(0.0)
-    assert m2.max_abs_diff(szego_matrix(0.0, s), np.eye(2)) == 0.0
+    assert max_abs_diff(szego_matrix(0.0, s), np.eye(2)) == 0.0
 
 
 def test_szego_hand_value():
@@ -63,7 +68,7 @@ def test_szego_hand_value():
     s = SpectralParameter.from_turn(0.0)
     f = ExpGenerator(0.6, 1).evaluate(PhasePoint(0.25, 0))
     expected = (1.0 / 0.6) * m2.mat2(1.0, 0.8j, -0.8j, 1.0)
-    assert m2.max_abs_diff(szego_matrix(f, s), expected) < 1e-14
+    assert max_abs_diff(szego_matrix(f, s), expected) < 1e-14
 
 
 def test_szego_det_is_z():
@@ -146,12 +151,12 @@ def test_szego_matrices_batch_invariant():
 
 def test_conjugator_parity_zero_is_swap():
     s = SpectralParameter.from_turn(0.31)
-    assert m2.max_abs_diff(conjugator(PhasePoint(0.9, 0), s), m2.SWAP) == 0.0
+    assert max_abs_diff(conjugator(PhasePoint(0.9, 0), s), m2.SWAP) == 0.0
 
 
 def test_conjugator_parity_one_at_z_one():
     s = SpectralParameter.from_turn(0.0)
-    assert m2.max_abs_diff(conjugator(PhasePoint(0.2, 1), s), np.eye(2)) < 1e-15
+    assert max_abs_diff(conjugator(PhasePoint(0.2, 1), s), np.eye(2)) < 1e-15
 
 
 def test_conjugator_unitary():
@@ -160,7 +165,7 @@ def test_conjugator_unitary():
         s = SpectralParameter.from_turn(float(rng.random()))
         for j in (0, 1):
             c = conjugator(PhasePoint(0.5, j), s)
-            assert m2.max_abs_diff(c.conj().T @ c, np.eye(2)) < 1e-14
+            assert max_abs_diff(c.conj().T @ c, np.eye(2)) < 1e-14
 
 
 def test_conjugation_identity():
@@ -174,7 +179,7 @@ def test_conjugation_identity():
             @ szego_matrix(g.evaluate(p), s)
             @ np.linalg.inv(conjugator(pm, s))
         )
-        assert m2.max_abs_diff(lhs, conjugated_step(p, s, g)) < 1e-12
+        assert max_abs_diff(lhs, conjugated_step(p, s, g)) < 1e-12
 
 
 def test_conjugated_step_hand_value():
@@ -182,7 +187,7 @@ def test_conjugated_step_hand_value():
     s = SpectralParameter.from_turn(0.0)
     mod = math.sqrt(1 - 0.09)
     expected = (1.0 / 0.3) * m2.mat2(-mod, 1.0, 1.0, -mod)
-    assert m2.max_abs_diff(conjugated_step(PhasePoint(0.0, 0), s, g), expected) < 1e-14
+    assert max_abs_diff(conjugated_step(PhasePoint(0.0, 0), s, g), expected) < 1e-14
 
 
 def test_conjugated_step_norm_matches_direct():
@@ -265,7 +270,7 @@ def test_accumulate_vs_direct_product_oracle():
 
 def test_accumulate_scalar_matrices():
     # 5000 steps with log norm near 2500: the direct product would
-    # overflow, the stripped log scales must add up to the closed form.
+    # overflow, the stripped powers of two must add up to the closed form.
     n = 5000
     theta0s = np.array([0.0, 0.41])
     logn, _ = grid_log_norms(theta0s, 0, GOLDEN, RealCosineGenerator(), 1.0 + 0.0j, n)
@@ -378,7 +383,7 @@ def test_cocycle_property_split_product():
         whole = direct_product(p0, GOLDEN, g, s, n + m)
         split = direct_product(pn, GOLDEN, g, s, m) @ direct_product(p0, GOLDEN, g, s, n)
         scale = float(m2.op_norm(whole))
-        assert m2.max_abs_diff(whole / scale, split / scale) < 1e-8
+        assert max_abs_diff(whole / scale, split / scale) < 1e-8
         expected = math.log(float(m2.op_norm(split)))
         assert engine_log_norm(p0, GOLDEN, g, s, n + m) == pytest.approx(
             expected, abs=1e-8 * (1 + abs(expected))
@@ -452,13 +457,12 @@ def test_block_budget_does_not_change_results(monkeypatch):
             assert np.array_equal(rec[m], rec_1[m])
 
 
-def test_deferred_log_sums_run_in_step_order(monkeypatch):
-    # A block's logs join the carried sum at a read or at the block's end,
-    # one row after another.  BUDGET = 36 makes blocks of 36 steps for a
-    # lone orbit and of 12 for three, so the reads below fall at a block's
-    # first (13), middle (18) and last (24) step of the three-row call and
-    # in the lone orbit's first block of 36; a pairwise sum of nine or more
-    # logs (as np.add.reduce makes of a single column) would round apart.
+def test_reads_at_block_edges_match_lone_and_short_runs(monkeypatch):
+    # BUDGET = 36 makes blocks of 36 steps for a lone orbit and of 12 for
+    # three, so the reads below fall at a block's first (13), middle (18)
+    # and last (24) step of the three-row call and in the lone orbit's
+    # first block of 36: each equals the lone orbit's read and a run of
+    # that many steps, bit for bit.
     monkeypatch.setattr(cocycle, "BUDGET", 36)
     rng = np.random.default_rng(19)
     gens = [ExpGenerator(0.3, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1j, -1, 0.5]),
@@ -716,6 +720,7 @@ def test_wide_batch_peak_memory():
     # and 1.07 with them); folded as one batch, 32768 orbits peaked at 7.38
     # (7.63).  Beyond one tile a batch may add only its result vectors: the
     # log norms, one per checkpoint and the copy returned for a checkpoint at n.
+    # With the product rescaled by powers of two: 0.48 (0.48) and 0.72 (0.97).
     for marks in (None, [1, 2]):
         one_tile = _traced_peak(cocycle.TILE, marks)
         for b in (4 * cocycle.TILE, 16 * cocycle.TILE):
@@ -729,17 +734,25 @@ def test_fold_memory_does_not_grow_with_steps():
     # one-step matrices is dropped before the next is built, so 4096 steps
     # (128 blocks of BUDGET // 64 steps at 64 orbits) peak as high as 64
     # steps (two blocks), to within one block's stack.  The traced peak is
-    # 0.301 MiB for both (0.364 with extended-precision copies of f).
+    # 0.284 MiB for both (0.301 with a block array of scales, 0.364 with
+    # extended-precision copies of f).
     stack = 4 * 16 * (cocycle.BUDGET // 64) * 64
     for marks in (None, [1, 63, 64]):
         short = _traced_peak(64, marks, 64)
         assert abs(_traced_peak(64, marks, 4096) - short) <= stack, marks
 
 
+def _mp_log_op_norm(prod):
+    """log sigma_max of an mpmath 2x2 matrix, in closed form."""
+    fro2 = sum(abs(prod[i, j]) ** 2 for i in range(2) for j in range(2))
+    det2 = abs(mpmath.det(prod)) ** 2
+    return mpmath.log((fro2 + mpmath.sqrt(fro2**2 - 4 * det2)) / 2) / 2
+
+
 def _oracle_log_norm(fs, z):
     """log sigma_max of the product of the one-step matrices at the
     coefficients ``fs`` (step order) and z, in 50-digit arithmetic from
-    the same doubles; sigma_max in closed form."""
+    the same doubles."""
     with mpmath.workdps(50):
         z = mpmath.mpc(z)
         prod = mpmath.eye(2)
@@ -747,9 +760,7 @@ def _oracle_log_norm(fs, z):
             f = mpmath.mpc(f)
             c = 1 / mpmath.sqrt(1 - abs(f) ** 2)
             prod = c * mpmath.matrix([[z, -mpmath.conj(f)], [-f * z, 1]]) * prod
-        fro2 = sum(abs(prod[i, j]) ** 2 for i in range(2) for j in range(2))
-        det2 = abs(mpmath.det(prod)) ** 2
-        return float(mpmath.log((fro2 + mpmath.sqrt(fro2**2 - 4 * det2)) / 2) / 2)
+        return float(_mp_log_op_norm(prod))
 
 
 @pytest.mark.parametrize("family", ["exp", "perturbed"])
@@ -781,8 +792,8 @@ def test_short_products_match_mpmath_oracle(family):
 @pytest.mark.parametrize("budget", [1, cocycle.BUDGET], ids=["one-step", "default"])
 def test_operator_norm_only_at_read_steps(monkeypatch, budget):
     # Only the checkpoints and step n take the operator norm, to read the
-    # log norm; every step renormalizes by the entries' root mean square,
-    # so the reads change no result.
+    # log norm; the renormalization takes none, and the reads change no
+    # result.
     calls = []
 
     def counting(x):
@@ -810,8 +821,9 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     """The engine's arithmetic written plainly: the coefficients of all n
     steps from ``% 1.0`` angles, one generator call per row of the (R, N)
     start grid, one stack of all R N orbits, and the row-by-row fold with a
-    temporary per product, RMS renormalization at every step and the log
-    operator norm at every read."""
+    temporary per product, renormalized by a power of two at every step
+    (the engine rescales rarely), read as (E + e) log 2 + log m with m, e
+    the frexp of the operator norm and E the exponents stripped so far."""
     rows, w = theta0s.shape
     b = rows * w
     ms = np.arange(n)[:, None]
@@ -822,8 +834,7 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     mats = cocycle.szego_matrices(fs, np.tile(np.broadcast_to(zs, (w,)), rows))
     cur = np.zeros((2, 2, b), dtype=complex)
     cur[0, 0] = cur[1, 1] = 1.0
-    parts = cur.view(float).reshape(4, 2 * b)
-    logn, recorded = np.zeros(b), {}
+    exps, recorded = np.zeros(b, dtype=int), {}
     for i in range(n):
         a = mats[i]
         top = a[:, 0, 0] * cur[0]
@@ -832,21 +843,24 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
         cur[1] += a[:, 1, 0] * cur[0]
         cur[0] = top
         if i + 1 in marks or i + 1 == n:
-            recorded[i + 1] = (logn + np.log(m2.op_norm(cur.transpose(2, 0, 1)))).reshape(rows, w)
-        sq = np.einsum("ij,ij->j", parts, parts)
-        scale = np.sqrt((sq[0::2] + sq[1::2]) * 0.5)
-        cur /= scale
-        logn = logn + np.log(scale)
+            m, e = np.frexp(m2.op_norm(cur.transpose(2, 0, 1)))
+            recorded[i + 1] = ((exps + e) * math.log(2.0) + np.log(m)).reshape(rows, w)
+        e = np.frexp(np.maximum(np.abs(cur.real), np.abs(cur.imag)).max(axis=(0, 1)))[1]
+        for part in (cur.real, cur.imag):
+            np.ldexp(part, -e, out=part)
+        exps = exps + e
     return recorded
 
 
-def _assert_matches_reference(rng, kinds, width, n, marks, budget, tile, shared=False):
+def _assert_matches_reference(rng, kinds, width, n, marks, budget, tile, shared=False,
+                              zs=None):
     gens = [_random_generator(rng, kind) for kind in kinds]
     shape = (len(gens), width)
     thetas, j0s = rng.random(shape), rng.integers(0, 2, shape)
-    zs = np.exp(2j * np.pi * rng.random(width))
+    if zs is None:
+        zs = np.exp(2j * np.pi * rng.random(width))
     if shared:
-        j0s, zs = j0s[0, 0], zs[0]
+        j0s, zs = j0s[0, 0], np.broadcast_to(zs, width)[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "BUDGET", budget)
         mp.setattr(cocycle, "TILE", tile)
@@ -888,6 +902,88 @@ def test_engine_matches_reference_fold_wide_batch():
     for tile in (7, 1000, cocycle.TILE):
         _assert_matches_reference(np.random.default_rng(15), ["exp", "perturbed"],
                                   1500, 12, {1, 5, 11}, cocycle.BUDGET, tile)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [ExpGenerator(1e-7, 2), ExpGenerator(0.4, -1),
+     PerturbedGenerator(1e-7, 1, 0.5 * lambda_max(1e-7, [1, 1j]), [1, 1j]),
+     PerturbedGenerator(0.5, 2, 0.02, [1, 1j, -1, 0.5]),
+     ConstantGenerator((1.0 - 1e-14) * np.exp(0.6j))],
+    ids=["exp-1e-7", "exp", "perturbed-1e-7", "perturbed", "constant-near-circle"],
+)
+def test_rescaling_steps_do_not_change_results(monkeypatch, g):
+    # SPAN = 0 rescales the product before every step, the default every
+    # SPAN // log2(8 c) steps or so (7 at eps = 1e-7 and near the circle);
+    # powers of two scale exactly, so every read keeps its bits, in tiles
+    # and blocks of any length.
+    rng = np.random.default_rng(23)
+    b, n, marks = 12, 300, [1, 7, 8, 150, 299]
+    args = (rng.random(b), rng.integers(0, 2, b), GOLDEN, g,
+            np.exp(2j * np.pi * rng.random(b)), n)
+    logn, rec = grid_log_norms(*args, checkpoints=marks)
+    monkeypatch.setattr(cocycle, "SPAN", 0)
+    for tile, budget in [(cocycle.TILE, cocycle.BUDGET), (1, 7), (5, 1)]:
+        monkeypatch.setattr(cocycle, "TILE", tile)
+        monkeypatch.setattr(cocycle, "BUDGET", budget)
+        every, rec_every = grid_log_norms(*args, checkpoints=marks)
+        assert every.tobytes() == logn.tobytes()
+        for m in marks:
+            assert rec_every[m].tobytes() == rec[m].tobytes()
+
+
+def test_products_of_large_prefactors_do_not_overflow():
+    # A real constant f = 1 - 1e-12 at z = 1: A = c [[1, -f], [-f, 1]] is
+    # symmetric with eigenvalues c (1 +- f), so log ||A_n|| = n artanh f,
+    # about 72500 at n = 5000.  With c = 7.1e5 a step moves the product's
+    # exponent by up to 21 bits: rescaling every 50 steps, as at c = 2,
+    # would overflow.
+    f, n = 1.0 - 1e-12, 5000
+    logn, _ = grid_log_norms([0.0, 0.3], 0, GOLDEN, ConstantGenerator(f), 1.0, n)
+    assert logn == pytest.approx(n * math.atanh(f), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "g", [ExpGenerator(0.3, 1), ExpGenerator(0.5, 1),
+          PerturbedGenerator(0.5, 2, 0.02, [1, 1j, -1, 0.5])],
+    ids=["exp-0.3", "exp-0.5", "perturbed"],
+)
+def test_log_norms_match_60_digit_fold(g):
+    # The engine's one-step matrices folded in 60 digits.  The fold and the
+    # read are the engine's only roundings: the median relative error of
+    # log ||A_300|| over 16 orbits was 3.7e-17 to 7.4e-17, against 2.4e-16
+    # to 4.4e-16 for a sum of one log scale per step.  A single orbit can
+    # lose up to 1e-14 where the product nearly cancels, to the fold's own
+    # rounding, whatever the renormalization.
+    rng = np.random.default_rng(99)
+    b, n = 16, 300
+    thetas, j0s = rng.random(b), rng.integers(0, 2, b)
+    zs = np.exp(2j * np.pi * rng.random(b))
+    logn, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, n)
+    ms = np.arange(n)[:, None]
+    mats = cocycle.szego_matrices(
+        g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2), zs)
+    errors = []
+    with mpmath.workdps(60):
+        for i in range(b):
+            prod = mpmath.eye(2)
+            for a in mats[:, i]:
+                prod = mpmath.matrix(a.tolist()) * prod
+            expected = _mp_log_op_norm(prod)
+            errors.append(float(abs(logn[i] - expected) / expected))
+    assert np.median(errors) <= 1e-16
+    assert max(errors) <= 2e-15
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5j, -2.0, 1e-3])
+def test_engine_matches_reference_fold_off_the_circle(z):
+    # Off the unit circle a step moves the product's exponent by up to
+    # log2(8 c max(|z|, 1/|z|)), and at z = 0 it may fall without bound, so
+    # the engine rescales before every step; either way it keeps the bits
+    # of the reference fold.
+    _assert_matches_reference(np.random.default_rng(25), ["exp", "perturbed"], 5, 400,
+                              {1, 57, 399}, cocycle.BUDGET, cocycle.TILE, shared=True,
+                              zs=z)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])

@@ -316,12 +316,14 @@ def test_phase_average_peak_memory():
     # and a block array of scales made per tile: 4756200 and 1292528
     # (2659008 and 1030360 at z = 1).  A multiply forming both halves of
     # a @ cur in one call buffered both of its broadcast operands, 2 x 128
-    # KiB at 1024-orbit tiles, and peaked at 4871184 and 1407416.
+    # KiB at 1024-orbit tiles, and peaked at 4871184 and 1407416.  With the
+    # product rescaled by powers of two and no block array of scales:
+    # 4743536 and 1275808 (2646360 and 1013640 at z = 1).
     g = ExpGenerator(0.5, 1)
-    for turn in (0.0, 0.3):
+    for turn, profile, estimate in [(0.0, 2646360, 1013640), (0.3, 4743536, 1275808)]:
         s = SpectralParameter.from_turn(turn)
-        assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, s, 64, 4096)) <= 4886272
-        assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, s, 2, 32768)) <= 1644824
+        assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, s, 64, 4096)) <= profile
+        assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, s, 2, 32768)) <= estimate
 
 
 def test_birkhoff_batch_peak_memory():
@@ -329,12 +331,13 @@ def test_birkhoff_batch_peak_memory():
     # steps: ten blocks of BUDGET // 64 steps.  The traced peak was 331792
     # bytes with a log per step and a buffer of squares, logs and scales
     # made once per call; 330552 with the squares in the product buffer and
-    # a block array of scales, whose logs are summed once per block.
+    # a block array of scales, whose logs are summed once per block;
+    # 313928 with the product rescaled by powers of two.
     rng = np.random.default_rng(5)
     thetas, j0s = rng.random((2, 32)), rng.integers(0, 2, (2, 32))
     zs = np.exp(2j * np.pi * np.arange(32) / 32)
     gens = [ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)]
-    assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, gens, zs, 320)) <= 331792
+    assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, gens, zs, 320)) <= 313928
 
 
 def test_cross_estimator_consistency():
