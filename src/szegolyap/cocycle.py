@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, Rotation, ExpGenerator
+from .dynamics import ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
 from .mat2 import SWAP, mat2, op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
@@ -136,20 +136,36 @@ def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
     )
 
 
+def _runs(gens):
+    """The rows of ``gens``, one generator per row, as (rows, generator)
+    pairs: each maximal run of two or more consecutive PerturbedGenerator
+    rows of one k as its slice and one ``PerturbedGenerator.run``, any other
+    row as its index and its own generator.  None, and nothing kept for
+    the call, when no run has two rows."""
+    starts = [0] + [i for i in range(1, len(gens)) if not (
+        type(gens[i - 1]) is type(gens[i]) is PerturbedGenerator
+        and gens[i - 1].k == gens[i].k)]
+    if len(starts) == len(gens):
+        return None
+    return [(slice(lo, hi), PerturbedGenerator.run(gens[lo:hi])) if hi - lo > 1
+            else (lo, gens[lo]) for lo, hi in zip(starts, starts[1:] + [len(gens)])]
+
+
 def _coefficients(theta0s, j0, r: Rotation, g, ms):
     """Coefficients of a tile's orbits at the steps in ``ms``: the angles
     theta0 + m alpha, reduced by subtracting their floor (``% 1.0`` bit for
     bit), broadcast with the parities j0 + m (mod 2).  One generator takes
-    every orbit in one call, each angle once for all rows; a sequence of one
-    generator per row takes its row's orbits."""
+    every orbit in one call, each angle once for all rows.  A sequence of
+    one generator per row, or its ``_runs`` pairs, takes one call per run
+    of perturbed rows (``_runs``) and one per other row."""
     thetas = theta0s + ms * r.alpha
     thetas -= np.floor(thetas)
     parity = (j0 + ms) % 2
     out = np.empty(np.broadcast(thetas, parity).shape, dtype=complex)
-    if isinstance(g, (list, tuple)):  # one generator per row
+    if isinstance(g, (list, tuple)):
         thetas, parity = np.broadcast_arrays(thetas, parity)
-        for row, gen in enumerate(g):
-            out[:, row] = gen.evaluate_grid(thetas[:, row], parity[:, row])
+        for rows, gen in g if isinstance(g[0], tuple) else _runs(g) or enumerate(g):
+            out[:, rows] = gen.evaluate_grid(thetas[:, rows], parity[:, rows])
     else:
         out[...] = g.evaluate_grid(thetas, parity)
     return out
@@ -192,10 +208,13 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
 
     The orbits are folded over all n steps a tile at a time, all R rows of
     TILE // R columns (at least one).  A tile builds at most BUDGET
-    one-step matrices per block, with one generator call per block (one
-    per row for a sequence), and folds them step by step, in the same
-    arithmetic at any block length.  A generator evaluates each (angle,
-    parity) pair on its own, so a result depends only on (theta0, j0, z,
+    one-step matrices per block and folds them step by step, in the same
+    arithmetic at any block length.  A block calls one generator once; a
+    sequence once per maximal run of two or more consecutive
+    PerturbedGenerator rows of one k (one ``PerturbedGenerator.run``, made
+    once per call) and once per other row.  A generator evaluates each
+    (angle, parity) pair on its own, and a run gives every row the bits of
+    the row's own call, so a result depends only on (theta0, j0, z,
     g, n): not on the rest of the batch, TILE, BUDGET, the checkpoints or
     the steps at which the product was rescaled, and is reproducible bit
     for bit.  A blowup names the earliest step of any tile with a
@@ -209,9 +228,11 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     shape = np.broadcast_shapes(np.shape(j0), theta0s.shape)
     theta0s, j0 = np.atleast_2d(theta0s, j0)
     rows, size = np.broadcast_shapes(theta0s.shape, j0.shape)
-    if isinstance(g, (list, tuple)) and len(g) != rows:
-        raise ValueError(f"{len(g)} generators for {rows} rows of orbits: "
-                         "pass one generator, or one per row")
+    if isinstance(g, (list, tuple)):
+        if len(g) != rows:
+            raise ValueError(f"{len(g)} generators for {rows} rows of orbits: "
+                             "pass one generator, or one per row")
+        g = _runs(g) or g  # the runs' constants once per call
     zs = np.broadcast_to(np.asarray(zs, dtype=complex), size)
     cols = max(1, TILE // rows)
     recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []

@@ -182,10 +182,32 @@ class PerturbedGenerator:
     def evaluate(self, p: PhasePoint) -> complex:
         return complex(self.evaluate_grid(np.array([p.theta]), p.j)[0])
 
+    def _constants(self):
+        """The modulus m and the couplings lambda a_l, l = -k, ..., k - 1,
+        read at each evaluation.  The products are formed in Python: numpy's
+        complex multiply rounds differently."""
+        return self.modulus, [self.lam * a for a in self.coeffs]
+
+    @classmethod
+    def run(cls, gens):
+        """One generator for the rows ``gens``, all of one k, that evaluates
+        angles shaped (..., rows, N): its constants are (rows, 1) columns of
+        the rows' own, taken now, so each row gets the bits of its own
+        ``evaluate_grid``.  Its fields are the tuples of the rows' fields;
+        only ``evaluate_grid`` serves a run."""
+        run = object.__new__(cls)
+        for name in ("epsilon", "lam", "coeffs"):
+            object.__setattr__(run, name, tuple(getattr(g, name) for g in gens))
+        object.__setattr__(run, "k", gens[0].k)
+        m, c = zip(*(g._constants() for g in gens))
+        columns = np.array(m)[:, None], [np.array(cl)[:, None] for cl in zip(*c)]
+        object.__setattr__(run, "_constants", lambda: columns)
+        return run
+
     def evaluate_grid(self, thetas, j):
+        m, c = self._constants()
         w = _phase(thetas, j, 1)
         wbar = np.conjugate(w)
-        c = [self.lam * a for a in self.coeffs]
         # Each product has its own out= array, so a value never depends on its
         # batch: numpy rounds a complex product differently in place (one
         # element) or with swapped operands (reusing a temporary, >= 256 KiB).
@@ -201,7 +223,7 @@ class PerturbedGenerator:
             np.add(neg, cl, out=spare)
             np.multiply(spare, wbar, out=neg)
         np.add(pos, neg, out=spare)
-        vals = np.multiply(spare, self.modulus, out=pos)
+        vals = np.multiply(spare, m, out=pos)
         worst = np.max(np.abs(vals))
         if worst >= 1.0:
             raise AdmissibilityError(

@@ -11,7 +11,7 @@ import pytest
 
 from szegolyap import lyapunov
 from szegolyap.cli import CSV_HEADER, main
-from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, Rotation
+from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, PerturbedGenerator, Rotation
 from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +131,28 @@ def test_birkhoff_workloads_run_one_engine_call(capsys, monkeypatch, argv, grid)
     monkeypatch.setattr(lyapunov, "grid_log_norms", spy)
     assert run(capsys, *argv)[0] == 0
     assert calls == [(grid, grid[0] * grid[1], grid[0] * grid[1])]
+
+
+@pytest.mark.parametrize("argv, exp_calls, run_calls", [
+    (["scan", "--eps", "0.3,0.5", "--z-grid", "32", "--n", "300"], 2 * 10, 0),
+    (["verify-t2", "--eps", "0.5", "--k", "2", "--coeffs", "1;1;1;1", "--z-grid", "16",
+      "--n", "100"], 5, 5),
+])
+def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_calls):
+    # The one engine call runs blocks of BUDGET // orbits steps: 10 of 32
+    # steps for scan's two rows of 32 orbits, each row one exponential call
+    # per block; 5 of 21 steps for verify-t2's six rows of 16, its
+    # unperturbed row one call per block and its five ladder rungs another.
+    calls = {ExpGenerator: [], PerturbedGenerator: []}
+    for cls, seen in calls.items():
+        def spy(self, thetas, j, seen=seen, evaluate=cls.evaluate_grid):
+            seen.append((type(self), np.shape(thetas)[1:]))
+            return evaluate(self, thetas, j)
+        monkeypatch.setattr(cls, "evaluate_grid", spy)
+    assert run(capsys, *argv)[0] == 0
+    cols = 32 if argv[0] == "scan" else 16
+    assert calls[ExpGenerator] == [(ExpGenerator, (cols,))] * exp_calls
+    assert calls[PerturbedGenerator] == [(PerturbedGenerator, (5, cols))] * run_calls
 
 
 def test_scan_empty_eps(capsys):

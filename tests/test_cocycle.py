@@ -514,9 +514,9 @@ def test_mixed_start_parities_match_single_parity_calls():
         assert np.array_equal(mixed[sel], single)
 
 
-def _random_generator(rng, kind):
+def _random_generator(rng, kind, k=None):
     eps = float(rng.uniform(0.2, 0.9))
-    k = int(rng.integers(1, 4))
+    k = int(rng.integers(1, 4)) if k is None else k
     if kind == "exp":
         return ExpGenerator(eps, k * int(rng.choice([-1, 1])))
     coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
@@ -682,24 +682,34 @@ def test_reads_do_not_change_results(kind, width, n, data, budget, tile, seed):
             assert np.array_equal(rec[m], grid_log_norms(*args, m)[0])
 
 
+def _ladder(eps, k, coeffs, factors):
+    """Perturbed rows of one epsilon, k and a_l at couplings factor * lambda_max."""
+    lmax = lambda_max(eps, coeffs)
+    return [PerturbedGenerator(eps, k, f * lmax, coeffs) for f in factors]
+
+
 @pytest.mark.parametrize("width", [37, 3000, 20000])
 @pytest.mark.parametrize(
-    "g", [ExpGenerator(0.35, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1])],
-    ids=["exp", "perturbed"],
+    "g", [ExpGenerator(0.35, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1]),
+          [ExpGenerator(0.5, 2)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4, 0.2, 0.1, 0.05))],
+    ids=["exp", "perturbed", "ladder"],
 )
 def test_orbit_alone_matches_orbit_in_batch(g, width):
     # An orbit's log norm depends neither on the block length nor on the
     # rest of the batch.  A lone orbit runs in blocks of BUDGET steps, 37
     # orbits in blocks of BUDGET // 37 steps (so 60 steps span two blocks)
-    # and 3000 and 20000 orbits in tiles of TILE, the last one short.
+    # and 3000 and 20000 orbits in tiles of TILE, the last one short.  The
+    # verify-t2 ladder, one generator per row, runs its rungs as one run.
     rng = np.random.default_rng(width)
-    thetas, j0s = rng.random(width), rng.integers(0, 2, width)
+    gens = g if isinstance(g, list) else [g]
+    thetas, j0s = rng.random((len(gens), width)), rng.integers(0, 2, (len(gens), width))
     zs = np.exp(2j * np.pi * rng.random(width))
     n = 60
     batch, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, n)
     for i in rng.choice(width, 12, replace=False):
-        alone, _ = grid_log_norms(thetas[i:i + 1], j0s[i], GOLDEN, g, zs[i], n)
-        assert alone[0] == batch[i]
+        for row, gen in enumerate(gens):
+            alone, _ = grid_log_norms(thetas[row, i:i + 1], j0s[row, i], GOLDEN, gen, zs[i], n)
+            assert alone[0] == batch[row, i]
 
 
 def _traced_peak(b, marks, n=2):
@@ -986,14 +996,33 @@ def test_engine_matches_reference_fold_off_the_circle(z):
                               zs=z)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 4])
-def test_coefficients_match_mod_one_angles(rows):
+def _boundaries():
+    # Runs end at a k change, an exponential row and a constant row.
+    return ([ExpGenerator(0.4, 1)] + _ladder(0.3, 1, [1, 0.5j], (0.9, 0.1))
+            + _ladder(0.6, 2, [1, -1, 1j, 2], (0.0, 0.5, 0.99)) + [ConstantGenerator(0.3 - 0.2j)]
+            + _ladder(0.7, 2, [1, 1, 1, 1], (0.2, 0.4)) + [ExpGenerator(0.5, 2)]
+            + _ladder(0.5, 2, [1, 1, 1, 1], (0.3,)))
+
+
+@pytest.mark.parametrize("seed, gens, runs", [
+    (16 + rows, [("exp",), ("perturbed",), ("perturbed",), ("exp",)][:rows], None)
+    for rows in (1, 2, 3, 4)
+] + [
+    (21, _ladder(0.5, 2, [1, 1, 1, 1], np.linspace(0.0, 0.99, 6)), [(0, 6)]),
+    (22, [("perturbed", 2)] * 4, [(0, 4)]),  # each row its own eps, complex a_l and lambda
+    (23, _boundaries(), [0, (1, 3), (3, 6), 6, (7, 9), 9, 10]),
+], ids=["1", "2", "3", "4", "ladder", "mixed-run", "boundaries"])
+def test_coefficients_match_mod_one_angles(seed, gens, runs):
     # Floor-reduced angles give every row's generator, and one generator
     # for all rows, the bits of (theta0 + m alpha) % 1.0, for negative
-    # starts and m up to 1e5.
-    rng = np.random.default_rng(16 + rows)
-    kinds = ["exp", "perturbed", "perturbed", "exp"][:rows]
-    gens = [_random_generator(rng, kind) for kind in kinds]
+    # starts and m up to 1e5.  A run of perturbed rows of one k, evaluated
+    # in one call, gives each row the bits of its own call.
+    rng = np.random.default_rng(seed)
+    gens = [_random_generator(rng, *g) if isinstance(g, tuple) else g for g in gens]
+    rows = len(gens)
+    if runs is not None:
+        pairs = cocycle._runs(gens)
+        assert [r if isinstance(r, int) else (r.start, r.stop) for r, _ in pairs] == runs
     theta0s = rng.uniform(-3.0, 3.0, (rows, 5))
     theta0s[0, :2] = [-0.0, -1.0]
     j0s = rng.integers(0, 2, (rows, 5))
@@ -1003,8 +1032,22 @@ def test_coefficients_match_mod_one_angles(rows):
     got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens, ms)
     for row, g in enumerate(gens):
         assert np.array_equal(got[:, row], g.evaluate_grid(thetas[:, row], parity[:, row]))
+    if runs is not None:  # the pairs that grid_log_norms makes once per call
+        assert np.array_equal(cocycle._coefficients(theta0s, j0s, GOLDEN, pairs, ms), got)
     got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens[-1], ms)
     assert np.array_equal(got, gens[-1].evaluate_grid(thetas, parity))
+
+
+def test_run_reads_lambda_at_the_call():
+    # A rung pushed past the radius after construction is evaluated with
+    # its new lambda, in its run, and escapes the disk.
+    ladder = _ladder(0.5, 1, [1, 1], (0.8, 0.4, 0.2))
+    args = np.full((3, 2), 0.1), [[0], [1], [0]], GOLDEN, ladder, 1.0, 12
+    grid_log_norms(*args)
+    object.__setattr__(ladder[1], "lam", 0.9)
+    assert [r for r, _ in cocycle._runs(ladder)] == [slice(0, 3)]
+    with pytest.raises(AdmissibilityError):
+        grid_log_norms(*args)
 
 
 @settings(max_examples=40, deadline=None)

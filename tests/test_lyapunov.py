@@ -340,6 +340,20 @@ def test_birkhoff_batch_peak_memory():
     assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, gens, zs, 320)) <= 313928
 
 
+def test_ladder_batch_peak_memory():
+    # verify-t2's shape: the unperturbed row and five ladder rungs, 16
+    # orbits each, over n = 100 steps, five blocks of BUDGET // 96 steps.
+    # The traced peak was 315968 bytes with one generator call per row,
+    # 318536 with the rungs evaluated as one run.
+    rng = np.random.default_rng(6)
+    thetas, j0s = rng.random((6, 16)), rng.integers(0, 2, (6, 16))
+    zs = np.exp(2j * np.pi * np.arange(16) / 16)
+    lmax = lambda_max(0.5, [1, 1, 1, 1])
+    gens = [ExpGenerator(0.5, 2)] + [PerturbedGenerator(0.5, 2, f * lmax, [1, 1, 1, 1])
+                                     for f in (0.8, 0.4, 0.2, 0.1, 0.05)]
+    assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, gens, zs, 100)) <= 318536
+
+
 def test_cross_estimator_consistency():
     g = ExpGenerator(0.3, 1)
     s = SpectralParameter.from_turn(0.0)
