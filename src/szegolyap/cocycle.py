@@ -260,7 +260,10 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
     # rows: cur[r] holds row r of every orbit's matrix as a contiguous
     # (2, orbits) block.
     cur, p, q = work[:12 * b].reshape(3, 2, 2, b)
-    row0, row1 = cur
+    if narrow := b <= TILE // 2:  # p and q as one (2, 2, 2, orbits) block
+        pq, cur_k = work[4 * b:12 * b].reshape(2, 2, 2, b), cur[:, None]
+    else:
+        row0, row1 = cur
     # The product's real and imaginary parts per orbit, and the exponents
     # of the powers of two stripped from them so far.
     parts = cur.view(float).reshape(4, b, 2)
@@ -288,13 +291,15 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
         _check_finite(mats, m0)
         c = mats[..., 1, 1].real.max()
         shift = math.ceil(min(SPAN + 1, math.log2(8.0 * c * w)))
-        # Each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits).
-        left, right = mats.transpose(3, 0, 2, 1)[..., None, :]
         done, at = 0, mark - m0
         if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees
             cur[...] = mats[0].transpose(1, 2, 0)
             done, room = 1, room - shift
-        for i, (a0, a1) in enumerate(zip(left[done:], right[done:]), done):
+        if narrow:  # each step's a[r, k] as one (k, r, 1, orbits) view
+            steps = mats[done:].transpose(0, 3, 2, 1)[..., None, :]
+        else:  # each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits)
+            steps = zip(*mats[done:].transpose(3, 0, 2, 1)[..., None, :])
+        for i, a in enumerate(steps, done):
             if i == at:
                 read()
                 mark = next(marks)
@@ -305,12 +310,21 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
                 exps += e
                 room = SPAN
             room -= shift
-            # cur = a @ cur in three calls: row r of p + q is a[r, 0] row0 +
-            # a[r, 1] row1.  a11 is real with imaginary part +0, so a11 row1
+            # cur = a @ cur: row r of p + q is a[r, 0] row0 + a[r, 1] row1,
+            # a first in every product.  numpy buffers both broadcast
+            # operands of a multiply, so a tile of at most TILE // 2 orbits
+            # forms p and q in one call, its 2 x 8 entries per orbit within
+            # the 2 x 4 TILE that the two calls of a wider tile buffer at a
+            # full one.  Either form multiplies the same entries in the same
+            # order, and a11 is real with imaginary part +0, so a11 row1
             # rounds as row1 a11, the tests' row-by-row fold.
-            np.multiply(a0, row0, out=p)
-            np.multiply(a1, row1, out=q)
+            if narrow:
+                np.multiply(a, cur_k, out=pq)
+            else:
+                a0, a1 = a
+                np.multiply(a0, row0, out=p)
+                np.multiply(a1, row1, out=q)
             np.add(p, q, out=cur)
         # The next block's stack is built without this one held.
-        mats = left = right = a0 = a1 = None
+        mats = steps = a = a0 = a1 = None
     read()

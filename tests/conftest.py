@@ -21,3 +21,38 @@ def corrupted_kernel(monkeypatch):
         return real(f, z) * np.sqrt((1.0 - m2) / (1.0 + m2))[..., None, None]
 
     monkeypatch.setattr(cocycle, "szego_matrices", corrupted)
+
+
+@pytest.fixture
+def step_forms(monkeypatch):
+    """A function that calls ``run()`` and returns the set of step forms the
+    product engine's fold took in it, told apart by the shapes of its
+    multiplies: ("two-call", orbits) for one multiply forming both halves
+    of a @ cur on a tile of that many orbits, ("three-call", orbits) for
+    one multiply per half."""
+
+    def forms(run):
+        seen = set()
+
+        class Spying:
+            """numpy, as the engine module sees it, with a spy on multiply."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def multiply(x, y, *args, **kwargs):
+                b, out = np.shape(y)[-1], kwargs.get("out")
+                shapes = np.shape(x), np.shape(out)
+                if shapes == ((2, 2, 1, b), (2, 2, 2, b)):
+                    seen.add(("two-call", b))
+                if shapes == ((2, 1, b), (2, 2, b)):
+                    seen.add(("three-call", b))
+                return np.multiply(x, y, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cocycle, "np", Spying())
+            run()
+        return seen
+
+    return forms

@@ -155,6 +155,20 @@ def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_cal
     assert calls[PerturbedGenerator] == [(PerturbedGenerator, (5, cols))] * run_calls
 
 
+@pytest.mark.parametrize("argv, forms", [
+    (["scan", "--eps", "0.3,0.5", "--z-grid", "32", "--n", "300"], {("two-call", 64)}),
+    (["verify-t2", "--eps", "0.5", "--k", "2", "--coeffs", "1;1;1;1", "--n", "100"],
+     {("two-call", 96)}),
+    (["verify-t1", "--eps", "0.5", "--z-grid", "1", "--n", "2", "--grid", "32768"],
+     {("three-call", 1024)}),
+], ids=["scan", "verify-t2", "verify-t1"])
+def test_step_form_of_each_benchmark_batch(capsys, step_forms, argv, forms):
+    # The benchmark's Birkhoff batches, two rows of 32 orbits and six of 16,
+    # fold in the two-call step; its phase average's 1024-orbit tiles keep
+    # the three-call step.
+    assert step_forms(lambda: run(capsys, *argv)) == forms
+
+
 def test_scan_empty_eps(capsys):
     rc, _, err = run(capsys, "scan", "--eps", ",", "--n", "10")
     assert rc == 2

@@ -739,6 +739,24 @@ def test_wide_batch_peak_memory():
         assert _traced_peak(32768, marks) <= 1.25 * 2**20, marks
 
 
+def test_narrow_tile_peak_memory(step_forms):
+    # A tile of at most TILE // 2 orbits forms both halves of a @ cur in
+    # one multiply, and numpy buffers both of its broadcast operands, 2 x 8
+    # entries per orbit; the three-call step's two multiplies buffer 2 x 4
+    # per orbit.  So the widest narrow tile peaks no higher than a full
+    # tile, which keeps the three-call step.  Traced peaks in KB at n = 2
+    # (64), without and with checkpoints: 311 and 313 (393 and 402) at 512
+    # orbits, 497 and 506 (501 and 518) at 1024; at 512 orbits the
+    # three-call step peaked at 253 and 256 (393 and 402), the block build
+    # setting the peak at n = 64.
+    half = cocycle.TILE // 2
+    assert step_forms(lambda: _traced_peak(half, None)) == {("two-call", half)}
+    assert step_forms(lambda: _traced_peak(cocycle.TILE, None)) == {("three-call", cocycle.TILE)}
+    for n in (2, 64):
+        for marks in (None, [1, 2]):
+            assert _traced_peak(half, marks, n) <= _traced_peak(cocycle.TILE, marks, n), (n, marks)
+
+
 def test_fold_memory_does_not_grow_with_steps():
     # The fold's buffers are made once per call and a block's stack of
     # one-step matrices is dropped before the next is built, so 4096 steps
@@ -940,6 +958,37 @@ def test_rescaling_steps_do_not_change_results(monkeypatch, g):
         assert every.tobytes() == logn.tobytes()
         for m in marks:
             assert rec_every[m].tobytes() == rec[m].tobytes()
+
+
+@pytest.mark.parametrize("span", [None, 0], ids=["span", "span-0"])
+@pytest.mark.parametrize("on_circle", [True, False], ids=["circle", "off-circle"])
+@pytest.mark.parametrize(
+    "gens", [[ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)],
+             [ExpGenerator(0.5, 2)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4, 0.2, 0.1, 0.05))],
+    ids=["exp", "ladder"],
+)
+def test_step_forms_agree_across_the_boundary(monkeypatch, step_forms, gens, on_circle, span):
+    # One tile of b orbits takes the two-call step at TILE = 2 b (b = TILE
+    # // 2) and the three-call step at TILE = 2 b - 2 (b = TILE // 2 + 1).
+    # Both form every product and sum from the same operands in the same
+    # order, so every log norm and checkpoint keeps its bits: over three
+    # blocks of BUDGET // 48 steps, reads at block edges, z = 0 and |z| != 1
+    # among the columns, and SPAN = 0 (a rescaling before every step).
+    rng = np.random.default_rng(24)
+    rows, cols = len(gens), 48 // len(gens)
+    b, n, marks = rows * cols, 90, [1, 2, 42, 43, 84, 89]
+    zs = (np.exp(2j * np.pi * rng.random(cols)) if on_circle
+          else np.resize([0.0, 0.5j, -2.0, 1e-3, 1.0 + 3.0j], cols))
+    args = rng.random((rows, cols)), rng.integers(0, 2, (rows, cols)), GOLDEN, gens, zs, n
+    if span is not None:
+        monkeypatch.setattr(cocycle, "SPAN", span)
+    folds = []
+    for tile, form in [(2 * b, "two-call"), (2 * b - 2, "three-call")]:
+        monkeypatch.setattr(cocycle, "TILE", tile)
+        assert step_forms(lambda: grid_log_norms(*args)) == {(form, b)}
+        logn, rec = grid_log_norms(*args, checkpoints=marks)
+        folds.append([logn.tobytes()] + [rec[m].tobytes() for m in marks])
+    assert folds[0] == folds[1]
 
 
 def test_products_of_large_prefactors_do_not_overflow():
