@@ -24,9 +24,10 @@ from .mat2 import SWAP, mat2, op_norm
 # per-block Python overhead, few enough that peak memory barely moves.
 BUDGET = 2048
 
-# Orbits per tile in grid_log_norms.  verify-t1 at 32768 orbits, n = 2, took
-# 1.27/0.95/1.06/1.05/1.01 of the untiled time in tiles of 512/1024/2048/4096/8192
-# and page-faulted 160/185/2921/4414/5065 times, untiled 4864 (2-core Xeon, glibc).
+# Orbits per tile in grid_log_norms.  A 32768-angle phase average at n = 2
+# took 17.5/11.6/8.6/8.5/7.5 ms in tiles of 256/512/1024/2048/4096 (in
+# process, 2-vCPU Xeon VM, numpy 2.4).  Wider tiles spread a tile's fixed
+# cost further, but 1024 stays: the traced-peak tests bound a tile's memory.
 TILE = 1024
 
 # The exponent of an orbit product's largest part stays within +-SPAN
@@ -193,7 +194,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     shape (R, 1), or an (R, N) array of each.  ``g`` is one coefficient
     generator, which takes each angle once for all rows, or a sequence of
     one generator per row, so that several families run as one batch;
-    ``zs`` is a scalar or one per column.  Returns ``(log_norms,
+    ``zs`` is a finite scalar or one per column.  Returns ``(log_norms,
     recorded)``, shaped like the orbits, where ``recorded[m]`` holds the
     log norms after m steps for each m in ``checkpoints`` (all in 1..n).
     Every SPAN // log2(8 c w) steps, c the largest prefactor of a block and
@@ -218,7 +219,9 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     g, n): not on the rest of the batch, TILE, BUDGET, the checkpoints or
     the steps at which the product was rescaled, and is reproducible bit
     for bit.  A blowup names the earliest step of any tile with a
-    non-finite one-step matrix.
+    non-finite one-step matrix.  A block's matrices are scanned for one
+    only where 4 c w overflows: with |f| < 1 every entry is at most 2 c w
+    in modulus, so a finite 4 c w proves them finite.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -233,7 +236,13 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
             raise ValueError(f"{len(g)} generators for {rows} rows of orbits: "
                              "pass one generator, or one per row")
         g = _runs(g) or g  # the runs' constants once per call
-    zs = np.broadcast_to(np.asarray(zs, dtype=complex), size)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if not np.isfinite(zs).all():
+        raise ValueError("spectral parameters zs must be finite")
+    # w = max(1, |z|, 1/|z|) over the call, inf at z = 0; see _fold.
+    w = np.abs(zs)
+    w = max(w.max(initial=1.0), 1.0 / w.min(initial=math.inf)) if w.all() else math.inf
+    zs = np.broadcast_to(zs, size)
     cols = max(1, TILE // rows)
     recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []
     # The fold's buffer, made once per call and cut to each tile: the
@@ -243,8 +252,8 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         tile = slice(lo, lo + cols)
         try:
             _fold(*(a[:, tile] if a.shape[1] > 1 else a for a in (theta0s, j0)), r, g,
-                  zs[tile], n, {m: out.reshape(rows, size)[:, tile]
-                                for m, out in recorded.items()}, work)
+                  zs[tile], w, n, {m: out.reshape(rows, size)[:, tile]
+                                   for m, out in recorded.items()}, work)
         except NumericalBlowupError as exc:
             blowups.append(exc)
     if blowups:
@@ -253,7 +262,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded
 
 
-def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
+def _fold(theta0s, j0, r: Rotation, g, zs, w, n: int, recorded, work):
     """Fold a tile's (R, columns) orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
     b = math.prod(shape := recorded[n].shape)
     # The running product and the two halves of the next one as component
@@ -274,8 +283,6 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
     # a factor sqrt(8) of the largest part, falls at most to sigma_min(a) =
     # |z| / sigma_max(a) >= 1 / (2 c w) times its value.  At z = 0 nothing
     # bounds the fall: a shift of SPAN + 1 rescales before every step.
-    w = np.abs(zs)
-    w = max(w.max(), 1.0 / w.min()) if w.min() else math.inf
     block = max(1, BUDGET // b)
     marks = iter(sorted(recorded))
     mark, room = next(marks), SPAN
@@ -288,8 +295,16 @@ def _fold(theta0s, j0, r: Rotation, g, zs, n: int, recorded, work):
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
-        _check_finite(mats, m0)
+        # The stack is finite if 4 c w is, c its largest prefactor, and only
+        # then is it not scanned entry by entry.  szego_matrices has raised
+        # unless 1 - |f|^2 > 0, so |f| < 1 and each prefactor lies in
+        # [1, 2^537] or is NaN, and every partial result of the entries c z,
+        # conj(-c f), -c f z and c is at most 2 c max(1, |z|) <= 2 c w in
+        # modulus.  A NaN prefactor makes c NaN and fails the test, as z = 0
+        # (w = inf) and |z| near the overflow edge do.
         c = mats[..., 1, 1].real.max()
+        if not 4.0 * c * w < math.inf:
+            _check_finite(mats, m0)
         shift = math.ceil(min(SPAN + 1, math.log2(8.0 * c * w)))
         done, at = 0, mark - m0
         if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees

@@ -123,7 +123,10 @@ def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     last, rec = grid_log_norms(np.arange(grid_size) / grid_size, parities, r, g, s.z,
                                marks[-1], checkpoints=marks[:-1])
     rec[marks[-1]] = last
-    totals = [np.mean(rec[m][0]) + np.mean(rec[m][-1]) for m in marks]
+    if symmetric:  # x + x == 2 x exactly
+        totals = [2.0 * np.mean(rec[m][0]) for m in marks]
+    else:
+        totals = [np.mean(rec[m][0]) + np.mean(rec[m][1]) for m in marks]
     return np.asarray(totals) / (2.0 * np.asarray(marks))
 
 

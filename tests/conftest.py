@@ -56,3 +56,25 @@ def step_forms(monkeypatch):
         return seen
 
     return forms
+
+
+@pytest.fixture
+def finite_checks(monkeypatch):
+    """A function that calls ``run()`` and returns the shapes of the arrays
+    that the product engine scanned entry by entry for non-finite values,
+    in order: a block's (steps, orbits, 2, 2) stack of one-step matrices,
+    or (1, orbits) for the log norms of an engine call's last step."""
+
+    def checks(run):
+        seen, check = [], cocycle._check_finite
+
+        def spy(stack, m0):
+            seen.append(np.shape(stack))
+            check(stack, m0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cocycle, "_check_finite", spy)
+            run()
+        return seen
+
+    return checks

@@ -169,6 +169,21 @@ def test_step_form_of_each_benchmark_batch(capsys, step_forms, argv, forms):
     assert step_forms(lambda: run(capsys, *argv)) == forms
 
 
+@pytest.mark.parametrize("argv, checks", [
+    (["scan", "--eps", "0.3,0.5", "--z-grid", "32", "--n", "300"], [(1, 64)]),
+    (["verify-t2", "--eps", "0.5", "--k", "2", "--coeffs", "1;1;1;1", "--n", "100"],
+     [(1, 96)]),
+    (["verify-t1", "--eps", "0.5", "--z-grid", "1", "--n", "2", "--grid", "32768"],
+     [(1, 32768)]),
+], ids=["scan", "verify-t2", "verify-t1"])
+def test_benchmark_batches_scan_no_stack(capsys, finite_checks, argv, checks):
+    # The largest prefactor and |z| prove every block of the benchmark's
+    # batches finite, so the engine scans only the log norms of each
+    # call's last step: scan's and verify-t2's one batch, and the phase
+    # average's 32 tiles of 1024 orbits.
+    assert finite_checks(lambda: run(capsys, *argv)) == checks
+
+
 def test_scan_empty_eps(capsys):
     rc, _, err = run(capsys, "scan", "--eps", ",", "--n", "10")
     assert rc == 2

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from szegolyap import cocycle
@@ -351,6 +351,61 @@ def test_faults_on_one_parity_row(monkeypatch, budget, tile):
     object.__setattr__(g, "lam", 0.9)  # past the radius the constructor enforces
     with pytest.raises(AdmissibilityError):
         grid_log_norms(*args, g, 1.0, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                 st.floats(1e-16, 1e-8).map(lambda d: 1.0 - d)),
+                       st.floats(0.0, 1.0)), min_size=1, max_size=6),
+    st.one_of(st.just(0.0), st.floats(-1000.0, 500.0).map(lambda e: 2.0**e)),
+    st.floats(0.0, 1.0),
+)
+def test_one_step_entries_are_bounded_by_the_largest_prefactor(fs, z_mod, z_turn):
+    # The premise of the engine's finiteness proof: for admissible f (|f| <
+    # 1, down to 1 - |f| of about 1e-16) and finite z, |z| <= 2^500, the
+    # (1, 1) entry of a one-step matrix is its prefactor c = (1 -
+    # |f|^2)^(-1/2), so the stack's largest (1, 1) real part is the largest
+    # c, and every entry is at most 2 c max(1, |z|) in modulus.
+    f = np.array([r * np.exp(2j * np.pi * t) for r, t in fs])
+    z = z_mod * np.exp(2j * np.pi * z_turn)
+    try:
+        mats = cocycle.szego_matrices(f, z)
+    except DegenerateCoefficientError:
+        assume(False)  # |f| rounded to 1
+    a11 = mats[..., 1, 1]
+    assert np.all(a11.imag == 0.0)
+    c = a11.real
+    with mpmath.workdps(40):
+        for x, cx in zip(f, c):  # 1 - |f|^2 ~ 2e-16 keeps 4 digits in extended precision
+            rem = 1 - mpmath.mpf(x.real) ** 2 - mpmath.mpf(x.imag) ** 2
+            assert float(cx**2 * rem) == pytest.approx(1.0, rel=1e-3)
+    assert np.all((1.0 <= c) & (c <= 2.0**537))
+    assert np.all(np.abs(mats) <= 2.0 * c[:, None, None] * max(1.0, abs(z)))
+    assert np.isfinite(mats).all()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)],
+                         ids=["inf", "nan", "imaginary-inf"])
+def test_non_finite_spectral_parameters_are_rejected(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        grid_log_norms([0.1, 0.2, 0.3], [[0], [1]], GOLDEN, ExpGenerator(0.5, 1),
+                       [1.0, bad, 1j], 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unproven_blocks_are_scanned(finite_checks):
+    # A NaN coefficient makes the largest prefactor NaN, and z = 0 makes
+    # max(|z|, 1/|z|) infinite: either way a block's stack is scanned entry
+    # by entry, and a NaN still names its step.
+    def nan():
+        with pytest.raises(NumericalBlowupError, match=r"at step 1$"):
+            grid_log_norms([0.1, 0.2], 0, GOLDEN, NaNGenerator(), 1.0, 3)
+
+    assert finite_checks(nan) == [(3, 2, 2, 2)]
+    args = [0.1, 0.2, 0.3], [[0], [1]], GOLDEN, ExpGenerator(0.5, 1), [1.0, 0.0, 1j], 5
+    assert finite_checks(lambda: grid_log_norms(*args)) == [(5, 6, 2, 2), (1, 6)]
+    assert finite_checks(lambda: grid_log_norms(*args[:4], 1.0, 5)) == [(1, 6)]
 
 
 def test_orbit_product_single_step():
