@@ -13,7 +13,6 @@ from szegolyap import (
     ExpGenerator,
     GOLDEN_MEAN,
     Rotation,
-    SpectralParameter,
     phase_average_profile,
     theorem1_bound,
 )
@@ -27,7 +26,7 @@ print()
 print("finite-n phase averages vs the bound, eps = 0.5, k = 1, z = 1:")
 r = Rotation(GOLDEN_MEAN)
 g = ExpGenerator(0.5, 1)
-prof = phase_average_profile(r, g, SpectralParameter.from_turn(0.0), 8, 1024)
+prof = phase_average_profile(r, g, 1.0, 8, 1024)
 bound = theorem1_bound(0.5)
 for n, v in enumerate(prof, start=1):
     print(f"  n={n}: {v:.6f}  margin {v - bound:+.6f}")

@@ -12,23 +12,14 @@ from .dynamics import (
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
-    PhasePoint,
     Rotation,
     lambda_max,
-    step,
 )
-from .cocycle import (
-    DegenerateCoefficientError,
-    NumericalBlowupError,
-    SpectralParameter,
-    conjugated_step,
-    conjugator,
-    szego_matrix,
-)
+from .cocycle import DegenerateCoefficientError, NumericalBlowupError
 from .lyapunov import (
     LyapunovEstimate,
     SubharmonicReport,
-    estimate_birkhoff,
+    birkhoff_scan,
     estimate_phase_average,
     phase_average_profile,
     subharmonic_check,
@@ -46,18 +37,12 @@ __all__ = [
     "LyapunovEstimate",
     "NumericalBlowupError",
     "PerturbedGenerator",
-    "PhasePoint",
     "Rotation",
-    "SpectralParameter",
     "SubharmonicReport",
-    "conjugated_step",
-    "conjugator",
-    "estimate_birkhoff",
+    "birkhoff_scan",
     "estimate_phase_average",
     "lambda_max",
     "phase_average_profile",
-    "step",
     "subharmonic_check",
-    "szego_matrix",
     "theorem1_bound",
 ]

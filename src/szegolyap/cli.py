@@ -15,11 +15,7 @@ import sys
 import numpy as np
 
 from . import svgchart
-from .cocycle import (
-    DegenerateCoefficientError,
-    NumericalBlowupError,
-    SpectralParameter,
-)
+from .cocycle import DegenerateCoefficientError, NumericalBlowupError
 from .dynamics import (
     AdmissibilityError,
     ExpGenerator,
@@ -127,6 +123,7 @@ nonnegative_float = _number_type(float, lambda v: 0.0 <= v < math.inf,
 
 
 def _z_points(z_grid):
+    """The turns t = i / z_grid and their points z = e^(2 pi i t)."""
     ts = np.arange(z_grid) / z_grid
     zs = np.exp(2j * math.pi * ts)
     return ts, zs
@@ -144,12 +141,11 @@ def _birkhoff_batch(rng, r, gens, zs, n):
     return birkhoff_scan(theta0s, j0s, r, gens, zs, n)
 
 
-def _phase_grid(r, gens, ts, n, grid):
-    """Phase-average estimates over the z points at turns ``ts`` for each
-    generator in ``gens``, shaped (generators, z points)."""
+def _phase_grid(r, gens, zs, n, grid):
+    """Phase-average estimates over the z points ``zs`` for each generator
+    in ``gens``, shaped (generators, z points)."""
     return np.array([
-        [estimate_phase_average(r, g, SpectralParameter.from_turn(t), n, grid).gamma_hat
-         for t in ts]
+        [estimate_phase_average(r, g, z, n, grid).gamma_hat for z in zs]
         for g in gens
     ])
 
@@ -192,7 +188,7 @@ def cmd_scan(args) -> int:
     if "birkhoff" in methods:
         results["birkhoff"] = _birkhoff_batch(rng, r, gens, zs, args.n)
     if "phaseAverage" in methods:
-        results["phaseAverage"] = _phase_grid(r, gens, ts, args.n, args.grid)
+        results["phaseAverage"] = _phase_grid(r, gens, zs, args.n, args.grid)
     rows = []
     for e, (eps, g) in enumerate(zip(args.eps, gens)):
         bound = reference_bound(g)
@@ -232,12 +228,12 @@ def cmd_scan(args) -> int:
 
 def cmd_verify_t1(args) -> int:
     r = Rotation(args.alpha)
-    ts, _ = _z_points(args.z_grid)
+    ts, zs = _z_points(args.z_grid)
     worst = (math.inf, None, None)
     for eps in args.eps:
         g = ExpGenerator(eps, args.k)
         bound = theorem1_bound(eps)
-        margins = _phase_grid(r, [g], ts, args.n, args.grid)[0] - bound
+        margins = _phase_grid(r, [g], zs, args.n, args.grid)[0] - bound
         i = int(np.argmin(margins))
         if margins[i] < worst[0]:
             worst = (margins[i], eps, ts[i])
@@ -310,15 +306,14 @@ def cmd_verify_t2(args) -> int:
 
 def cmd_subharmonic(args) -> int:
     r = Rotation(args.alpha)
-    ts, _ = _z_points(args.z_grid)
+    ts, zs = _z_points(args.z_grid)
     print(f"{'eps':>6} {'z_arg':>8} {'j0':>3} {'circle_avg':>13} {'center':>13} {'slack':>12}")
     ok = True
     for eps in args.eps:
         g = ExpGenerator(eps, args.k)
-        for t in ts:
-            s = SpectralParameter.from_turn(t)
+        for t, z in zip(ts, zs):
             for j0 in (0, 1):
-                rep = subharmonic_check(r, g, s, j0, args.n)
+                rep = subharmonic_check(r, g, z, j0, args.n)
                 ok = ok and rep.slack >= -args.tol
                 print(
                     f"{eps:>6g} {t:>8g} {j0:>3d} {rep.circle_average:>13.8f} "

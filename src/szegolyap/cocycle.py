@@ -1,23 +1,22 @@
-"""Szego cocycle matrices, conjugation, and renormalized orbit products.
+"""Szego cocycle matrices and renormalized orbit products.
 
-The one-step matrix at spectral parameter z on the unit circle and
-coefficient value f in D is
+The one-step matrix at a finite spectral parameter z and coefficient value
+f in D is
 
     A = (1 - |f|^2)^(-1/2) [[z, -conj(f)], [-f z, 1]],
 
-an element of U(1,1) with det A = z.  Orbit products are renormalized by
-exact powers of two, whose exponents are summed per orbit, so products of
-any length never overflow and the scaling never rounds.
+with det A = z, an element of U(1,1) where |z| = 1.  Orbit products are
+renormalized by exact powers of two, whose exponents are summed per
+orbit, so products of any length never overflow and the scaling never
+rounds.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
-from .mat2 import SWAP, mat2, op_norm
+from .dynamics import PerturbedGenerator, Rotation
+from .mat2 import op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
 # 128 KiB as a stack, about 350 KiB while being built: enough to spread the
@@ -42,36 +41,7 @@ class DegenerateCoefficientError(ArithmeticError):
 
 
 class NumericalBlowupError(ArithmeticError):
-    """An orbit product produced non-finite entries."""
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """A point z of the unit circle together with its square root.
-
-    The square root uses the principal branch (argument in (-pi, pi]).
-    Any fixed branch works, because z^(1/2) only ever enters through
-    unitary conjugation; a single instance carries one branch consistently
-    through a computation.
-    """
-
-    z: complex
-    sqrt_z: complex
-
-    def __post_init__(self):
-        if abs(abs(self.z) - 1.0) > 1e-14:
-            raise ValueError(f"|z| must be 1, got |z| = {abs(self.z)}")
-        if abs(self.sqrt_z**2 - self.z) > 1e-14:
-            raise ValueError("sqrt_z is not a square root of z")
-
-    @classmethod
-    def from_z(cls, z: complex) -> "SpectralParameter":
-        return cls(complex(z), cmath.sqrt(complex(z)))
-
-    @classmethod
-    def from_turn(cls, t: float) -> "SpectralParameter":
-        """z = e^(2 pi i t) for t in [0, 1)."""
-        return cls.from_z(cmath.exp(2j * math.pi * t))
+    """An orbit product produced non-finite entries, or a read of it would."""
 
 
 def szego_matrices(f, z):
@@ -101,40 +71,6 @@ def szego_matrices(f, z):
     np.multiply(t, z, out=out[1, 0, ...])
     out[1, 1] = c
     return out.transpose(*range(2, out.ndim), 0, 1)
-
-
-def szego_matrix(f_val: complex, s: SpectralParameter):
-    """Single one-step matrix A^z for coefficient value ``f_val``."""
-    if abs(f_val) >= 1.0:
-        raise DegenerateCoefficientError(f"|f| = {abs(f_val)} is not < 1")
-    return szego_matrices(f_val, s.z)
-
-
-def conjugator(p: PhasePoint, s: SpectralParameter):
-    """C^z(theta, j): the swap for j = 0, diag(z^(1/2), z^(-1/2)) for j = 1.
-
-    Depends on p only through its parity; always unitary.
-    """
-    if p.j == 0:
-        return SWAP.copy()
-    return mat2(s.sqrt_z, 0.0, 0.0, 1.0 / s.sqrt_z)
-
-
-def conjugated_step(p: PhasePoint, s: SpectralParameter, g: ExpGenerator):
-    """Closed form of C^z(theta,j) A^z(theta,j) C^z(theta,j-1)^(-1).
-
-    Valid for the simple-exponential family only; j - 1 is parity
-    arithmetic (mod 2).
-    """
-    if not isinstance(g, ExpGenerator):
-        raise TypeError("conjugated_step is defined for the exponential family only")
-    mod = g.modulus
-    phase = cmath.exp(2j * math.pi * g.k * p.theta)
-    zj = s.z if p.j == 1 else 1.0
-    zmj = 1.0 / s.z if p.j == 1 else 1.0
-    return (s.sqrt_z / g.epsilon) * mat2(
-        -mod * phase, zj, zmj, -mod * phase.conjugate()
-    )
 
 
 def _runs(gens):
@@ -219,9 +155,11 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     g, n): not on the rest of the batch, TILE, BUDGET, the checkpoints or
     the steps at which the product was rescaled, and is reproducible bit
     for bit.  A blowup names the earliest step of any tile with a
-    non-finite one-step matrix.  A block's matrices are scanned for one
-    only where 4 c w overflows: with |f| < 1 every entry is at most 2 c w
-    in modulus, so a finite 4 c w proves them finite.
+    non-finite one-step matrix; finite ones with c (1 + |z|^2)^(1/2) >=
+    2^254 raise NumericalBlowupError naming that bound (see ``_fold``).  A
+    block's matrices are scanned for one only where 4 c w overflows: with
+    |f| < 1 every entry is at most 2 c w in modulus, so a finite 4 c w
+    proves them finite.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -239,9 +177,10 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.isfinite(zs).all():
         raise ValueError("spectral parameters zs must be finite")
-    # w = max(1, |z|, 1/|z|) over the call, inf at z = 0; see _fold.
+    # w = max(1, |z|, 1/|z|) over the call, inf where 1/|z| overflows; see _fold.
     w = np.abs(zs)
-    w = max(w.max(initial=1.0), 1.0 / w.min(initial=math.inf)) if w.all() else math.inf
+    top, low = float(w.max(initial=1.0)), float(w.min(initial=math.inf))
+    w, reach = max(top, 1.0 / low if low else math.inf), math.hypot(1.0, top)
     zs = np.broadcast_to(zs, size)
     cols = max(1, TILE // rows)
     recorded, blowups = {m: np.empty(shape) for m in sorted(wanted | {n})}, []
@@ -252,8 +191,8 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
         tile = slice(lo, lo + cols)
         try:
             _fold(*(a[:, tile] if a.shape[1] > 1 else a for a in (theta0s, j0)), r, g,
-                  zs[tile], w, n, {m: out.reshape(rows, size)[:, tile]
-                                   for m, out in recorded.items()}, work)
+                  zs[tile], w, reach, n, {m: out.reshape(rows, size)[:, tile]
+                                          for m, out in recorded.items()}, work)
         except NumericalBlowupError as exc:
             blowups.append(exc)
     if blowups:
@@ -262,7 +201,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     return (recorded[n].copy() if n in wanted else recorded.pop(n)), recorded
 
 
-def _fold(theta0s, j0, r: Rotation, g, zs, w, n: int, recorded, work):
+def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
     """Fold a tile's (R, columns) orbits into ``recorded`` in ``work``; see ``grid_log_norms``."""
     b = math.prod(shape := recorded[n].shape)
     # The running product and the two halves of the next one as component
@@ -296,15 +235,25 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, n: int, recorded, work):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
         mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
         # The stack is finite if 4 c w is, c its largest prefactor, and only
-        # then is it not scanned entry by entry.  szego_matrices has raised
-        # unless 1 - |f|^2 > 0, so |f| < 1 and each prefactor lies in
-        # [1, 2^537] or is NaN, and every partial result of the entries c z,
-        # conj(-c f), -c f z and c is at most 2 c max(1, |z|) <= 2 c w in
-        # modulus.  A NaN prefactor makes c NaN and fails the test, as z = 0
-        # (w = inf) and |z| near the overflow edge do.
-        c = mats[..., 1, 1].real.max()
+        # then is it not scanned entry by entry: szego_matrices has raised
+        # unless |f| < 1, so each prefactor lies in [1, 2^537] or is NaN, and
+        # every partial result of the entries is at most 2 c max(1, |z|).  A
+        # NaN c fails the test, as z = 0 (w = inf) and |z| near 2^1024 do.
+        c = float(mats[..., 1, 1].real.max())
         if not 4.0 * c * w < math.inf:
             _check_finite(mats, m0)
+        # A read's op_norm squares F, the product's squared Frobenius norm.
+        # At a shift of at most SPAN the product's largest part stays below
+        # 2^SPAN: F^2 < 2^806.  At SPAN + 1 every step follows a rescaling,
+        # so F(a @ cur) <= F(a) F(cur) < 8 F(a) < 16 c^2 reach^2, as F(a) =
+        # c^2 (1 + |f|^2) (1 + |z|^2), reach = (1 + max(1, |z|)^2)^(1/2): F^2
+        # is finite while c reach < 2^254, and overflows past it.
+        if not c * reach < 2.0**254:
+            exc = NumericalBlowupError(
+                f"prefactor {c:.6g} times (1 + max(1, |z|)^2)^(1/2) = {reach:.6g} "
+                "reaches 2^254, past which op_norm's fourth powers overflow")
+            exc.step = m0 + 1
+            raise exc
         shift = math.ceil(min(SPAN + 1, math.log2(8.0 * c * w)))
         done, at = 0, mark - m0
         if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees

@@ -1,13 +1,13 @@
 """Base dynamics on T x Z_2 and the Verblunsky coefficient generators.
 
-The base system is the product of an irrational rotation on the 1-torus
-with the flip on Z_2.  Coefficient generators map a phase point to a value
-in the open unit disk.  The cocycle engine is generic over anything with
-an ``evaluate_grid(thetas, j)`` method, whose parity ``j`` is a scalar or
-an integer array broadcasting with the angles ``thetas``; ``evaluate`` at a
-single phase point serves scalar checks.  A generator whose parity-1 values
-are the conjugates of its parity-0 values, bit for bit, may say so with a
-true ``conjugate_parity``; an object without the attribute is read as false.
+The base system T(theta, j) = (theta + alpha, j + 1) is the product of an
+irrational rotation on the 1-torus with the flip on Z_2.  Coefficient
+generators map phase points to values in the open unit disk.  The cocycle
+engine is generic over anything with an ``evaluate_grid(thetas, j)``
+method, whose parity ``j`` is a scalar or an integer array broadcasting
+with the angles ``thetas``.  A generator whose parity-1 values are the
+conjugates of its parity-0 values, bit for bit, may say so with a true
+``conjugate_parity``; an object without the attribute is read as false.
 """
 
 import math
@@ -26,20 +26,6 @@ class AdmissibilityError(ValueError):
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A point (theta, j) of T x Z_2, theta reduced to [0, 1)."""
-
-    theta: float
-    j: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
-            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        if self.j not in (0, 1):
-            raise ValueError(f"j must be 0 or 1, got {self.j}")
-
-
-@dataclass(frozen=True)
 class Rotation:
     """Rotation number alpha in (0, 1); irrational in exact arithmetic."""
 
@@ -48,11 +34,6 @@ class Rotation:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-
-def step(p: PhasePoint, r: Rotation) -> PhasePoint:
-    """One application of T(theta, j) = (theta + alpha, j + 1)."""
-    return PhasePoint((p.theta + r.alpha) % 1.0, (p.j + 1) % 2)
 
 
 def _phase(thetas, j, k):
@@ -87,13 +68,6 @@ class ExpGenerator:
     @property
     def modulus(self) -> float:
         return math.sqrt(1.0 - self.epsilon**2)
-
-    def evaluate(self, p: PhasePoint) -> complex:
-        sign = 1.0 if p.j == 0 else -1.0
-        return self.modulus * complex(
-            math.cos(TWO_PI * self.k * p.theta * sign),
-            math.sin(TWO_PI * self.k * p.theta * sign),
-        )
 
     def evaluate_grid(self, thetas, j):
         """Vectorized evaluation at angles ``thetas`` and parities ``j`` (a
@@ -179,9 +153,6 @@ class PerturbedGenerator:
         conj(w) commute with conjugation when every lambda a_l is real."""
         return all((self.lam * a).imag == 0 for a in self.coeffs)
 
-    def evaluate(self, p: PhasePoint) -> complex:
-        return complex(self.evaluate_grid(np.array([p.theta]), p.j)[0])
-
     def _constants(self):
         """The modulus m and the couplings lambda a_l, l = -k, ..., k - 1,
         read at each evaluation.  The products are formed in Python: numpy's
@@ -242,9 +213,6 @@ class ConstantGenerator:
         object.__setattr__(self, "value", complex(self.value))
         if abs(self.value) >= 1.0:
             raise AdmissibilityError(f"|value| = {abs(self.value)} is not < 1")
-
-    def evaluate(self, p: PhasePoint) -> complex:
-        return self.value
 
     def evaluate_grid(self, thetas, j):
         shape = np.broadcast_shapes(np.shape(thetas), np.shape(j))

@@ -1,11 +1,11 @@
 """Lyapunov exponent estimators, the positivity bound, and the
 subharmonic mean-value checker.
 
-Two independent estimators are provided: a Birkhoff estimator along a
-single orbit (cheap, stochastic in the start point) and a phase-average
-quadrature estimator over a uniform theta grid (deterministic; the
-finite-n quantity that the subharmonicity argument bounds below for every
-n, not just in the limit).
+Two independent estimators take any finite spectral parameter z: a
+batched Birkhoff estimator, one orbit per (start point, z) job (cheap,
+stochastic in the start point), and a phase-average quadrature estimator
+over a uniform theta grid (deterministic; the finite-n quantity that the
+subharmonicity argument bounds below for every n, not just in the limit).
 """
 
 import functools
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import NumericalBlowupError, SpectralParameter, grid_log_norms
-from .dynamics import TWO_PI, ExpGenerator, PerturbedGenerator, PhasePoint, Rotation
+from .cocycle import NumericalBlowupError, grid_log_norms
+from .dynamics import TWO_PI, ExpGenerator, PerturbedGenerator, Rotation
 from .mat2 import op_norm
 
 # Gauss-Legendre nodes per breakpoint interval of the circle average; the
@@ -63,7 +63,7 @@ class LyapunovEstimate:
     """An exponent estimate together with the level it is compared against."""
 
     gamma_hat: float
-    method: str  # "birkhoff" or "phaseAverage"
+    method: str  # "phaseAverage", the estimator's CSV method name
     n: int
     samples: int
     bound: float
@@ -81,15 +81,6 @@ class SubharmonicReport:
     quad_delta: float  # node-doubling delta of circle_average; reported only
 
 
-def estimate_birkhoff(
-    p0: PhasePoint, r: Rotation, g, s: SpectralParameter, n: int
-) -> LyapunovEstimate:
-    """(1/n) log ||A^z_n(p0)|| along a single orbit."""
-    gamma = float(birkhoff_scan([p0.theta], p0.j, r, g, s.z, n)[0])
-    bound = reference_bound(g)
-    return LyapunovEstimate(gamma, "birkhoff", n, 1, bound, gamma - bound)
-
-
 def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
     """Birkhoff estimates for a grid of (start point, spectral parameter) jobs.
 
@@ -102,7 +93,7 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
     return grid_log_norms(theta0s, j0s, r, g, zs, n)[0] / n
 
 
-def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
+def _phase_means(r: Rotation, g, z, grid_size: int, marks):
     """(1/m) * mean over the uniform theta grid and both parities of
     log ||A^z_m(theta, j)|| for each m in the ascending ``marks``: the mean
     of the parity-0 row plus that of the parity-1 row, from one engine call
@@ -113,14 +104,14 @@ def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     A^z(theta, 1) = conj A^conj(z)(theta, 0), and conjugation commutes
     exactly with every operation of the engine (+, x, |.|, sqrt, the
     extended 1 - |f|^2), so log ||A^z_m(theta, 1)|| = log ||A^conj(z)_m(theta, 0)||
-    byte for byte.  At a real z the parity-1 row is then the parity-0 row:
+    byte for byte.  At any real z the parity-1 row is then the parity-0 row:
     only that row runs and its mean counts twice, the bits of two equal rows.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    symmetric = s.z.imag == 0 and getattr(g, "conjugate_parity", False)
+    symmetric = complex(z).imag == 0 and getattr(g, "conjugate_parity", False)
     parities = [[0]] if symmetric else [[0], [1]]
-    last, rec = grid_log_norms(np.arange(grid_size) / grid_size, parities, r, g, s.z,
+    last, rec = grid_log_norms(np.arange(grid_size) / grid_size, parities, r, g, z,
                                marks[-1], checkpoints=marks[:-1])
     rec[marks[-1]] = last
     if symmetric:  # x + x == 2 x exactly
@@ -130,9 +121,7 @@ def _phase_means(r: Rotation, g, s: SpectralParameter, grid_size: int, marks):
     return np.asarray(totals) / (2.0 * np.asarray(marks))
 
 
-def phase_average_profile(
-    r: Rotation, g, s: SpectralParameter, n_max: int, grid_size: int
-):
+def phase_average_profile(r: Rotation, g, z, n_max: int, grid_size: int):
     """Phase-averaged estimates for every n = 1 .. n_max in one pass.
 
     Entry n-1 is (1/n) * mean over the uniform theta grid and both
@@ -141,22 +130,17 @@ def phase_average_profile(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return _phase_means(r, g, s, grid_size, range(1, n_max + 1))
+    return _phase_means(r, g, z, grid_size, range(1, n_max + 1))
 
 
-def estimate_phase_average(
-    r: Rotation, g, s: SpectralParameter, n: int, grid_size: int
-) -> LyapunovEstimate:
+def estimate_phase_average(r: Rotation, g, z, n: int, grid_size: int) -> LyapunovEstimate:
     """Quadrature estimator: theta-grid and parity average of (1/n) log ||A^z_n||."""
-    gamma = float(_phase_means(r, g, s, grid_size, [n])[0])
+    gamma = float(_phase_means(r, g, z, grid_size, [n])[0])
     bound = reference_bound(g)
-    return LyapunovEstimate(
-        gamma, "phaseAverage", n, 2 * grid_size, bound, gamma - bound
-    )
+    return LyapunovEstimate(gamma, "phaseAverage", n, 2 * grid_size, bound, gamma - bound)
 
 
-def _analytic_family_coeffs(r: Rotation, g: ExpGenerator, s: SpectralParameter,
-                            j0: int, n: int):
+def _analytic_family_coeffs(r: Rotation, g: ExpGenerator, z, j0: int, n: int):
     """Coefficients of P(w), the product over m = n-1 .. 0 of the
     analytic-in-w one-step matrices
 
@@ -169,10 +153,11 @@ def _analytic_family_coeffs(r: Rotation, g: ExpGenerator, s: SpectralParameter,
     rows, and shifts the new row 0 by w^k; np.roll shifts exactly because
     the top 2k coefficients are still zero.
     """
+    z = complex(z)  # 1/z as a Python complex quotient, whatever z's type
     cur = np.zeros((2, 2, 2 * g.k * n + 1), dtype=complex)
     cur[0, 0, 0] = cur[1, 1, 0] = 1.0
     for m in range(n):
-        zj, zmj = (s.z, 1.0 / s.z) if (j0 + m) % 2 else (1.0, 1.0)
+        zj, zmj = (z, 1.0 / z) if (j0 + m) % 2 else (1.0, 1.0)
         rot = g.modulus * np.exp(1j * TWO_PI * g.k * m * r.alpha)
         u = np.roll(cur[0], g.k, axis=-1)
         cur[0] = np.roll(zj * cur[1] - rot * u, g.k, axis=-1)
@@ -219,9 +204,7 @@ def _breakpoint_rule(edges, m, coeffs, floor) -> float:
         return float(np.sum(wts * jac * np.arccosh(np.maximum(fro2 / floor, 1.0))))
 
 
-def subharmonic_check(
-    r: Rotation, g: ExpGenerator, s: SpectralParameter, j0: int, n: int
-) -> SubharmonicReport:
+def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> SubharmonicReport:
     """Mean-value inequality for log ||P(w)|| on the unit circle.
 
     P(w) has polynomial entries of degree at most M = 2kn, whose exact
@@ -258,7 +241,7 @@ def subharmonic_check(
         raise ValueError("n must be >= 1")
 
     deg = 2 * g.k * n  # entry degree; Frobenius harmonics reach +-deg
-    prod = _analytic_family_coeffs(r, g, s, j0, n)
+    prod = _analytic_family_coeffs(r, g, z, j0, n)
     coeffs = _fro2_coeffs(prod)
 
     floor = 2.0 * g.epsilon ** (2 * n)  # 2 sqrt(D), the sigma-crossing level

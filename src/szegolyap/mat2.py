@@ -8,16 +8,6 @@ the 2x2 case, so no iterative SVD is ever needed.
 
 import numpy as np
 
-# Indefinite form preserved by U(1,1).
-J = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def mat2(a, b, c, d):
-    """Build [[a, b], [c, d]] as a complex array."""
-    return np.array([[a, b], [c, d]], dtype=complex)
-
 
 def mul(x, y):
     """Matrix product, batched."""
@@ -44,11 +34,3 @@ def op_norm(x):
     disc = np.maximum(fro2 * fro2 - 4.0 * d2, 0.0)
     return np.sqrt(0.5 * (fro2 + np.sqrt(disc)))
 
-
-def is_u11(x, tol):
-    """True iff x* J x = J entrywise within tol, i.e. x is in U(1,1)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = np.asarray(x)
-    resid = x.conj().swapaxes(-1, -2) @ J @ x - J
-    return bool(np.all(np.abs(resid) <= tol))

@@ -5,6 +5,7 @@ normal test run.  Criteria 3, 5 and 6 feed every emitted estimate into
 a shared pool that criterion 7 re-checks for nonnegativity.
 """
 
+import cmath
 import math
 import time
 
@@ -13,23 +14,21 @@ import pytest
 
 from szegolyap import mat2 as m2
 from szegolyap.cli import main
-from szegolyap.cocycle import SpectralParameter, conjugated_step, conjugator, szego_matrix
 from szegolyap.dynamics import (
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
-    PhasePoint,
     Rotation,
     lambda_max,
 )
 from szegolyap.lyapunov import (
     birkhoff_scan,
-    estimate_birkhoff,
     estimate_phase_average,
     phase_average_profile,
     subharmonic_check,
     theorem1_bound,
 )
+from szego_algebra import J, conjugated_step, conjugator, one_step
 
 GOLDEN = Rotation(GOLDEN_MEAN)
 
@@ -56,20 +55,18 @@ def test_criterion_1_algebraic_identities(capsys):
     t0 = time.time()
     rng = np.random.default_rng(101)
     worst_u11 = worst_det = worst_conj = 0.0
-    jmat = m2.J
     for _ in range(1000):
-        p = PhasePoint(float(rng.random()), int(rng.integers(0, 2)))
-        s = SpectralParameter.from_turn(float(rng.random()))
+        theta, j = float(rng.random()), int(rng.integers(0, 2))
+        z = cmath.exp(2j * math.pi * float(rng.random()))
         g = ExpGenerator(
             float(rng.uniform(0.05, 0.95)), int(rng.choice([-3, -2, -1, 1, 2, 3]))
         )
-        a = szego_matrix(g.evaluate(p), s)
-        worst_u11 = max(worst_u11, max_abs_diff(a.conj().T @ jmat @ a, jmat))
-        worst_det = max(worst_det, abs(m2.det(a) - s.z))
-        pm = PhasePoint(p.theta, (p.j - 1) % 2)
-        lhs = conjugator(p, s) @ a @ np.linalg.inv(conjugator(pm, s))
+        a = one_step(g, theta, j, z)
+        worst_u11 = max(worst_u11, max_abs_diff(a.conj().T @ J @ a, J))
+        worst_det = max(worst_det, abs(m2.det(a) - z))
+        lhs = conjugator(j, z) @ a @ np.linalg.inv(conjugator((j - 1) % 2, z))
         worst_conj = max(
-            worst_conj, max_abs_diff(lhs, conjugated_step(p, s, g))
+            worst_conj, max_abs_diff(lhs, conjugated_step(g, theta, j, z))
         )
     ok = worst_u11 < 1e-12 and worst_det < 1e-12 and worst_conj < 1e-12
     report(
@@ -88,9 +85,7 @@ def test_criterion_2_finite_n_inequality(capsys):
         for k in (1, 2):
             g = ExpGenerator(eps, k)
             for t in turns:
-                prof = phase_average_profile(
-                    GOLDEN, g, SpectralParameter.from_turn(float(t)), 8, 2048
-                )
+                prof = phase_average_profile(GOLDEN, g, np.exp(2j * np.pi * t), 8, 2048)
                 worst = min(worst, float(np.min(prof - bound)))
     ok = worst >= -1e-3
     report(capsys, 2, ok, f"worst margin over 448 (z, eps, k) x n = 1..8: {worst:+.2e} >= -1e-3", t0)
@@ -118,10 +113,10 @@ def test_criterion_4_subharmonic_inequality(capsys):
     worst_delta = 0.0
     for _ in range(10):
         g = ExpGenerator(float(rng.uniform(0.1, 0.9)), int(rng.integers(1, 4)))
-        s = SpectralParameter.from_turn(float(rng.random()))
+        z = cmath.exp(2j * math.pi * float(rng.random()))
         j0 = int(rng.integers(0, 2))
         n = int(rng.integers(1, 9))
-        rep = subharmonic_check(GOLDEN, g, s, j0, n)
+        rep = subharmonic_check(GOLDEN, g, z, j0, n)
         worst_slack = min(worst_slack, rep.slack)
         worst_delta = max(worst_delta, rep.quad_delta)
     ok = worst_slack >= -1e-3 and worst_delta < 1e-6
@@ -135,11 +130,10 @@ def test_criterion_4_subharmonic_inequality(capsys):
 def test_criterion_5_cross_estimator(capsys):
     t0 = time.time()
     g = ExpGenerator(0.3, 1)
-    s = SpectralParameter.from_z(1.0 + 0.0j)
-    path = estimate_birkhoff(PhasePoint(0.5381, 0), GOLDEN, g, s, 10000)
-    quad = estimate_phase_average(GOLDEN, g, s, 10000, 64)
-    EMITTED_GAMMAS.extend([path.gamma_hat, quad.gamma_hat])
-    diff = abs(path.gamma_hat - quad.gamma_hat)
+    path = float(birkhoff_scan([0.5381], 0, GOLDEN, g, 1.0, 10000)[0])
+    quad = estimate_phase_average(GOLDEN, g, 1.0, 10000, 64)
+    EMITTED_GAMMAS.extend([path, quad.gamma_hat])
+    diff = abs(path - quad.gamma_hat)
     report(capsys, 5, diff <= 0.02, f"|birkhoff - phaseAverage| = {diff:.4f} <= 0.02", t0)
 
 

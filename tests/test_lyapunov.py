@@ -1,5 +1,6 @@
 """Tests for the estimators, the positivity bound, and the subharmonic checker."""
 
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 
 from szegolyap import cocycle, lyapunov
 from szegolyap import mat2 as m2
-from szegolyap.cocycle import SpectralParameter, grid_log_norms, szego_matrix
+from szegolyap.cocycle import grid_log_norms, szego_matrices
 from szegolyap.dynamics import (
     ConstantGenerator,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
-    PhasePoint,
     Rotation,
     lambda_max,
 )
@@ -25,7 +25,6 @@ from szegolyap.lyapunov import (
     _analytic_family_coeffs,
     _fro2_coeffs,
     birkhoff_scan,
-    estimate_birkhoff,
     estimate_phase_average,
     perturbed_reference,
     phase_average_profile,
@@ -39,6 +38,16 @@ GOLDEN = Rotation(GOLDEN_MEAN)
 # Long-run oracle: Birkhoff value at eps = 0.3, k = 1, z = i, golden
 # rotation, start (0.123456, 0), n = 10^6.  Frozen from an independent run.
 GAMMA_EPS03_Z_I = 1.1568166
+
+
+def turn(t):
+    """The point e^(2 pi i t) of the unit circle."""
+    return cmath.exp(2j * math.pi * t)
+
+
+def birkhoff_one(theta0, j0, g, z, n):
+    """The Birkhoff estimate (1/n) log ||A^z_n(theta0, j0)|| of one orbit."""
+    return float(birkhoff_scan([theta0], j0, GOLDEN, g, z, n)[0])
 
 
 def test_bound_at_critical_coupling():
@@ -63,48 +72,29 @@ def test_bound_rejects_bad_epsilon():
 
 def test_birkhoff_zero_coefficients():
     # f = 0 gives A^z = [[z, 0], [0, 1]], whose products have norm 1.
-    est = estimate_birkhoff(
-        PhasePoint(0.2, 0),
-        GOLDEN,
-        ConstantGenerator(0.0),
-        SpectralParameter.from_turn(0.3),
-        500,
-    )
-    assert est.gamma_hat == pytest.approx(0.0, abs=1e-12)
-    assert est.method == "birkhoff"
+    gamma = birkhoff_one(0.2, 0, ConstantGenerator(0.0), turn(0.3), 500)
+    assert gamma == pytest.approx(0.0, abs=1e-12)
 
 
 def test_birkhoff_against_frozen_long_run_oracle():
-    est = estimate_birkhoff(
-        PhasePoint(0.777, 1),
-        GOLDEN,
-        ExpGenerator(0.3, 1),
-        SpectralParameter.from_turn(0.25),
-        100000,
-    )
-    assert est.gamma_hat == pytest.approx(GAMMA_EPS03_Z_I, abs=0.01)
-    assert est.margin == est.gamma_hat - est.bound
+    gamma = birkhoff_one(0.777, 1, ExpGenerator(0.3, 1), turn(0.25), 100000)
+    assert gamma == pytest.approx(GAMMA_EPS03_Z_I, abs=0.01)
 
 
 def test_birkhoff_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(10):
         eps = float(rng.uniform(0.1, 0.9))
-        est = estimate_birkhoff(
-            PhasePoint(float(rng.random()), int(rng.integers(0, 2))),
-            GOLDEN,
-            ExpGenerator(eps, int(rng.choice([-2, -1, 1, 2]))),
-            SpectralParameter.from_turn(float(rng.random())),
-            int(rng.integers(1, 500)),
-        )
-        assert est.gamma_hat >= -1e-9
+        theta0, j0 = float(rng.random()), int(rng.integers(0, 2))
+        g = ExpGenerator(eps, int(rng.choice([-2, -1, 1, 2])))
+        z, n = turn(float(rng.random())), int(rng.integers(1, 500))
+        assert birkhoff_one(theta0, j0, g, z, n) >= -1e-9
 
 
 def test_phase_average_single_constant_step():
-    c = 0.3 - 0.2j
-    s = SpectralParameter.from_turn(0.15)
-    est = estimate_phase_average(GOLDEN, ConstantGenerator(c), s, 1, 32)
-    expected = math.log(float(m2.op_norm(szego_matrix(c, s))))
+    c, z = 0.3 - 0.2j, turn(0.15)
+    est = estimate_phase_average(GOLDEN, ConstantGenerator(c), z, 1, 32)
+    expected = math.log(float(m2.op_norm(szego_matrices(c, z))))
     assert est.gamma_hat == pytest.approx(expected, abs=1e-12)
     assert est.samples == 64
 
@@ -115,16 +105,17 @@ def test_phase_average_finite_n_inequality_slice():
     bound = theorem1_bound(0.3)
     g = ExpGenerator(0.3, 1)
     for t in (0.0, 0.3, 0.77):
-        prof = phase_average_profile(GOLDEN, g, SpectralParameter.from_turn(t), 4, 512)
+        prof = phase_average_profile(GOLDEN, g, turn(t), 4, 512)
         assert np.all(prof >= bound - 1e-3)
 
 
 def test_profile_matches_single_estimates():
-    g = ExpGenerator(0.5, 2)
-    s = SpectralParameter.from_turn(0.4)
-    prof = phase_average_profile(GOLDEN, g, s, 5, 64)
+    g, z = ExpGenerator(0.5, 2), turn(0.4)
+    prof = phase_average_profile(GOLDEN, g, z, 5, 64)
     for n in range(1, 6):
-        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, s, n, 64).gamma_hat
+        est = estimate_phase_average(GOLDEN, g, z, n, 64)
+        assert prof[n - 1] == est.gamma_hat
+        assert est.margin == est.gamma_hat - est.bound
 
 
 _PERTURBED = PerturbedGenerator(0.4, 1, 0.03j, [0.5 - 1j, 1j])
@@ -141,10 +132,10 @@ _PERTURBED = PerturbedGenerator(0.4, 1, 0.03j, [0.5 - 1j, 1j])
 )
 def test_profile_matches_single_estimates_across_tiles(monkeypatch, g, tile):
     monkeypatch.setattr(cocycle, "TILE", tile)
-    s = SpectralParameter.from_turn(0.4)
-    prof = phase_average_profile(GOLDEN, g, s, 5, 64)
+    z = turn(0.4)
+    prof = phase_average_profile(GOLDEN, g, z, 5, 64)
     for n in range(1, 6):
-        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, s, n, 64).gamma_hat
+        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, z, n, 64).gamma_hat
 
 
 def test_phase_average_runs_one_engine_call(monkeypatch):
@@ -158,13 +149,13 @@ def test_phase_average_runs_one_engine_call(monkeypatch):
         return grid_log_norms(*args, **kwargs)
 
     monkeypatch.setattr(lyapunov, "grid_log_norms", counting)
-    g, s = ExpGenerator(0.5, 1), SpectralParameter.from_turn(0.2)
-    estimate_phase_average(GOLDEN, g, s, 3, 16)
+    g, z = ExpGenerator(0.5, 1), turn(0.2)
+    estimate_phase_average(GOLDEN, g, z, 3, 16)
     assert calls == [((16,), (2, 1))]
-    phase_average_profile(GOLDEN, g, s, 4, 16)
+    phase_average_profile(GOLDEN, g, z, 4, 16)
     assert calls == [((16,), (2, 1))] * 2
     calls.clear()
-    estimate_phase_average(GOLDEN, g, SpectralParameter.from_z(1.0), 3, 16)
+    estimate_phase_average(GOLDEN, g, 1.0, 3, 16)
     assert calls == [((16,), (1, 1))]
 
 
@@ -257,7 +248,7 @@ def test_phase_average_runs_one_row_only_where_symmetric(monkeypatch):
     complex_ = PerturbedGenerator(0.5, 2, 0.01, [1, -2j, 0.5, 1])
     cases = [
         (ExpGenerator(0.5, 1), 0.0, (1, 1)),
-        (ExpGenerator(0.5, 1), 0.5, (2, 1)),  # from_turn(0.5) is not real
+        (ExpGenerator(0.5, 1), 0.5, (2, 1)),  # turn(0.5) is not real
         (ExpGenerator(0.5, 1), 0.3, (2, 1)),
         (real, 0.0, (1, 1)),
         (real, 0.3, (2, 1)),
@@ -266,32 +257,55 @@ def test_phase_average_runs_one_row_only_where_symmetric(monkeypatch):
         (Undeclared(ExpGenerator(0.5, 1)), 0.0, (2, 1)),
         (ConstantGenerator(0.4), 0.0, (2, 1)),  # declares nothing
     ]
-    for g, turn, rows in cases:
+    for g, t, rows in cases:
         calls.clear()
-        estimate_phase_average(GOLDEN, g, SpectralParameter.from_turn(turn), 3, 16)
-        phase_average_profile(GOLDEN, g, SpectralParameter.from_turn(turn), 3, 16)
-        assert calls == [rows, rows], (g, turn)
+        estimate_phase_average(GOLDEN, g, turn(t), 3, 16)
+        phase_average_profile(GOLDEN, g, turn(t), 3, 16)
+        assert calls == [rows, rows], (g, t)
     calls.clear()
-    estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), SpectralParameter.from_z(-1.0), 3, 16)
+    estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), -1.0, 3, 16)
     assert calls == [(1, 1)]
 
 
-@pytest.mark.parametrize("z", [1.0, -1.0])
+@pytest.mark.parametrize("z", [1.0, -1.0, 0.5, -2.0])
 @pytest.mark.parametrize(
     "g", [ExpGenerator(0.3, 2), ExpGenerator(0.7, -1),
           PerturbedGenerator(0.5, 2, 0.01, [1, -2, 0.5, 1])],
     ids=["exp", "exp-negative-k", "perturbed-real"],
 )
 def test_one_row_means_equal_two_row_means(g, z):
-    # At a real z the one parity row counted twice has the bits of the two
-    # rows' means added.
-    s = SpectralParameter.from_z(z)
+    # At a real z, on the unit circle or off it, the one parity row counted
+    # twice has the bits of the two rows' means added.
     last, rec = grid_log_norms(np.arange(300) / 300, [[0], [1]], GOLDEN, g, z, 7,
                                checkpoints=range(1, 7))
     rec[7] = last
     two_rows = [(np.mean(rec[m][0]) + np.mean(rec[m][1])) / (2.0 * m) for m in range(1, 8)]
-    assert estimate_phase_average(GOLDEN, g, s, 7, 300).gamma_hat == two_rows[-1]
-    assert phase_average_profile(GOLDEN, g, s, 7, 300).tolist() == two_rows
+    assert estimate_phase_average(GOLDEN, g, z, 7, 300).gamma_hat == two_rows[-1]
+    assert phase_average_profile(GOLDEN, g, z, 7, 300).tolist() == two_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["exp", "real", "complex", "constant"]),
+    log_mod=st.floats(-3.0, 3.0),
+    z_turn=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_average_mirrors_through_the_unit_circle(kind, log_mod, z_turn, n, seed):
+    # Each orbit's log ||A^z_n|| is log ||A^(1/conj z)_n|| + n log|z| (see
+    # tests/test_cocycle.py), so gamma_hat(z) = gamma_hat(1/conj z) + log|z|
+    # at every n, within the engine's rounding (2^-40 per step and unit of
+    # 1 + |log|z||, as there); at a real z both sides run one parity row.
+    rng = np.random.default_rng(seed)
+    g = (ConstantGenerator(rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.random()))
+         if kind == "constant" else _family(rng, kind))
+    z = 10.0**log_mod * turn(z_turn)
+    gamma = phase_average_profile(GOLDEN, g, z, n, 32)
+    mirror = phase_average_profile(GOLDEN, g, 1.0 / z.conjugate(), n, 32)
+    tol = 2.0**-40 * (1.0 + abs(math.log(abs(z))))
+    assert np.max(np.abs(gamma - mirror - math.log(abs(z)))) <= tol
+    assert estimate_phase_average(GOLDEN, g, z, n, 32).gamma_hat == gamma[-1]
 
 
 def _traced_peak(run):
@@ -320,10 +334,10 @@ def test_phase_average_peak_memory():
     # product rescaled by powers of two and no block array of scales:
     # 4743536 and 1275808 (2646360 and 1013640 at z = 1).
     g = ExpGenerator(0.5, 1)
-    for turn, profile, estimate in [(0.0, 2646360, 1013640), (0.3, 4743536, 1275808)]:
-        s = SpectralParameter.from_turn(turn)
-        assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, s, 64, 4096)) <= profile
-        assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, s, 2, 32768)) <= estimate
+    for t, profile, estimate in [(0.0, 2646360, 1013640), (0.3, 4743536, 1275808)]:
+        z = turn(t)
+        assert _traced_peak(lambda: phase_average_profile(GOLDEN, g, z, 64, 4096)) <= profile
+        assert _traced_peak(lambda: estimate_phase_average(GOLDEN, g, z, 2, 32768)) <= estimate
 
 
 def test_birkhoff_batch_peak_memory():
@@ -355,11 +369,10 @@ def test_ladder_batch_peak_memory():
 
 
 def test_cross_estimator_consistency():
-    g = ExpGenerator(0.3, 1)
-    s = SpectralParameter.from_turn(0.0)
-    quad = estimate_phase_average(GOLDEN, g, s, 4000, 64)
-    path = estimate_birkhoff(PhasePoint(0.4321, 0), GOLDEN, g, s, 4000)
-    assert abs(quad.gamma_hat - path.gamma_hat) <= 0.02
+    g, z = ExpGenerator(0.3, 1), turn(0.0)
+    quad = estimate_phase_average(GOLDEN, g, z, 4000, 64)
+    path = birkhoff_one(0.4321, 0, g, z, 4000)
+    assert abs(quad.gamma_hat - path) <= 0.02
 
 
 def test_birkhoff_scan_matches_single_estimates():
@@ -370,29 +383,21 @@ def test_birkhoff_scan_matches_single_estimates():
     j0s = np.array([0, 1, 0])
     gammas = birkhoff_scan(theta0s, j0s, GOLDEN, g, zs, 300)
     for i in range(3):
-        est = estimate_birkhoff(
-            PhasePoint(float(theta0s[i]), int(j0s[i])),
-            GOLDEN,
-            g,
-            SpectralParameter.from_turn(float(turns[i])),
-            300,
-        )
-        assert gammas[i] == pytest.approx(est.gamma_hat, abs=1e-10)
+        alone = birkhoff_one(float(theta0s[i]), int(j0s[i]), g, turn(float(turns[i])), 300)
+        assert gammas[i] == pytest.approx(alone, abs=1e-10)
 
 
 @pytest.mark.parametrize("n, grid_size", [(0, 4), (-1, 4), (3, 0)])
 def test_estimate_phase_average_rejects_bad_sizes(n, grid_size):
-    s = SpectralParameter.from_turn(0.2)
     with pytest.raises(ValueError, match="must be >= 1"):
-        estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), s, n, grid_size)
+        estimate_phase_average(GOLDEN, ExpGenerator(0.5, 1), turn(0.2), n, grid_size)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_phase_average_profile_rejects_bad_n_max(n_max):
     # n_max = 0 used to return an empty profile, and -1 to fail inside numpy.
-    s = SpectralParameter.from_turn(0.2)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
-        phase_average_profile(GOLDEN, ExpGenerator(0.5, 1), s, n_max, 16)
+        phase_average_profile(GOLDEN, ExpGenerator(0.5, 1), turn(0.2), n_max, 16)
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -413,7 +418,7 @@ def test_reference_bound_dispatch():
 def test_subharmonic_center_value_single_step(n):
     # P(0) is diagonal with modulus (1 - eps^2)^(n/2) = 0.8^n.
     g = ExpGenerator(0.6, 1)
-    rep = subharmonic_check(GOLDEN, g, SpectralParameter.from_turn(0.3), 0, n)
+    rep = subharmonic_check(GOLDEN, g, turn(0.3), 0, n)
     assert rep.center_value == pytest.approx(n * math.log(0.8), abs=1e-12)
 
 
@@ -421,8 +426,8 @@ def test_subharmonic_slack_nonnegative():
     rng = np.random.default_rng(1)
     for _ in range(6):
         g = ExpGenerator(float(rng.uniform(0.15, 0.85)), int(rng.integers(1, 4)))
-        s = SpectralParameter.from_turn(float(rng.random()))
-        rep = subharmonic_check(GOLDEN, g, s, int(rng.integers(0, 2)),
+        z = turn(float(rng.random()))
+        rep = subharmonic_check(GOLDEN, g, z, int(rng.integers(0, 2)),
                                 int(rng.integers(1, 9)))
         assert rep.slack >= -1e-3
 
@@ -431,12 +436,11 @@ def test_subharmonic_slack_nonnegative():
 def test_subharmonic_coefficients_match_sampled_fft(eps, k, n, j0):
     # Independent route: F = ||P||_F^2 = eps^(2n) (e^(2L) + e^(-2L)) from the
     # direct cocycle log norms L, sampled at more than 2 deg points.
-    g = ExpGenerator(eps, k)
-    s = SpectralParameter.from_turn(0.37)
+    g, z = ExpGenerator(eps, k), turn(0.37)
     deg = 2 * k * n
-    coeffs = _fro2_coeffs(_analytic_family_coeffs(GOLDEN, g, s, j0, n))
+    coeffs = _fro2_coeffs(_analytic_family_coeffs(GOLDEN, g, z, j0, n))
     samples = 2 * deg + 7
-    logn, _ = grid_log_norms(np.arange(samples) / samples, j0, GOLDEN, g, s.z, n)
+    logn, _ = grid_log_norms(np.arange(samples) / samples, j0, GOLDEN, g, z, n)
     fro2 = eps ** (2 * n) * (np.exp(2.0 * logn) + np.exp(-2.0 * logn))
     sampled = np.fft.fft(fro2)[: deg + 1] / samples
     assert coeffs.shape == (deg + 1,)
@@ -447,17 +451,14 @@ def test_subharmonic_circle_average_pinned():
     # A 4.2e6-point midpoint rule on the direct products gives
     # -0.33943553289; scipy's adaptive quad was off here by 1.07e-5
     # (-0.3394248592) without any warning.
-    g = ExpGenerator(0.456, 2)
-    s = SpectralParameter.from_turn(0.521)
-    rep = subharmonic_check(GOLDEN, g, s, 1, 11)
+    rep = subharmonic_check(GOLDEN, ExpGenerator(0.456, 2), turn(0.521), 1, 11)
     assert rep.circle_average == pytest.approx(-0.3394355329, abs=1e-9)
 
 
 def test_subharmonic_quad_delta():
     g = ExpGenerator(0.3, 1)
-    s = SpectralParameter.from_turn(0.0)
     for j0 in (0, 1):
-        rep = subharmonic_check(GOLDEN, g, s, j0, 4)
+        rep = subharmonic_check(GOLDEN, g, turn(0.0), j0, 4)
         assert math.isfinite(rep.quad_delta)
         assert 0.0 <= rep.quad_delta < 1e-9
 
@@ -466,25 +467,24 @@ def test_subharmonic_route_equality():
     # The analytic family's coefficient polynomial P, evaluated on a matched
     # grid, plus n log(1/eps) reproduces the direct cocycle log norms point
     # by point: ||P(e^(2 pi i theta))|| = eps^n ||A^z_n(theta, j0)||.
-    g = ExpGenerator(0.4, 2)
-    s = SpectralParameter.from_turn(0.21)
+    g, z = ExpGenerator(0.4, 2), turn(0.21)
     n, grid = 5, 512
     thetas = np.arange(grid) / grid
     w = np.exp(2j * np.pi * thetas)
     for j0 in (0, 1):
-        coeffs = np.moveaxis(_analytic_family_coeffs(GOLDEN, g, s, j0, n), -1, 0)
+        coeffs = np.moveaxis(_analytic_family_coeffs(GOLDEN, g, z, j0, n), -1, 0)
         prod = np.polynomial.polynomial.polyval(w[:, None, None], coeffs, tensor=False)
         vals = np.log(m2.op_norm(prod))
-        logn, _ = grid_log_norms(thetas, j0, GOLDEN, g, s.z, n)
+        logn, _ = grid_log_norms(thetas, j0, GOLDEN, g, z, n)
         assert np.max(np.abs(vals + n * math.log(1.0 / g.epsilon) - logn)) < 1e-8
 
 
 def test_subharmonic_rejects_bad_input():
-    s = SpectralParameter.from_turn(0.1)
+    z = turn(0.1)
     with pytest.raises(TypeError):
-        subharmonic_check(GOLDEN, ConstantGenerator(0.1), s, 0, 2)
+        subharmonic_check(GOLDEN, ConstantGenerator(0.1), z, 0, 2)
     with pytest.raises(ValueError):
-        subharmonic_check(GOLDEN, ExpGenerator(0.5, -1), s, 0, 2)
+        subharmonic_check(GOLDEN, ExpGenerator(0.5, -1), z, 0, 2)
 
 
 def test_convergence_spread_diagnostic():

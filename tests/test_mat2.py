@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from szegolyap import mat2 as m2
+from szego_algebra import SWAP, u11_residual
+
+
+def mat(a, b, c, d):
+    """[[a, b], [c, d]] as a complex array."""
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 def max_abs_diff(x, y):
@@ -57,9 +63,9 @@ def test_mul_identity():
 
 
 def test_mul_row_swap():
-    m = m2.mat2(1 + 2j, 3, 4j, 5 - 1j)
-    swapped = m2.mul(m2.SWAP, m)
-    assert max_abs_diff(swapped, m2.mat2(4j, 5 - 1j, 1 + 2j, 3)) == 0.0
+    m = mat(1 + 2j, 3, 4j, 5 - 1j)
+    swapped = m2.mul(SWAP, m)
+    assert max_abs_diff(swapped, mat(4j, 5 - 1j, 1 + 2j, 3)) == 0.0
 
 
 def test_mul_matches_expansion_oracle():
@@ -72,7 +78,7 @@ def test_mul_matches_expansion_oracle():
 def test_det_identity_and_diagonal():
     assert m2.det(np.eye(2)) == 1.0
     z = 0.3 + 0.4j
-    assert m2.det(m2.mat2(z, 0, 0, 1)) == z
+    assert m2.det(mat(z, 0, 0, 1)) == z
 
 
 def test_det_multiplicative():
@@ -86,7 +92,7 @@ def test_det_multiplicative():
 
 def test_op_norm_identity_and_diagonal():
     assert m2.op_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-15)
-    assert m2.op_norm(m2.mat2(2, 0, 0, 1)) == pytest.approx(2.0, abs=1e-15)
+    assert m2.op_norm(mat(2, 0, 0, 1)) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_op_norm_vs_power_iteration_oracle():
@@ -122,10 +128,6 @@ def test_op_norm_batched_matches_scalar():
 
 
 def test_is_u11_identity_and_counterexample():
-    assert m2.is_u11(np.eye(2), 1e-12)
-    assert not m2.is_u11(m2.mat2(2, 0, 0, 1), 1e-12)
-
-
-def test_is_u11_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        m2.is_u11(np.eye(2), 0.0)
+    # The U(1,1) reference of the algebra tests.
+    assert u11_residual(np.eye(2)) <= 1e-12
+    assert u11_residual(mat(2, 0, 0, 1)) > 1e-12
