@@ -132,10 +132,8 @@ def _z_points(z_grid):
 def _birkhoff_batch(rng, r, gens, zs, n):
     """Birkhoff estimates over the z points ``zs`` for each generator in
     ``gens``, shaped (generators, z points), from one engine batch on that
-    grid, one generator per row: consecutive perturbed rows of one k (the
-    ladder rungs) share one generator call per block, any other row has its
-    own.  The start points are drawn generator by generator, in the order
-    separate scans would draw them."""
+    grid, one generator per row.  The start points are drawn generator by
+    generator, in the order separate scans would draw them."""
     starts = [(rng.random(len(zs)), rng.integers(0, 2, len(zs))) for _ in gens]
     theta0s, j0s = (np.array(part) for part in zip(*starts))
     return birkhoff_scan(theta0s, j0s, r, gens, zs, n)

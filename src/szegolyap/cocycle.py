@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .dynamics import PerturbedGenerator, Rotation
+from .dynamics import Rotation, by_row
 from .mat2 import op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
@@ -73,38 +73,12 @@ def szego_matrices(f, z):
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
-def _runs(gens):
-    """The rows of ``gens``, one generator per row, as (rows, generator)
-    pairs: each maximal run of two or more consecutive PerturbedGenerator
-    rows of one k as its slice and one ``PerturbedGenerator.run``, any other
-    row as its index and its own generator.  None, and nothing kept for
-    the call, when no run has two rows."""
-    starts = [0] + [i for i in range(1, len(gens)) if not (
-        type(gens[i - 1]) is type(gens[i]) is PerturbedGenerator
-        and gens[i - 1].k == gens[i].k)]
-    if len(starts) == len(gens):
-        return None
-    return [(slice(lo, hi), PerturbedGenerator.run(gens[lo:hi])) if hi - lo > 1
-            else (lo, gens[lo]) for lo, hi in zip(starts, starts[1:] + [len(gens)])]
-
-
 def _coefficients(theta0s, j0, r: Rotation, g, ms):
-    """Coefficients of a tile's orbits at the steps in ``ms``: the angles
-    theta0 + m alpha, reduced by subtracting their floor (``% 1.0`` bit for
-    bit), broadcast with the parities j0 + m (mod 2).  One generator takes
-    every orbit in one call, each angle once for all rows.  A sequence of
-    one generator per row, or its ``_runs`` pairs, takes one call per run
-    of perturbed rows (``_runs``) and one per other row."""
-    thetas = theta0s + ms * r.alpha
-    thetas -= np.floor(thetas)
-    parity = (j0 + ms) % 2
+    """Coefficients of a tile's orbits at the steps in ``ms`` from one call
+    on ``r.orbit``, in a fresh array of the orbits' shape (every row filled)."""
+    thetas, parity = r.orbit(theta0s, j0, ms)
     out = np.empty(np.broadcast(thetas, parity).shape, dtype=complex)
-    if isinstance(g, (list, tuple)):
-        thetas, parity = np.broadcast_arrays(thetas, parity)
-        for rows, gen in g if isinstance(g[0], tuple) else _runs(g) or enumerate(g):
-            out[:, rows] = gen.evaluate_grid(thetas[:, rows], parity[:, rows])
-    else:
-        out[...] = g.evaluate_grid(thetas, parity)
+    out[...] = g.evaluate_grid(thetas, parity)
     return out
 
 
@@ -128,11 +102,11 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     parities ``j0`` broadcast to, R = 1 if both are 1-D or scalar: N angles
     with a scalar or N parities, N angles against a column of R parities,
     shape (R, 1), or an (R, N) array of each.  ``g`` is one coefficient
-    generator, which takes each angle once for all rows, or a sequence of
-    one generator per row, so that several families run as one batch;
-    ``zs`` is a finite scalar or one per column.  Returns ``(log_norms,
-    recorded)``, shaped like the orbits, where ``recorded[m]`` holds the
-    log norms after m steps for each m in ``checkpoints`` (all in 1..n).
+    generator or a sequence of one per row (``dynamics.by_row``), so that
+    several families run as one batch; ``zs`` is a finite scalar or one
+    per column.  Returns ``(log_norms, recorded)``, shaped like the orbits,
+    where ``recorded[m]`` holds the log norms after m steps for each m in
+    ``checkpoints`` (all in 1..n).
     Every SPAN // log2(8 c w) steps, c the largest prefactor of a block and
     w = max(|z|, 1/|z|), each orbit's product is scaled by the power of two
     that brings its largest real or imaginary part into [1/2, 1), and the
@@ -146,20 +120,16 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     The orbits are folded over all n steps a tile at a time, all R rows of
     TILE // R columns (at least one).  A tile builds at most BUDGET
     one-step matrices per block and folds them step by step, in the same
-    arithmetic at any block length.  A block calls one generator once; a
-    sequence once per maximal run of two or more consecutive
-    PerturbedGenerator rows of one k (one ``PerturbedGenerator.run``, made
-    once per call) and once per other row.  A generator evaluates each
-    (angle, parity) pair on its own, and a run gives every row the bits of
-    the row's own call, so a result depends only on (theta0, j0, z,
-    g, n): not on the rest of the batch, TILE, BUDGET, the checkpoints or
-    the steps at which the product was rescaled, and is reproducible bit
-    for bit.  A blowup names the earliest step of any tile with a
-    non-finite one-step matrix; finite ones with c (1 + |z|^2)^(1/2) >=
-    2^254 raise NumericalBlowupError naming that bound (see ``_fold``).  A
-    block's matrices are scanned for one only where 4 c w overflows: with
-    |f| < 1 every entry is at most 2 c w in modulus, so a finite 4 c w
-    proves them finite.
+    arithmetic at any block length.  A block makes one ``g.evaluate_grid``
+    call, and a value depends only on its own angle and parity, so a result
+    depends only on (theta0, j0, z, g, n): not on the rest of the batch,
+    TILE, BUDGET, the checkpoints or the steps at which the product was
+    rescaled, and is reproducible bit for bit.  A blowup names the earliest
+    step of any tile with a non-finite one-step matrix; finite ones with
+    c (1 + |z|^2)^(1/2) >= 2^254 raise NumericalBlowupError naming that
+    bound (see ``_fold``).  A block's matrices are scanned for one only
+    where 4 c w overflows: with |f| < 1 every entry is at most 2 c w in
+    modulus, so a finite 4 c w proves them finite.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -169,11 +139,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     shape = np.broadcast_shapes(np.shape(j0), theta0s.shape)
     theta0s, j0 = np.atleast_2d(theta0s, j0)
     rows, size = np.broadcast_shapes(theta0s.shape, j0.shape)
-    if isinstance(g, (list, tuple)):
-        if len(g) != rows:
-            raise ValueError(f"{len(g)} generators for {rows} rows of orbits: "
-                             "pass one generator, or one per row")
-        g = _runs(g) or g  # the runs' constants once per call
+    g = by_row(g, rows)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.isfinite(zs).all():
         raise ValueError("spectral parameters zs must be finite")
@@ -259,10 +225,7 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
         if not m0:  # a @ 1 = a, up to the signs of zeros, which no norm sees
             cur[...] = mats[0].transpose(1, 2, 0)
             done, room = 1, room - shift
-        if narrow:  # each step's a[r, k] as one (k, r, 1, orbits) view
-            steps = mats[done:].transpose(0, 3, 2, 1)[..., None, :]
-        else:  # each step's columns [a00; a10] and [a01; a11] as (2, 1, orbits)
-            steps = zip(*mats[done:].transpose(3, 0, 2, 1)[..., None, :])
+        steps = mats[done:].transpose(0, 3, 2, 1)[..., None, :]  # a[r, k] as (k, r, 1, b)
         for i, a in enumerate(steps, done):
             if i == at:
                 read()
@@ -285,10 +248,9 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
             if narrow:
                 np.multiply(a, cur_k, out=pq)
             else:
-                a0, a1 = a
-                np.multiply(a0, row0, out=p)
-                np.multiply(a1, row1, out=q)
+                np.multiply(a[0], row0, out=p)
+                np.multiply(a[1], row1, out=q)
             np.add(p, q, out=cur)
         # The next block's stack is built without this one held.
-        mats = steps = a = a0 = a1 = None
+        mats = steps = a = None
     read()

@@ -1,13 +1,15 @@
 """Base dynamics on T x Z_2 and the Verblunsky coefficient generators.
 
 The base system T(theta, j) = (theta + alpha, j + 1) is the product of an
-irrational rotation on the 1-torus with the flip on Z_2.  Coefficient
-generators map phase points to values in the open unit disk.  The cocycle
-engine is generic over anything with an ``evaluate_grid(thetas, j)``
-method, whose parity ``j`` is a scalar or an integer array broadcasting
-with the angles ``thetas``.  A generator whose parity-1 values are the
-conjugates of its parity-0 values, bit for bit, may say so with a true
-``conjugate_parity``; an object without the attribute is read as false.
+irrational rotation on the 1-torus with the flip on Z_2 (``Rotation.orbit``).
+Coefficient generators map phase points to values in the open unit disk.
+The cocycle engine is generic over anything with an ``evaluate_grid(thetas,
+j)`` method, whose parity ``j`` is a scalar or an integer array broadcasting
+with the angles ``thetas`` and whose values broadcast to their shape;
+``by_row`` makes one of a sequence of one generator per row.  A generator
+whose parity-1 values are the conjugates of its parity-0 values, bit for
+bit, may say so with a true ``conjugate_parity``; an object without the
+attribute is read as false.
 """
 
 import math
@@ -34,6 +36,13 @@ class Rotation:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+
+    def orbit(self, theta0s, j0, ms):
+        """T^m (theta0, j0) for the steps m in ``ms``, broadcast: theta0 + m
+        alpha less its floor (``% 1.0`` bit for bit), and (j0 + m) mod 2."""
+        thetas = theta0s + ms * self.alpha
+        thetas -= np.floor(thetas)
+        return thetas, (j0 + ms) % 2
 
 
 def _phase(thetas, j, k):
@@ -159,22 +168,6 @@ class PerturbedGenerator:
         complex multiply rounds differently."""
         return self.modulus, [self.lam * a for a in self.coeffs]
 
-    @classmethod
-    def run(cls, gens):
-        """One generator for the rows ``gens``, all of one k, that evaluates
-        angles shaped (..., rows, N): its constants are (rows, 1) columns of
-        the rows' own, taken now, so each row gets the bits of its own
-        ``evaluate_grid``.  Its fields are the tuples of the rows' fields;
-        only ``evaluate_grid`` serves a run."""
-        run = object.__new__(cls)
-        for name in ("epsilon", "lam", "coeffs"):
-            object.__setattr__(run, name, tuple(getattr(g, name) for g in gens))
-        object.__setattr__(run, "k", gens[0].k)
-        m, c = zip(*(g._constants() for g in gens))
-        columns = np.array(m)[:, None], [np.array(cl)[:, None] for cl in zip(*c)]
-        object.__setattr__(run, "_constants", lambda: columns)
-        return run
-
     def evaluate_grid(self, thetas, j):
         m, c = self._constants()
         w = _phase(thetas, j, 1)
@@ -201,6 +194,51 @@ class PerturbedGenerator:
                 f"coefficient value of modulus {worst} escaped the unit disk"
             )
         return vals
+
+
+class _Run:
+    """Consecutive PerturbedGenerator rows of one k, evaluated on angles shaped
+    (..., rows, N) by one call of ``PerturbedGenerator.evaluate_grid``, looked
+    up at each call, on (rows, 1) columns of the rows' constants, taken when
+    the run is made: each row gets the bits of its own call."""
+
+    def __init__(self, gens):
+        m, c = zip(*(g._constants() for g in gens))
+        columns = np.array(m)[:, None], [np.array(cl)[:, None] for cl in zip(*c)]
+        self.k, self._constants = gens[0].k, lambda: columns
+
+    def evaluate_grid(self, thetas, j):
+        return PerturbedGenerator.evaluate_grid(self, thetas, j)
+
+
+class _Rows:
+    """One generator per row of orbits shaped (..., rows, N), evaluated with
+    one call per maximal run of two or more consecutive PerturbedGenerator
+    rows of one k (a ``_Run``) and one per other row."""
+
+    def __init__(self, gens, rows: int):
+        if len(gens) != rows:
+            raise ValueError(f"{len(gens)} generators for {rows} rows of orbits: "
+                             "pass one generator, or one per row")
+        starts = [0] + [i for i in range(1, len(gens)) if not (
+            type(gens[i - 1]) is type(gens[i]) is PerturbedGenerator
+            and gens[i - 1].k == gens[i].k)]
+        self.parts = [(slice(lo, hi), _Run(gens[lo:hi])) if hi - lo > 1 else (lo, gens[lo])
+                      for lo, hi in zip(starts, starts[1:] + [len(gens)])]
+
+    def evaluate_grid(self, thetas, j):
+        thetas, j = np.broadcast_arrays(thetas, j)
+        out = np.empty(thetas.shape, dtype=complex)
+        for rows, g in self.parts:
+            out[..., rows, :] = g.evaluate_grid(thetas[..., rows, :], j[..., rows, :])
+        return out
+
+
+def by_row(g, rows: int):
+    """``g`` for ``rows`` rows of orbits: one generator as it is, which takes
+    each angle once for all rows, or a sequence of exactly one generator per
+    row as a ``_Rows``, whose runs read their constants now."""
+    return _Rows(g, rows) if isinstance(g, (list, tuple)) else g
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ class LyapunovEstimate:
     """An exponent estimate together with the level it is compared against."""
 
     gamma_hat: float
-    method: str  # "phaseAverage", the estimator's CSV method name
     n: int
     samples: int
     bound: float
@@ -87,7 +86,7 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
     ``theta0s`` and ``j0s`` broadcast to the (R, N) grid of orbits and
     ``zs`` is a scalar or one per column; orbit (i, c) starts at
     (theta0s[i, c], j0s[i, c]) with parameter zs[c].  ``g`` is one
-    generator, or one per row (see ``grid_log_norms``).  All orbits, of
+    generator, or one per row (``dynamics.by_row``).  All orbits, of
     either starting parity and every row, run as one batched product.
     """
     return grid_log_norms(theta0s, j0s, r, g, zs, n)[0] / n
@@ -137,7 +136,7 @@ def estimate_phase_average(r: Rotation, g, z, n: int, grid_size: int) -> Lyapuno
     """Quadrature estimator: theta-grid and parity average of (1/n) log ||A^z_n||."""
     gamma = float(_phase_means(r, g, z, grid_size, [n])[0])
     bound = reference_bound(g)
-    return LyapunovEstimate(gamma, "phaseAverage", n, 2 * grid_size, bound, gamma - bound)
+    return LyapunovEstimate(gamma, n, 2 * grid_size, bound, gamma - bound)
 
 
 def _analytic_family_coeffs(r: Rotation, g: ExpGenerator, z, j0: int, n: int):
@@ -229,7 +228,8 @@ def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> Subha
     of P(0), the constant terms of the same recursion, so the check stays
     independent of the hand-derived closed form n log (1-eps^2)^(1/2).  A
     circle average or center value that is not finite, as once
-    2 eps^(2n) leaves the double range, raises NumericalBlowupError.
+    2 eps^(2n) leaves the double range, raises NumericalBlowupError.  z = 0
+    raises ValueError: the parity-1 steps of P(w) have entries in 1/z.
     """
     if not isinstance(g, ExpGenerator):
         raise TypeError("subharmonic_check is defined for the exponential family only")
@@ -239,6 +239,8 @@ def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> Subha
         raise ValueError("j0 must be 0 or 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if z == 0:
+        raise ValueError("subharmonic_check needs z != 0")
 
     deg = 2 * g.k * n  # entry degree; Frobenius harmonics reach +-deg
     prod = _analytic_family_coeffs(r, g, z, j0, n)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from szegolyap import lyapunov
+from szegolyap import dynamics, lyapunov
 from szegolyap.cli import CSV_HEADER, main
 from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, PerturbedGenerator, Rotation
 from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
@@ -137,12 +137,16 @@ def test_birkhoff_workloads_run_one_engine_call(capsys, monkeypatch, argv, grid)
     (["scan", "--eps", "0.3,0.5", "--z-grid", "32", "--n", "300"], 2 * 10, 0),
     (["verify-t2", "--eps", "0.5", "--k", "2", "--coeffs", "1;1;1;1", "--z-grid", "16",
       "--n", "100"], 5, 5),
+    (["verify-t1", "--eps", "0.5", "--z-grid", "1", "--n", "2", "--grid", "32768"], 32, 0),
 ])
 def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_calls):
     # The one engine call runs blocks of BUDGET // orbits steps: 10 of 32
     # steps for scan's two rows of 32 orbits, each row one exponential call
     # per block; 5 of 21 steps for verify-t2's six rows of 16, its
-    # unperturbed row one call per block and its five ladder rungs another.
+    # unperturbed row one call per block and its five ladder rungs another,
+    # made on their run (``dynamics._Run``).  verify-t1's one real z runs
+    # one parity row in 32 tiles of 1024 angles, each one block of both
+    # steps: one exponential call per tile, each angle once.
     calls = {ExpGenerator: [], PerturbedGenerator: []}
     for cls, seen in calls.items():
         def spy(self, thetas, j, seen=seen, evaluate=cls.evaluate_grid):
@@ -150,9 +154,9 @@ def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_cal
             return evaluate(self, thetas, j)
         monkeypatch.setattr(cls, "evaluate_grid", spy)
     assert run(capsys, *argv)[0] == 0
-    cols = 32 if argv[0] == "scan" else 16
-    assert calls[ExpGenerator] == [(ExpGenerator, (cols,))] * exp_calls
-    assert calls[PerturbedGenerator] == [(PerturbedGenerator, (5, cols))] * run_calls
+    cols = {"scan": (32,), "verify-t2": (16,), "verify-t1": (1, 1024)}[argv[0]]
+    assert calls[ExpGenerator] == [(ExpGenerator, cols)] * exp_calls
+    assert calls[PerturbedGenerator] == [(dynamics._Run, (5, *cols))] * run_calls
 
 
 @pytest.mark.parametrize("argv, forms", [

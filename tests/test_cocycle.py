@@ -20,6 +20,7 @@ from szegolyap.dynamics import (
     GOLDEN_MEAN,
     PerturbedGenerator,
     Rotation,
+    by_row,
     lambda_max,
 )
 from szegolyap.lyapunov import birkhoff_scan
@@ -1159,27 +1160,30 @@ def _boundaries():
     (23, _boundaries(), [0, (1, 3), (3, 6), 6, (7, 9), 9, 10]),
 ], ids=["1", "2", "3", "4", "ladder", "mixed-run", "boundaries"])
 def test_coefficients_match_mod_one_angles(seed, gens, runs):
-    # Floor-reduced angles give every row's generator, and one generator
-    # for all rows, the bits of (theta0 + m alpha) % 1.0, for negative
-    # starts and m up to 1e5.  A run of perturbed rows of one k, evaluated
-    # in one call, gives each row the bits of its own call.
+    # Rotation.orbit's floor-reduced angles are the bits of (theta0 + m
+    # alpha) % 1.0, for negative starts and m up to 1e5.  On them the
+    # sequence object gives every row its own generator's bits, a run of
+    # perturbed rows of one k in one call, and the engine's coefficients
+    # are the sequence's, or one generator's for all rows.
     rng = np.random.default_rng(seed)
     gens = [_random_generator(rng, *g) if isinstance(g, tuple) else g for g in gens]
     rows = len(gens)
+    rowwise = by_row(gens, rows)
     if runs is not None:
-        pairs = cocycle._runs(gens)
-        assert [r if isinstance(r, int) else (r.start, r.stop) for r, _ in pairs] == runs
+        assert [r if isinstance(r, int) else (r.start, r.stop)
+                for r, _ in rowwise.parts] == runs
     theta0s = rng.uniform(-3.0, 3.0, (rows, 5))
     theta0s[0, :2] = [-0.0, -1.0]
     j0s = rng.integers(0, 2, (rows, 5))
     ms = np.concatenate([np.arange(4), rng.integers(4, 10**5, 20), [10**5]])[:, None, None]
-    thetas = (theta0s + ms * GOLDEN.alpha) % 1.0
-    parity = (j0s + ms) % 2
-    got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens, ms)
+    thetas, parity = GOLDEN.orbit(theta0s, j0s, ms)
+    assert np.array_equal(thetas, (theta0s + ms * GOLDEN.alpha) % 1.0)
+    assert np.array_equal(parity, (j0s + ms) % 2)
+    got = rowwise.evaluate_grid(thetas, parity)
     for row, g in enumerate(gens):
         assert np.array_equal(got[:, row], g.evaluate_grid(thetas[:, row], parity[:, row]))
-    if runs is not None:  # the pairs that grid_log_norms makes once per call
-        assert np.array_equal(cocycle._coefficients(theta0s, j0s, GOLDEN, pairs, ms), got)
+    assert np.array_equal(cocycle._coefficients(theta0s, j0s, GOLDEN, rowwise, ms), got)
+    assert by_row(gens[-1], rows) is gens[-1]
     got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens[-1], ms)
     assert np.array_equal(got, gens[-1].evaluate_grid(thetas, parity))
 
@@ -1191,9 +1195,29 @@ def test_run_reads_lambda_at_the_call():
     args = np.full((3, 2), 0.1), [[0], [1], [0]], GOLDEN, ladder, 1.0, 12
     grid_log_norms(*args)
     object.__setattr__(ladder[1], "lam", 0.9)
-    assert [r for r, _ in cocycle._runs(ladder)] == [slice(0, 3)]
+    assert [r for r, _ in by_row(ladder, 3).parts] == [slice(0, 3)]
     with pytest.raises(AdmissibilityError):
         grid_log_norms(*args)
+
+
+def test_generator_ignoring_parity_fills_both_rows():
+    # A generator whose values ignore j, shaped like the angles alone,
+    # still gives both parity rows of a two-row engine call their orbits:
+    # each row equals the same orbits run alone at that parity, and so the
+    # other row.
+    class ParityBlind:
+        @staticmethod
+        def evaluate_grid(thetas, j):
+            return 0.5 * np.cos(2 * np.pi * thetas) + 0.2j
+
+    thetas, z = np.linspace(0.0, 0.9, 7), cmath.exp(0.3j)
+    both, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, ParityBlind(), z, 30, checkpoints=[9])
+    for j in (0, 1):
+        alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, ParityBlind(), z, 30, checkpoints=[9])
+        assert both[j].tobytes() == alone.tobytes()
+        assert rec[9][j].tobytes() == rec_alone[9].tobytes()
+    assert both[0].tobytes() == both[1].tobytes()
+    assert np.ptp(both) > 0.01
 
 
 @settings(max_examples=40, deadline=None)

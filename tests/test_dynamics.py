@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from szegolyap import cocycle
 from szegolyap.dynamics import (
     AdmissibilityError,
     ConstantGenerator,
@@ -22,22 +21,11 @@ from szegolyap.dynamics import (
 GOLDEN = Rotation(GOLDEN_MEAN)
 
 
-class PhaseEcho:
-    """A generator whose value at (theta, j) is theta + i j: the phase
-    points at which the cocycle engine evaluates coefficients."""
-
-    @staticmethod
-    def evaluate_grid(thetas, j):
-        return thetas + 1j * j
-
-
 def visited(theta0, j0, r, steps):
     """(theta, j) of T^m (theta0, j0) for m in ``steps``, as the engine
     forms them."""
-    ms = np.asarray(steps)[:, None, None]
-    points = cocycle._coefficients(np.array([[theta0]]), np.array([[j0]]), r,
-                                   PhaseEcho(), ms)[:, 0, 0]
-    return [(float(p.real), int(p.imag)) for p in points]
+    thetas, parity = r.orbit(theta0, j0, np.asarray(steps))
+    return [(float(t), int(j)) for t, j in zip(thetas, parity)]
 
 
 def value(g, theta, j):

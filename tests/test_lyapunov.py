@@ -479,12 +479,22 @@ def test_subharmonic_route_equality():
         assert np.max(np.abs(vals + n * math.log(1.0 / g.epsilon) - logn)) < 1e-8
 
 
-def test_subharmonic_rejects_bad_input():
+def test_subharmonic_rejects_bad_input(monkeypatch):
     z = turn(0.1)
     with pytest.raises(TypeError):
         subharmonic_check(GOLDEN, ConstantGenerator(0.1), z, 0, 2)
     with pytest.raises(ValueError):
         subharmonic_check(GOLDEN, ExpGenerator(0.5, -1), z, 0, 2)
+
+    # P(w) has entries in 1/z at parity-1 steps: z = 0 is refused before
+    # any coefficient is formed, even where no such step occurs (j0 = 0, n = 1).
+    def unreachable(*args):
+        raise AssertionError("coefficients formed at z = 0")
+
+    monkeypatch.setattr(lyapunov, "_analytic_family_coeffs", unreachable)
+    for z, j0, n in [(0.0, 1, 3), (0j, 0, 2), (0, 0, 1)]:
+        with pytest.raises(ValueError, match="z != 0"):
+            subharmonic_check(GOLDEN, ExpGenerator(0.5, 1), z, j0, n)
 
 
 def test_convergence_spread_diagnostic():
