@@ -47,9 +47,9 @@ class NumericalBlowupError(ArithmeticError):
 def szego_matrices(f, z):
     """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast.
     Entry-major: a ``(..., 2, 2)`` view in which each entry is contiguous."""
-    f, z = np.broadcast_arrays(
-        np.asarray(f, dtype=complex), np.asarray(z, dtype=complex)
-    )
+    f, z = np.asarray(f, dtype=complex), np.asarray(z, dtype=complex)
+    if f.shape != z.shape:
+        f, z = np.broadcast_arrays(f, z)  # a ufunc's own broadcast rounds t z otherwise
     # 1 - |f|^2 in extended precision: the plain double-precision form
     # cancels catastrophically as |f| -> 1 and would pollute the prefactor.
     # Summed in place and subtracted straight into doubles, so that no
@@ -57,13 +57,13 @@ def szego_matrices(f, z):
     rem = np.square(f.real, dtype=np.longdouble)
     rem += np.square(f.imag, dtype=np.longdouble)
     rem = np.subtract(1.0, rem, out=np.empty(f.shape))
-    if np.any(rem <= 0.0):
+    if (rem <= 0.0).any():
         raise DegenerateCoefficientError(
             "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
         )
     c = rem**-0.5
     out = np.empty((2, 2) + f.shape, dtype=complex)
-    out[0, 0] = c * z
+    np.multiply(c, z, out=out[0, 0, ...])
     # Both off-diagonals from t = -c f: conj(t) is -c conj(f) (up to the sign
     # of a zero imaginary part, which no norm sees) and t z is -c f z.
     t = -c * f
@@ -74,12 +74,13 @@ def szego_matrices(f, z):
 
 
 def _coefficients(theta0s, j0, r: Rotation, g, ms):
-    """Coefficients of a tile's orbits at the steps in ``ms`` from one call
-    on ``r.orbit``, in a fresh array of the orbits' shape (every row filled)."""
+    """Coefficients of a tile's orbits at the steps in ``ms`` from one call on
+    ``r.orbit``, copied into a fresh array of their shape only if they merely broadcast."""
     thetas, parity = r.orbit(theta0s, j0, ms)
-    out = np.empty(np.broadcast(thetas, parity).shape, dtype=complex)
-    out[...] = g.evaluate_grid(thetas, parity)
-    return out
+    vals, shape = g.evaluate_grid(thetas, parity), np.broadcast(thetas, parity).shape
+    if not (isinstance(vals, np.ndarray) and vals.shape == shape and vals.flags.c_contiguous):
+        vals = np.broadcast_to(vals, shape).astype(complex, order="C")
+    return vals
 
 
 def _check_finite(stack, m0):
@@ -189,6 +190,7 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
     # |z| / sigma_max(a) >= 1 / (2 c w) times its value.  At z = 0 nothing
     # bounds the fall: a shift of SPAN + 1 rescales before every step.
     block = max(1, BUDGET // b)
+    zs = np.broadcast_to(zs, (block, *shape))  # z at a block's shape, once per tile
     marks = iter(sorted(recorded))
     mark, room = next(marks), SPAN
 
@@ -199,6 +201,7 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
 
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
+        zs = zs[:len(ms)]  # the last block may be short
         mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
         # The stack is finite if 4 c w is, c its largest prefactor, and only
         # then is it not scanned entry by entry: szego_matrices has raised

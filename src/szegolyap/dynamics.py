@@ -6,10 +6,11 @@ Coefficient generators map phase points to values in the open unit disk.
 The cocycle engine is generic over anything with an ``evaluate_grid(thetas,
 j)`` method, whose parity ``j`` is a scalar or an integer array broadcasting
 with the angles ``thetas`` and whose values broadcast to their shape;
-``by_row`` makes one of a sequence of one generator per row.  A generator
-whose parity-1 values are the conjugates of its parity-0 values, bit for
-bit, may say so with a true ``conjugate_parity``; an object without the
-attribute is read as false.
+``by_row`` makes one of a sequence of one generator per row, with one call
+per run of rows of one family and one k; a lone run is the generator the
+engine sees.  A generator whose parity-1 values are the conjugates of its
+parity-0 values, bit for bit, may say so with a true ``conjugate_parity``;
+an object without the attribute is read as false.
 """
 
 import math
@@ -197,31 +198,33 @@ class PerturbedGenerator:
 
 
 class _Run:
-    """Consecutive PerturbedGenerator rows of one k, evaluated on angles shaped
-    (..., rows, N) by one call of ``PerturbedGenerator.evaluate_grid``, looked
-    up at each call, on (rows, 1) columns of the rows' constants, taken when
-    the run is made: each row gets the bits of its own call."""
+    """Consecutive rows of one family (ExpGenerator or PerturbedGenerator) and
+    one k on angles shaped (..., rows, N), in one call of the family's
+    ``evaluate_grid``, looked up at each call, on (rows, 1) columns of the rows'
+    moduli and couplings, taken now: each row gets the bits of its own call."""
 
     def __init__(self, gens):
-        m, c = zip(*(g._constants() for g in gens))
-        columns = np.array(m)[:, None], [np.array(cl)[:, None] for cl in zip(*c)]
-        self.k, self._constants = gens[0].k, lambda: columns
+        self.family, self.k = type(gens[0]), gens[0].k
+        self.modulus = m = np.array([g.modulus for g in gens])[:, None]
+        if self.family is PerturbedGenerator:
+            c = [np.array(cl)[:, None] for cl in zip(*(g._constants()[1] for g in gens))]
+            self._constants = lambda: (m, c)
 
     def evaluate_grid(self, thetas, j):
-        return PerturbedGenerator.evaluate_grid(self, thetas, j)
+        return self.family.evaluate_grid(self, thetas, j)
 
 
 class _Rows:
     """One generator per row of orbits shaped (..., rows, N), evaluated with
-    one call per maximal run of two or more consecutive PerturbedGenerator
-    rows of one k (a ``_Run``) and one per other row."""
+    one call per maximal run of two or more consecutive rows of one family
+    and one k (a ``_Run``) and one per other row."""
 
     def __init__(self, gens, rows: int):
         if len(gens) != rows:
             raise ValueError(f"{len(gens)} generators for {rows} rows of orbits: "
                              "pass one generator, or one per row")
         starts = [0] + [i for i in range(1, len(gens)) if not (
-            type(gens[i - 1]) is type(gens[i]) is PerturbedGenerator
+            type(gens[i - 1]) is type(gens[i]) in (ExpGenerator, PerturbedGenerator)
             and gens[i - 1].k == gens[i].k)]
         self.parts = [(slice(lo, hi), _Run(gens[lo:hi])) if hi - lo > 1 else (lo, gens[lo])
                       for lo, hi in zip(starts, starts[1:] + [len(gens)])]
@@ -236,9 +239,12 @@ class _Rows:
 
 def by_row(g, rows: int):
     """``g`` for ``rows`` rows of orbits: one generator as it is, which takes
-    each angle once for all rows, or a sequence of exactly one generator per
-    row as a ``_Rows``, whose runs read their constants now."""
-    return _Rows(g, rows) if isinstance(g, (list, tuple)) else g
+    each angle once for all rows, or a sequence of one generator per row as a
+    ``_Rows``, whose runs read their constants now, or its part covering all rows."""
+    if not isinstance(g, (list, tuple)):
+        return g
+    rowwise = _Rows(g, rows)
+    return rowwise.parts[0][1] if len(rowwise.parts) == 1 else rowwise
 
 
 @dataclass(frozen=True)
@@ -253,5 +259,4 @@ class ConstantGenerator:
             raise AdmissibilityError(f"|value| = {abs(self.value)} is not < 1")
 
     def evaluate_grid(self, thetas, j):
-        shape = np.broadcast_shapes(np.shape(thetas), np.shape(j))
-        return np.full(shape, self.value, dtype=complex)
+        return np.full(np.broadcast(thetas, j).shape, self.value, dtype=complex)

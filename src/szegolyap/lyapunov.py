@@ -227,9 +227,9 @@ def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> Subha
     is reported as ``quad_delta``.  The center value is the operator norm
     of P(0), the constant terms of the same recursion, so the check stays
     independent of the hand-derived closed form n log (1-eps^2)^(1/2).  A
-    circle average or center value that is not finite, as once
-    2 eps^(2n) leaves the double range, raises NumericalBlowupError.  z = 0
-    raises ValueError: the parity-1 steps of P(w) have entries in 1/z.
+    non-finite coefficient of F, circle average or center value, as at extreme
+    |z| or once 2 eps^(2n) leaves the double range, raises NumericalBlowupError.
+    z = 0 raises ValueError: the parity-1 steps of P(w) have entries in 1/z.
     """
     if not isinstance(g, ExpGenerator):
         raise TypeError("subharmonic_check is defined for the exponential family only")
@@ -243,8 +243,10 @@ def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> Subha
         raise ValueError("subharmonic_check needs z != 0")
 
     deg = 2 * g.k * n  # entry degree; Frobenius harmonics reach +-deg
-    prod = _analytic_family_coeffs(r, g, z, j0, n)
-    coeffs = _fro2_coeffs(prod)
+    with np.errstate(over="ignore", invalid="ignore"):  # powers of z and 1/z may overflow
+        coeffs = _fro2_coeffs(prod := _analytic_family_coeffs(r, g, z, j0, n))
+    if not np.isfinite(coeffs).all():
+        raise NumericalBlowupError(f"coefficients of ||P(w)||_F^2 not finite at z = {z}")
 
     floor = 2.0 * g.epsilon ** (2 * n)  # 2 sqrt(D), the sigma-crossing level
 

@@ -29,7 +29,7 @@ def op_norm(x):
     coincide.
     """
     x = np.asarray(x)
-    fro2 = np.sum(np.abs(x) ** 2, axis=(-1, -2))
+    fro2 = np.add.reduce(np.abs(x) ** 2, axis=(-1, -2))
     d2 = np.abs(det(x)) ** 2
     disc = np.maximum(fro2 * fro2 - 4.0 * d2, 0.0)
     return np.sqrt(0.5 * (fro2 + np.sqrt(disc)))

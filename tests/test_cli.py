@@ -134,19 +134,19 @@ def test_birkhoff_workloads_run_one_engine_call(capsys, monkeypatch, argv, grid)
 
 
 @pytest.mark.parametrize("argv, exp_calls, run_calls", [
-    (["scan", "--eps", "0.3,0.5", "--z-grid", "32", "--n", "300"], 2 * 10, 0),
+    (["scan", "--eps", "0.3,0.5", "--z-grid", "32", "--n", "300"], 10, 0),
     (["verify-t2", "--eps", "0.5", "--k", "2", "--coeffs", "1;1;1;1", "--z-grid", "16",
       "--n", "100"], 5, 5),
     (["verify-t1", "--eps", "0.5", "--z-grid", "1", "--n", "2", "--grid", "32768"], 32, 0),
 ])
 def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_calls):
     # The one engine call runs blocks of BUDGET // orbits steps: 10 of 32
-    # steps for scan's two rows of 32 orbits, each row one exponential call
-    # per block; 5 of 21 steps for verify-t2's six rows of 16, its
-    # unperturbed row one call per block and its five ladder rungs another,
-    # made on their run (``dynamics._Run``).  verify-t1's one real z runs
-    # one parity row in 32 tiles of 1024 angles, each one block of both
-    # steps: one exponential call per tile, each angle once.
+    # steps for scan's two rows of 32 orbits, one exponential call per block
+    # for both rows, made on their run (``dynamics._Run``); 5 of 21 steps for
+    # verify-t2's six rows of 16, its unperturbed row one call per block and
+    # its five ladder rungs another, made on their run.  verify-t1's one real
+    # z runs one parity row in 32 tiles of 1024 angles, each one block of
+    # both steps: one exponential call per tile, each angle once.
     calls = {ExpGenerator: [], PerturbedGenerator: []}
     for cls, seen in calls.items():
         def spy(self, thetas, j, seen=seen, evaluate=cls.evaluate_grid):
@@ -154,8 +154,9 @@ def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_cal
             return evaluate(self, thetas, j)
         monkeypatch.setattr(cls, "evaluate_grid", spy)
     assert run(capsys, *argv)[0] == 0
-    cols = {"scan": (32,), "verify-t2": (16,), "verify-t1": (1, 1024)}[argv[0]]
-    assert calls[ExpGenerator] == [(ExpGenerator, cols)] * exp_calls
+    exp, cols = {"scan": (dynamics._Run, (2, 32)), "verify-t2": (ExpGenerator, (16,)),
+                 "verify-t1": (ExpGenerator, (1, 1024))}[argv[0]]
+    assert calls[ExpGenerator] == [(exp, cols)] * exp_calls
     assert calls[PerturbedGenerator] == [(dynamics._Run, (5, *cols))] * run_calls
 
 

@@ -7,10 +7,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from szegolyap import cocycle
+from szegolyap import cocycle, dynamics
 from szegolyap import mat2 as m2
 from szegolyap.cocycle import DegenerateCoefficientError, NumericalBlowupError, grid_log_norms
 from szegolyap.dynamics import (
@@ -1163,15 +1163,17 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
     # Rotation.orbit's floor-reduced angles are the bits of (theta0 + m
     # alpha) % 1.0, for negative starts and m up to 1e5.  On them the
     # sequence object gives every row its own generator's bits, a run of
-    # perturbed rows of one k in one call, and the engine's coefficients
-    # are the sequence's, or one generator's for all rows.
+    # rows of one family and one k in one call, and the engine's coefficients
+    # are the sequence's, or one generator's for all rows.  A run that
+    # covers every row is the object the engine is handed.
     rng = np.random.default_rng(seed)
     gens = [_random_generator(rng, *g) if isinstance(g, tuple) else g for g in gens]
     rows = len(gens)
     rowwise = by_row(gens, rows)
     if runs is not None:
         assert [r if isinstance(r, int) else (r.start, r.stop)
-                for r, _ in rowwise.parts] == runs
+                for r, _ in dynamics._Rows(gens, rows).parts] == runs
+        assert isinstance(rowwise, dynamics._Run) == (runs == [(0, rows)])
     theta0s = rng.uniform(-3.0, 3.0, (rows, 5))
     theta0s[0, :2] = [-0.0, -1.0]
     j0s = rng.integers(0, 2, (rows, 5))
@@ -1195,9 +1197,18 @@ def test_run_reads_lambda_at_the_call():
     args = np.full((3, 2), 0.1), [[0], [1], [0]], GOLDEN, ladder, 1.0, 12
     grid_log_norms(*args)
     object.__setattr__(ladder[1], "lam", 0.9)
-    assert [r for r, _ in by_row(ladder, 3).parts] == [slice(0, 3)]
+    assert [r for r, _ in dynamics._Rows(ladder, 3).parts] == [slice(0, 3)]
+    assert isinstance(by_row(ladder, 3), dynamics._Run)
     with pytest.raises(AdmissibilityError):
         grid_log_norms(*args)
+
+
+class ParityBlind:
+    """A generator whose values ignore j, shaped like the angles alone."""
+
+    @staticmethod
+    def evaluate_grid(thetas, j):
+        return 0.5 * np.cos(2 * np.pi * thetas) + 0.2j
 
 
 def test_generator_ignoring_parity_fills_both_rows():
@@ -1205,11 +1216,6 @@ def test_generator_ignoring_parity_fills_both_rows():
     # still gives both parity rows of a two-row engine call their orbits:
     # each row equals the same orbits run alone at that parity, and so the
     # other row.
-    class ParityBlind:
-        @staticmethod
-        def evaluate_grid(thetas, j):
-            return 0.5 * np.cos(2 * np.pi * thetas) + 0.2j
-
     thetas, z = np.linspace(0.0, 0.9, 7), cmath.exp(0.3j)
     both, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, ParityBlind(), z, 30, checkpoints=[9])
     for j in (0, 1):
@@ -1218,6 +1224,111 @@ def test_generator_ignoring_parity_fills_both_rows():
         assert rec[9][j].tobytes() == rec_alone[9].tobytes()
     assert both[0].tobytes() == both[1].tobytes()
     assert np.ptp(both) > 0.01
+
+
+@pytest.mark.parametrize("form", [np.ndarray.tolist, np.asfortranarray,
+                                  lambda v: v.astype(np.complex64)],
+                         ids=["list", "fortran", "complex64"])
+def test_coefficients_of_the_orbit_shape_in_any_form(form):
+    # Values of the orbits' full shape in any form that broadcasts (a nested
+    # list, a strided or a single-precision array) give the log norms of the
+    # same values as a C-contiguous complex array.
+    def formed(form):
+        class Formed:
+            @staticmethod
+            def evaluate_grid(thetas, j):
+                return form(ExpGenerator(0.5, 1).evaluate_grid(thetas, j))
+        return Formed()
+
+    args = np.linspace(0.0, 0.9, 7) + np.zeros((3, 1)), [[0], [1], [0]], GOLDEN
+    got = grid_log_norms(*args, formed(form), cmath.exp(0.3j), 30)[0]
+    want = formed(lambda v: np.ascontiguousarray(form(v), dtype=complex))
+    assert got.tobytes() == grid_log_norms(*args, want, cmath.exp(0.3j), 30)[0].tobytes()
+
+
+def _row_generators(rng, blocks):
+    """Consecutive rows of each (kind, k, count) in ``blocks``: exponential
+    rows of their own eps, perturbed ladders of one eps with real or complex
+    couplings, constants, or parity-blind rows."""
+    gens = []
+    for kind, k, count in blocks:
+        if kind == "exp":
+            gens += [ExpGenerator(float(eps), k) for eps in rng.uniform(0.05, 0.95, count)]
+        elif kind in ("real", "complex"):
+            coeffs = rng.normal(size=2 * abs(k)) + (kind == "complex") * 1j * rng.normal(
+                size=2 * abs(k))
+            gens += _ladder(float(rng.uniform(0.2, 0.9)), abs(k), coeffs,
+                            rng.uniform(0.0, 0.99, count))
+        elif kind == "constant":
+            gens += [ConstantGenerator(complex(*rng.uniform(-0.6, 0.6, 2))) for _ in range(count)]
+        else:
+            gens += [ParityBlind()] * count
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.lists(st.tuples(st.sampled_from(["exp", "real", "complex", "constant", "blind"]),
+                              st.sampled_from([1, -1, 2]), st.integers(1, 3)),
+                    min_size=1, max_size=6),
+    width=st.integers(1, 12),
+    n=st.integers(1, 30),
+    tile=st.sampled_from([1, 7, cocycle.TILE]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(blocks=[("exp", 1, 2), ("exp", -1, 2), ("exp", 2, 1), ("real", 1, 2), ("complex", 1, 2),
+                 ("real", 2, 2), ("constant", 1, 1), ("blind", 1, 2), ("exp", 2, 3)],
+         width=5, n=9, tile=7, seed=3)
+def test_runs_match_one_call_per_row(blocks, width, n, tile, seed):
+    # Runs of exponential rows (one eps each, so a (rows, 1) modulus column)
+    # and of perturbed rows, between constants and parity-blind rows, give
+    # every row the bytes of its own generator's call, in the sequence's
+    # values and in the engine's log norms and checkpoints.
+    rng = np.random.default_rng(seed)
+    gens = _row_generators(rng, blocks)
+    rows = len(gens)
+    theta0s, j0s = rng.uniform(-1.0, 2.0, (rows, width)), rng.integers(0, 2, (rows, width))
+    thetas, parity = GOLDEN.orbit(theta0s, j0s, np.arange(n)[:, None, None])
+    got = by_row(gens, rows).evaluate_grid(thetas, parity)
+    zs = rng.uniform(0.5, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
+    marks = [1, n // 2 + 1, n]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "TILE", tile)
+        logn, rec = grid_log_norms(theta0s, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
+    for row, g in enumerate(gens):
+        one = g.evaluate_grid(thetas[:, row], parity[:, row])
+        assert got[:, row].tobytes() == np.broadcast_to(one, (n, width)).tobytes()
+        alone, rec_alone = grid_log_norms(theta0s[row], j0s[row], GOLDEN, g, zs, n,
+                                          checkpoints=marks)
+        assert logn[row].tobytes() == alone.tobytes()
+        assert all(rec[m][row].tobytes() == rec_alone[m].tobytes() for m in marks)
+
+
+def test_scan_batch_one_call_per_block(monkeypatch):
+    # scan's batch, two exponential rows of 32 orbits over 300 steps in 10
+    # blocks, makes one evaluate_grid call per block, on the rows' run and
+    # through the class attribute that the benchmark's tracer wraps, and one
+    # szego_matrices call per block on the very array that call returned.
+    evaluate, build, calls = ExpGenerator.evaluate_grid, cocycle.szego_matrices, []
+
+    def spy_evaluate(self, thetas, j):
+        calls.append(("evaluate", type(self), np.shape(thetas), evaluate(self, thetas, j)))
+        return calls[-1][-1]
+
+    def spy_build(f, z):
+        calls.append(("build", f is calls[-1][-1]))
+        return build(f, z)
+
+    monkeypatch.setattr(ExpGenerator, "evaluate_grid", spy_evaluate)
+    monkeypatch.setattr(cocycle, "szego_matrices", spy_build)
+    rng = np.random.default_rng(7)
+    gens = [ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)]
+    zs = np.exp(2j * np.pi * np.arange(32) / 32)
+    grid_log_norms(rng.random((2, 32)), rng.integers(0, 2, (2, 32)), GOLDEN, gens, zs, 300)
+    blocks = [32] * 9 + [12]  # BUDGET // 64 steps each
+    assert [c[:3] for c in calls[::2]] == [("evaluate", dynamics._Run, (b, 2, 32))
+                                           for b in blocks]
+    assert calls[1::2] == [("build", True)] * len(blocks)
 
 
 @settings(max_examples=40, deadline=None)

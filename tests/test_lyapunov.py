@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from szegolyap import cocycle, lyapunov
 from szegolyap import mat2 as m2
-from szegolyap.cocycle import grid_log_norms, szego_matrices
+from szegolyap.cocycle import NumericalBlowupError, grid_log_norms, szego_matrices
 from szegolyap.dynamics import (
     ConstantGenerator,
     ExpGenerator,
@@ -495,6 +495,19 @@ def test_subharmonic_rejects_bad_input(monkeypatch):
     for z, j0, n in [(0.0, 1, 3), (0j, 0, 2), (0, 0, 1)]:
         with pytest.raises(ValueError, match="z != 0"):
             subharmonic_check(GOLDEN, ExpGenerator(0.5, 1), z, j0, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subharmonic_extreme_z_raises_blowup():
+    # At extreme finite |z| the powers of z and 1/z in P(w)'s coefficients
+    # leave the double range: a NumericalBlowupError, with no warning, not
+    # numpy's LinAlgError from np.roots.  With no parity-1 step (j0 = 0,
+    # n = 1) z never enters P(w).
+    g = ExpGenerator(0.5, 1)
+    for z in (1e-320, 1e-200, 1e300):
+        with pytest.raises(NumericalBlowupError, match="not finite"):
+            subharmonic_check(GOLDEN, g, z, 1, 3)
+        assert subharmonic_check(GOLDEN, g, z, 0, 1) == subharmonic_check(GOLDEN, g, 1.0, 0, 1)
 
 
 def test_convergence_spread_diagnostic():
