@@ -32,7 +32,7 @@ print("eps = 0.3, k = 1, z = i, golden rotation")
 print("n        birkhoff      phaseAvg      |diff|")
 for n in (100, 1000, 10000):
     b = birkhoff(n)
-    q = estimate_phase_average(r, g, z, n, 64).gamma_hat
+    q = estimate_phase_average(r, g, z, n, 64)
     print(f"{n:<8d} {b:.8f}  {q:.8f}  {abs(b - q):.2e}")
 
 print()
@@ -42,5 +42,5 @@ print("right at it, on either side within the orbit fluctuation)")
 
 print()
 print("off the unit circle, phase averages at n = 256:")
-outer, inner = (estimate_phase_average(r, g, w, 256, 256).gamma_hat for w in (2.0, 0.5))
+outer, inner = (estimate_phase_average(r, g, w, 256, 256) for w in (2.0, 0.5))
 print(f"  gamma(2) - gamma(1/2) = {outer - inner:.12f}, log 2 = {math.log(2.0):.12f}")

@@ -17,7 +17,6 @@ from .dynamics import (
 )
 from .cocycle import DegenerateCoefficientError, NumericalBlowupError
 from .lyapunov import (
-    LyapunovEstimate,
     SubharmonicReport,
     birkhoff_scan,
     estimate_phase_average,
@@ -34,7 +33,6 @@ __all__ = [
     "DegenerateCoefficientError",
     "ExpGenerator",
     "GOLDEN_MEAN",
-    "LyapunovEstimate",
     "NumericalBlowupError",
     "PerturbedGenerator",
     "Rotation",

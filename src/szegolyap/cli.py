@@ -143,7 +143,7 @@ def _phase_grid(r, gens, zs, n, grid):
     """Phase-average estimates over the z points ``zs`` for each generator
     in ``gens``, shaped (generators, z points)."""
     return np.array([
-        [estimate_phase_average(r, g, z, n, grid).gamma_hat for z in zs]
+        [estimate_phase_average(r, g, z, n, grid) for z in zs]
         for g in gens
     ])
 
@@ -187,29 +187,16 @@ def cmd_scan(args) -> int:
         results["birkhoff"] = _birkhoff_batch(rng, r, gens, zs, args.n)
     if "phaseAverage" in methods:
         results["phaseAverage"] = _phase_grid(r, gens, zs, args.n, args.grid)
-    rows = []
-    for e, (eps, g) in enumerate(zip(args.eps, gens)):
-        bound = reference_bound(g)
-        for i, t in enumerate(ts):
-            for method in methods:
-                gamma = float(results[method][e][i])
-                rows.append(
-                    {
-                        "z_arg": float(t),
-                        "epsilon": eps,
-                        "lambda_abs": lam_abs,
-                        "n": args.n,
-                        "method": method,
-                        "gamma_hat": gamma,
-                        "bound": bound,
-                        "margin": gamma - bound,
-                    }
-                )
+    # The chart's rows; the CSV adds the scan's |lambda| and n, and each margin.
+    bounds = [reference_bound(g) for g in gens]
+    rows = [dict(z_arg=float(t), epsilon=eps, method=method,
+                 gamma_hat=float(results[method][e][i]), bound=bounds[e])
+            for e, eps in enumerate(args.eps) for i, t in enumerate(ts) for method in methods]
 
     # One f-string per row, the columns of CSV_HEADER; floats as _fmt writes them.
     text = CSV_HEADER + "\n" + "".join(
-        f"{r['z_arg']:.17g},{r['epsilon']:.17g},{r['lambda_abs']:.17g},{r['n']},"
-        f"{r['method']},{r['gamma_hat']:.17g},{r['bound']:.17g},{r['margin']:.17g}\n"
+        f"{r['z_arg']:.17g},{r['epsilon']:.17g},{lam_abs:.17g},{args.n},{r['method']},"
+        f"{r['gamma_hat']:.17g},{r['bound']:.17g},{r['gamma_hat'] - r['bound']:.17g}\n"
         for r in rows
     )
     if args.out:

@@ -14,6 +14,7 @@ an object without the attribute is read as false.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,17 @@ class Rotation:
         return thetas, (j0 + ms) % 2
 
 
+def _family_k(epsilon, k) -> int:
+    """Check a family's epsilon in (0, 1) and read its k by ``operator.index``:
+    ints and numpy integers pass, anything else is a ValueError."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+
+
 def _phase(thetas, j, k):
     """e^(2 pi i k theta), one exponential per angle, broadcast against the
     parities j and conjugated where j = 1: bit for bit e^(-2 pi i k theta)."""
@@ -70,9 +82,7 @@ class ExpGenerator:
     conjugate_parity = True
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.k == 0:
+        if _family_k(self.epsilon, self.k) == 0:
             raise ValueError("k must be a nonzero integer")
 
     @property
@@ -91,8 +101,9 @@ def lambda_max(epsilon: float, coeffs) -> float:
     |lambda| below this value forces the perturbed coefficients into D,
     by the triangle inequality:
     (1 - eps^2)^(1/2) (1 + |lambda| sum|a_l|) < 1.  Returns +inf for an
-    empty (or all-zero) perturbation.  This is a sufficient bound, not the
-    exact supremum; dense sampling gives the sharp check in tests.
+    empty (or all-zero) perturbation, and raises ValueError for a
+    non-finite a_l.  This is a sufficient bound, not the exact supremum;
+    dense sampling gives the sharp check in tests.
 
     The radius (1/m - 1) / sum|a_l|, m = (1 - eps^2)^(1/2), is evaluated as
     eps^2 / (m (1 + m) sum|a_l|): the difference 1/m - 1 cancels to 0 in
@@ -100,6 +111,8 @@ def lambda_max(epsilon: float, coeffs) -> float:
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"perturbation coefficients must be finite, got {list(coeffs)}")
     total = float(sum(abs(complex(a)) for a in coeffs))
     if total == 0.0:
         return math.inf
@@ -134,9 +147,7 @@ class PerturbedGenerator:
     coeffs: tuple
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.k < 1:
+        if _family_k(self.epsilon, self.k) < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "coeffs", tuple(complex(a) for a in self.coeffs))
         object.__setattr__(self, "lam", complex(self.lam))
@@ -144,6 +155,8 @@ class PerturbedGenerator:
             raise ValueError(
                 f"need 2k = {2 * self.k} coefficients, got {len(self.coeffs)}"
             )
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         # lambda = 0 is the unperturbed family, admissible even where the
         # radius underflows to 0.
         radius = lambda_max(self.epsilon, self.coeffs)
@@ -153,9 +166,7 @@ class PerturbedGenerator:
                 f"{radius} at epsilon = {self.epsilon}"
             )
 
-    @property
-    def modulus(self) -> float:
-        return math.sqrt(1.0 - self.epsilon**2)
+    modulus = ExpGenerator.modulus  # (1 - eps^2)^(1/2)
 
     @property
     def conjugate_parity(self) -> bool:
@@ -190,7 +201,7 @@ class PerturbedGenerator:
         np.add(pos, neg, out=spare)
         vals = np.multiply(spare, m, out=pos)
         worst = np.max(np.abs(vals))
-        if worst >= 1.0:
+        if not worst < 1.0:  # NaN values fail too
             raise AdmissibilityError(
                 f"coefficient value of modulus {worst} escaped the unit disk"
             )

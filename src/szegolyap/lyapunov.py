@@ -48,32 +48,18 @@ def perturbed_reference(g: PerturbedGenerator) -> float:
 
 
 def reference_bound(g) -> float:
-    """Comparison level for an estimate: the uniform positivity bound
-    for the exponential family, the continuity-adjusted surrogate for
-    the perturbed family, NaN for anything else."""
-    if isinstance(g, ExpGenerator):
-        return theorem1_bound(g.epsilon)
+    """Comparison level for an estimate: the continuity-adjusted surrogate
+    for the perturbed family, the uniform positivity bound for the
+    exponential family."""
     if isinstance(g, PerturbedGenerator):
         return perturbed_reference(g)
-    return math.nan
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    """An exponent estimate together with the level it is compared against."""
-
-    gamma_hat: float
-    n: int
-    samples: int
-    bound: float
-    margin: float
+    return theorem1_bound(g.epsilon)
 
 
 @dataclass(frozen=True)
 class SubharmonicReport:
     """Circle average vs. center value of log ||product(w)||."""
 
-    n: int
     circle_average: float
     center_value: float
     slack: float
@@ -104,7 +90,8 @@ def _phase_means(r: Rotation, g, z, grid_size: int, marks):
     exactly with every operation of the engine (+, x, |.|, sqrt, the
     extended 1 - |f|^2), so log ||A^z_m(theta, 1)|| = log ||A^conj(z)_m(theta, 0)||
     byte for byte.  At any real z the parity-1 row is then the parity-0 row:
-    only that row runs and its mean counts twice, the bits of two equal rows.
+    only that row runs and its mean counts twice (mu[0] + mu[-1], and
+    x + x == 2 x exactly), the bits of two equal rows.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
@@ -113,30 +100,25 @@ def _phase_means(r: Rotation, g, z, grid_size: int, marks):
     last, rec = grid_log_norms(np.arange(grid_size) / grid_size, parities, r, g, z,
                                marks[-1], checkpoints=marks[:-1])
     rec[marks[-1]] = last
-    if symmetric:  # x + x == 2 x exactly
-        totals = [2.0 * np.mean(rec[m][0]) for m in marks]
-    else:
-        totals = [np.mean(rec[m][0]) + np.mean(rec[m][1]) for m in marks]
-    return np.asarray(totals) / (2.0 * np.asarray(marks))
+    mus = [[np.mean(row) for row in rec[m]] for m in marks]
+    return np.array([mu[0] + mu[-1] for mu in mus]) / (2.0 * np.asarray(marks))
 
 
 def phase_average_profile(r: Rotation, g, z, n_max: int, grid_size: int):
     """Phase-averaged estimates for every n = 1 .. n_max in one pass.
 
     Entry n-1 is (1/n) * mean over the uniform theta grid and both
-    parities of log ||A^z_n(theta, j)||, exactly the ``gamma_hat`` of
-    ``estimate_phase_average`` at that n.
+    parities of log ||A^z_n(theta, j)||, exactly ``estimate_phase_average``
+    at that n.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     return _phase_means(r, g, z, grid_size, range(1, n_max + 1))
 
 
-def estimate_phase_average(r: Rotation, g, z, n: int, grid_size: int) -> LyapunovEstimate:
+def estimate_phase_average(r: Rotation, g, z, n: int, grid_size: int) -> float:
     """Quadrature estimator: theta-grid and parity average of (1/n) log ||A^z_n||."""
-    gamma = float(_phase_means(r, g, z, grid_size, [n])[0])
-    bound = reference_bound(g)
-    return LyapunovEstimate(gamma, n, 2 * grid_size, bound, gamma - bound)
+    return float(_phase_means(r, g, z, grid_size, [n])[0])
 
 
 def _analytic_family_coeffs(r: Rotation, g: ExpGenerator, z, j0: int, n: int):
@@ -269,6 +251,4 @@ def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> Subha
             f"circle average {circle} or center value {center} is not finite "
             f"at n = {n} (crossing level 2 eps^(2n) = {floor})"
         )
-    return SubharmonicReport(
-        n, circle, center, circle - center, 0.5 * abs(avg_t - avg_half)
-    )
+    return SubharmonicReport(circle, center, circle - center, 0.5 * abs(avg_t - avg_half))

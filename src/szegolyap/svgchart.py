@@ -45,7 +45,6 @@ def write_scan_svg(path, rows, title="Lyapunov exponent scan"):
         bounds[row["epsilon"]] = row["bound"]
 
     ys = [y for pts in series.values() for _, y in pts] + list(bounds.values())
-    ys = [y for y in ys if y == y]  # drop NaN bounds
     ymin, ymax = min(ys), max(ys)
     pad = 0.1 * (ymax - ymin) or 0.1
     ymin -= pad
@@ -111,11 +110,7 @@ def write_scan_svg(path, rows, title="Lyapunov exponent scan"):
             f'points="{coords}"/>'
         )
     for eps, bound in sorted(bounds.items()):
-        if bound != bound:  # NaN: no comparison level for this family
-            continue
         color = PALETTE[eps_order.index(eps) % len(PALETTE)]
-        if not (ymin <= bound <= ymax):
-            continue
         out.append(
             f'<line x1="{sx(0)}" y1="{sy(bound)}" x2="{sx(1)}" y2="{sy(bound)}" '
             f'stroke="{color}" stroke-width="1" stroke-dasharray="2,4"/>'

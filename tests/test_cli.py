@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,16 @@ def test_scan_svg(tmp_path, capsys):
     assert text.startswith("<svg")
     assert "polyline" in text
     assert "eps = 0.4" in text
+    # One dashed horizontal bound line per epsilon, for the exponential
+    # family and for the perturbed one.
+    for family in ([], ["--lambda", "0.001,0"]):
+        rc, _, _ = run(capsys, "scan", "--eps", "0.3,0.5,0.8", "--z-grid", "4",
+                       "--n", "50", *family, "--out", str(out_path), "--svg", str(svg_path))
+        assert rc == 0
+        bound_lines = re.findall(r'<line [^>]*stroke-dasharray="2,4"/>', svg_path.read_text())
+        assert len(bound_lines) == 3, family
+        for line in bound_lines:
+            assert re.search(r'y1="([^"]+)"', line)[1] == re.search(r'y2="([^"]+)"', line)[1]
 
 
 def test_scan_stdout_when_no_out(capsys):

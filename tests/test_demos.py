@@ -1,4 +1,5 @@
-"""The demo scripts import only names the package still has, and run.
+"""The demo scripts import only names the package still has, and run, as
+does README.md's python block.
 
 Their ``szegolyap`` import statements alone name a demo broken by a removed
 export in milliseconds; running each demo (well under a second apiece)
@@ -7,6 +8,7 @@ catches the rest.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,10 +45,15 @@ def test_demo_imports_exist(demo):
         exec(code, {})
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", DEMOS + [ROOT / "README.md"], ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     # In a scratch working directory, since demo 05 writes scan.csv and
-    # scan.svg where it runs.
+    # scan.svg where it runs.  README.md stands for its one python block.
+    if demo.suffix == ".md":
+        (code,) = re.findall(r"^```python\n(.*?)^```", demo.read_text(encoding="utf-8"),
+                             re.S | re.M)
+        demo = tmp_path / "readme_snippet.py"
+        demo.write_text(code, encoding="utf-8")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     # -W as in pyproject's filterwarnings, which a subprocess does not inherit.
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],

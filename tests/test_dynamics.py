@@ -266,6 +266,48 @@ def test_perturbed_coefficient_count():
         PerturbedGenerator(0.5, 2, 0.0, [1, 1])
 
 
+@pytest.mark.parametrize(
+    "lam, coeffs",
+    [(0.1, [math.nan, 1]), (0.0, [math.inf, 1]), (0.0, [1, complex(0.0, math.nan)]),
+     (math.nan, [1, 1]), (complex(0.0, math.inf), [1, 1])],
+    ids=["nan-a", "zero-lambda-inf-a", "zero-lambda-nan-a", "nan-lambda", "inf-lambda"],
+)
+def test_non_finite_perturbation_is_a_value_error(lam, coeffs):
+    # A NaN radius or |lambda| fails no ">= radius" test: such a generator
+    # used to build, and the engine then reported a numerical blowup.
+    with pytest.raises(ValueError, match="must be finite"):
+        PerturbedGenerator(0.5, 1, lam, coeffs)
+    if not np.isfinite(coeffs).all():
+        with pytest.raises(ValueError, match="must be finite"):
+            lambda_max(0.5, coeffs)
+
+
+def test_nan_values_fail_the_unit_disk_check():
+    g = PerturbedGenerator(0.5, 1, 0.0, [1, 1])
+    object.__setattr__(g, "lam", complex(math.nan))  # past the constructor's checks
+    with pytest.raises(AdmissibilityError, match="escaped the unit disk"):
+        g.evaluate_grid(np.arange(4) / 4, 0)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+def test_k_must_be_an_integer(k):
+    # k = 1.5 gave coefficients that are not 1-periodic in theta, and the
+    # perturbed family's 2k = 3 coefficients failed later in a slice.
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ExpGenerator(0.5, k)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        PerturbedGenerator(0.5, k, 0.0, [1, 1, 1])
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_numpy_integer_k_gives_the_bits_of_int_k(k):
+    thetas = np.arange(64) / 64
+    for family, args in [(ExpGenerator, ()), (PerturbedGenerator, (0.01, [1, 2, 3, 4]))]:
+        g, ref = family(0.5, k, *args), family(0.5, 2, *args)
+        for j in (0, 1):
+            assert g.evaluate_grid(thetas, j).tobytes() == ref.evaluate_grid(thetas, j).tobytes()
+
+
 def test_perturbed_continuity_in_lambda():
     # Pointwise |f_lam - f_0| <= (1-eps^2)^(1/2) |lam| sum|a_l|.
     eps, coeffs = 0.45, [0.3, -0.5j, 1.0, 0.2 + 0.1j]

@@ -93,10 +93,10 @@ def test_birkhoff_nonnegative():
 
 def test_phase_average_single_constant_step():
     c, z = 0.3 - 0.2j, turn(0.15)
-    est = estimate_phase_average(GOLDEN, ConstantGenerator(c), z, 1, 32)
+    gamma = estimate_phase_average(GOLDEN, ConstantGenerator(c), z, 1, 32)
     expected = math.log(float(m2.op_norm(szego_matrices(c, z))))
-    assert est.gamma_hat == pytest.approx(expected, abs=1e-12)
-    assert est.samples == 64
+    assert type(gamma) is float
+    assert gamma == pytest.approx(expected, abs=1e-12)
 
 
 def test_phase_average_finite_n_inequality_slice():
@@ -113,9 +113,7 @@ def test_profile_matches_single_estimates():
     g, z = ExpGenerator(0.5, 2), turn(0.4)
     prof = phase_average_profile(GOLDEN, g, z, 5, 64)
     for n in range(1, 6):
-        est = estimate_phase_average(GOLDEN, g, z, n, 64)
-        assert prof[n - 1] == est.gamma_hat
-        assert est.margin == est.gamma_hat - est.bound
+        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, z, n, 64)
 
 
 _PERTURBED = PerturbedGenerator(0.4, 1, 0.03j, [0.5 - 1j, 1j])
@@ -135,7 +133,7 @@ def test_profile_matches_single_estimates_across_tiles(monkeypatch, g, tile):
     z = turn(0.4)
     prof = phase_average_profile(GOLDEN, g, z, 5, 64)
     for n in range(1, 6):
-        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, z, n, 64).gamma_hat
+        assert prof[n - 1] == estimate_phase_average(GOLDEN, g, z, n, 64)
 
 
 def test_phase_average_runs_one_engine_call(monkeypatch):
@@ -280,7 +278,7 @@ def test_one_row_means_equal_two_row_means(g, z):
                                checkpoints=range(1, 7))
     rec[7] = last
     two_rows = [(np.mean(rec[m][0]) + np.mean(rec[m][1])) / (2.0 * m) for m in range(1, 8)]
-    assert estimate_phase_average(GOLDEN, g, z, 7, 300).gamma_hat == two_rows[-1]
+    assert estimate_phase_average(GOLDEN, g, z, 7, 300) == two_rows[-1]
     assert phase_average_profile(GOLDEN, g, z, 7, 300).tolist() == two_rows
 
 
@@ -305,7 +303,7 @@ def test_phase_average_mirrors_through_the_unit_circle(kind, log_mod, z_turn, n,
     mirror = phase_average_profile(GOLDEN, g, 1.0 / z.conjugate(), n, 32)
     tol = 2.0**-40 * (1.0 + abs(math.log(abs(z))))
     assert np.max(np.abs(gamma - mirror - math.log(abs(z)))) <= tol
-    assert estimate_phase_average(GOLDEN, g, z, n, 32).gamma_hat == gamma[-1]
+    assert estimate_phase_average(GOLDEN, g, z, n, 32) == gamma[-1]
 
 
 def _traced_peak(run):
@@ -372,7 +370,7 @@ def test_cross_estimator_consistency():
     g, z = ExpGenerator(0.3, 1), turn(0.0)
     quad = estimate_phase_average(GOLDEN, g, z, 4000, 64)
     path = birkhoff_one(0.4321, 0, g, z, 4000)
-    assert abs(quad.gamma_hat - path) <= 0.02
+    assert abs(quad - path) <= 0.02
 
 
 def test_birkhoff_scan_matches_single_estimates():
@@ -411,7 +409,6 @@ def test_reference_bound_dispatch():
     g = PerturbedGenerator(0.5, 1, 0.1 * lambda_max(0.5, [1, 1]), [1, 1])
     assert reference_bound(g) == perturbed_reference(g)
     assert reference_bound(g) < theorem1_bound(0.5)
-    assert math.isnan(reference_bound(ConstantGenerator(0.1)))
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
