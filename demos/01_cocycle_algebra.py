@@ -19,8 +19,9 @@ J = np.diag([1.0, -1.0])
 
 
 def one_step(g, theta, j, z):
-    """A^z(theta, j) for the generator g."""
-    return szego_matrices(g.evaluate_grid(np.array([theta]), j), z)[0]
+    """A^z(theta, j) for the generator g, with its prefactor 1/eps as the
+    engine takes it."""
+    return szego_matrices(g.evaluate_grid(np.array([theta]), j), z, g.prefactor)[0]
 
 
 def conjugator(j, root):

@@ -9,13 +9,14 @@ subharmonic mean-value inequality behind it.
 from .dynamics import (
     AdmissibilityError,
     ConstantGenerator,
+    DegenerateCoefficientError,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
     Rotation,
     lambda_max,
 )
-from .cocycle import DegenerateCoefficientError, NumericalBlowupError
+from .cocycle import NumericalBlowupError
 from .lyapunov import (
     SubharmonicReport,
     birkhoff_scan,

@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from . import svgchart
-from .cocycle import DegenerateCoefficientError, NumericalBlowupError
+from .cocycle import NumericalBlowupError
 from .dynamics import (
     AdmissibilityError,
+    DegenerateCoefficientError,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,

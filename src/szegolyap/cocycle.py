@@ -5,7 +5,10 @@ f in D is
 
     A = (1 - |f|^2)^(-1/2) [[z, -conj(f)], [-f z, 1]],
 
-with det A = z, an element of U(1,1) where |z| = 1.  Orbit products are
+with det A = z, an element of U(1,1) where |z| = 1.  The prefactor rho =
+(1 - |f|^2)^(-1/2) is the generator's closed form where it states one (1/eps
+for the exponential family, ``dynamics.prefactor``), else computed from f
+in extended precision (``dynamics.extended_prefactor``).  Orbit products are
 renormalized by exact powers of two, whose exponents are summed per
 orbit, so products of any length never overflow and the scaling never
 rounds.
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from .dynamics import Rotation, by_row
+from .dynamics import Rotation, by_row, extended_prefactor, prefactor
 from .mat2 import op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
@@ -36,36 +39,27 @@ SPAN = 200
 LN2 = math.log(2.0)
 
 
-class DegenerateCoefficientError(ArithmeticError):
-    """A coefficient sits too close to the unit circle for double precision."""
-
-
 class NumericalBlowupError(ArithmeticError):
     """An orbit product produced non-finite entries, or a read of it would."""
 
 
-def szego_matrices(f, z):
-    """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast.
+def szego_matrices(f, z, rho=None):
+    """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast, and the
+    real prefactors ``rho`` = (1 - |f|^2)^(-1/2) broadcast with them: as the
+    generator states them (``dynamics.prefactor``), or, when None, computed
+    from f by ``dynamics.extended_prefactor``, which raises
+    DegenerateCoefficientError unless |f| < 1.
     Entry-major: a ``(..., 2, 2)`` view in which each entry is contiguous."""
     f, z = np.asarray(f, dtype=complex), np.asarray(z, dtype=complex)
     if f.shape != z.shape:
         f, z = np.broadcast_arrays(f, z)  # a ufunc's own broadcast rounds t z otherwise
-    # 1 - |f|^2 in extended precision: the plain double-precision form
-    # cancels catastrophically as |f| -> 1 and would pollute the prefactor.
-    # Summed in place and subtracted straight into doubles, so that no
-    # extended-precision copy of f is held.
-    rem = np.square(f.real, dtype=np.longdouble)
-    rem += np.square(f.imag, dtype=np.longdouble)
-    rem = np.subtract(1.0, rem, out=np.empty(f.shape))
-    if (rem <= 0.0).any():
-        raise DegenerateCoefficientError(
-            "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
-        )
-    c = rem**-0.5
+    c = extended_prefactor(f) if rho is None else rho
     out = np.empty((2, 2) + f.shape, dtype=complex)
     np.multiply(c, z, out=out[0, 0, ...])
     # Both off-diagonals from t = -c f: conj(t) is -c conj(f) (up to the sign
-    # of a zero imaginary part, which no norm sees) and t z is -c f z.
+    # of a zero imaginary part, which no norm sees) and t z is -c f z.  A real
+    # c enters a complex product with imaginary part 0, so c z and c f round
+    # once per part whether c is a scalar, a column or an array.
     t = -c * f
     np.conjugate(t, out=out[0, 1, ...])
     np.multiply(t, z, out=out[1, 0, ...])
@@ -75,12 +69,13 @@ def szego_matrices(f, z):
 
 def _coefficients(theta0s, j0, r: Rotation, g, ms):
     """Coefficients of a tile's orbits at the steps in ``ms`` from one call on
-    ``r.orbit``, copied into a fresh array of their shape only if they merely broadcast."""
+    ``r.orbit``, copied into a fresh array of their shape only if they merely
+    broadcast, and their prefactors as ``g`` states them (``dynamics.prefactor``)."""
     thetas, parity = r.orbit(theta0s, j0, ms)
     vals, shape = g.evaluate_grid(thetas, parity), np.broadcast(thetas, parity).shape
     if not (isinstance(vals, np.ndarray) and vals.shape == shape and vals.flags.c_contiguous):
         vals = np.broadcast_to(vals, shape).astype(complex, order="C")
-    return vals
+    return vals, prefactor(g, vals)
 
 
 def _check_finite(stack, m0):
@@ -122,15 +117,16 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     TILE // R columns (at least one).  A tile builds at most BUDGET
     one-step matrices per block and folds them step by step, in the same
     arithmetic at any block length.  A block makes one ``g.evaluate_grid``
-    call, and a value depends only on its own angle and parity, so a result
+    call, and reads the prefactors ``g`` states (``dynamics.prefactor``),
+    each row's its own; a value depends only on its own angle and parity, so a result
     depends only on (theta0, j0, z, g, n): not on the rest of the batch,
     TILE, BUDGET, the checkpoints or the steps at which the product was
     rescaled, and is reproducible bit for bit.  A blowup names the earliest
     step of any tile with a non-finite one-step matrix; finite ones with
     c (1 + |z|^2)^(1/2) >= 2^254 raise NumericalBlowupError naming that
     bound (see ``_fold``).  A block's matrices are scanned for one only
-    where 4 c w overflows: with |f| < 1 every entry is at most 2 c w in
-    modulus, so a finite 4 c w proves them finite.
+    where 4 c w overflows: with |f| <= 1 up to rounding every entry is at
+    most 2 c w in modulus, so a finite 4 c w proves them finite.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -202,21 +198,26 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
         zs = zs[:len(ms)]  # the last block may be short
-        mats = szego_matrices(_coefficients(theta0s, j0, r, g, ms), zs).reshape(-1, b, 2, 2)
+        vals, rho = _coefficients(theta0s, j0, r, g, ms)
+        mats = szego_matrices(vals, zs, rho).reshape(-1, b, 2, 2)
+        vals = rho = None  # not held through the fold, whose reads set the peak
         # The stack is finite if 4 c w is, c its largest prefactor, and only
-        # then is it not scanned entry by entry: szego_matrices has raised
-        # unless |f| < 1, so each prefactor lies in [1, 2^537] or is NaN, and
-        # every partial result of the entries is at most 2 c max(1, |z|).  A
-        # NaN c fails the test, as z = 0 (w = inf) and |z| near 2^1024 do.
+        # then is it not scanned entry by entry.  A stated prefactor comes
+        # with |f| <= 1 up to rounding (1/eps lies in (1, inf]); one computed
+        # from f means szego_matrices has raised unless |f| < 1, and lies in
+        # [1, 2^537] or is NaN.  Either way every partial result of the
+        # entries is at most 2 c max(1, |z|).  A NaN or infinite c fails the
+        # test, as z = 0 (w = inf) and |z| near 2^1024 do.
         c = float(mats[..., 1, 1].real.max())
         if not 4.0 * c * w < math.inf:
             _check_finite(mats, m0)
-        # A read's op_norm squares F, the product's squared Frobenius norm.
-        # At a shift of at most SPAN the product's largest part stays below
-        # 2^SPAN: F^2 < 2^806.  At SPAN + 1 every step follows a rescaling,
-        # so F(a @ cur) <= F(a) F(cur) < 8 F(a) < 16 c^2 reach^2, as F(a) =
-        # c^2 (1 + |f|^2) (1 + |z|^2), reach = (1 + max(1, |z|)^2)^(1/2): F^2
-        # is finite while c reach < 2^254, and overflows past it.
+        # A read's op_norm forms (p - q)^2 + 4 |r|^2 = F^2 - 4 |det|^2 <= F^2,
+        # F = p + q the product's squared Frobenius norm, and no larger
+        # partial result.  At a shift of at most SPAN the product's largest
+        # part stays below 2^SPAN: F^2 < 2^806.  At SPAN + 1 every step
+        # follows a rescaling, so F(a @ cur) <= F(a) F(cur) < 8 F(a) < 16 c^2
+        # reach^2, as F(a) = c^2 (1 + |f|^2) (1 + |z|^2), reach = (1 + max(1,
+        # |z|)^2)^(1/2): F^2 is finite while c reach < 2^254, and overflows past it.
         if not c * reach < 2.0**254:
             exc = NumericalBlowupError(
                 f"prefactor {c:.6g} times (1 + max(1, |z|)^2)^(1/2) = {reach:.6g} "

@@ -10,7 +10,10 @@ with the angles ``thetas`` and whose values broadcast to their shape;
 per run of rows of one family and one k; a lone run is the generator the
 engine sees.  A generator whose parity-1 values are the conjugates of its
 parity-0 values, bit for bit, may say so with a true ``conjugate_parity``;
-an object without the attribute is read as false.
+an object without the attribute is read as false.  A generator keeping
+|f| <= 1 up to rounding may state its prefactor (1 - |f|^2)^(-1/2) in
+closed form as ``prefactor``, a float or an array broadcasting with its
+values; ``prefactor(g, vals)`` reads it, each row's own for a sequence.
 """
 
 import math
@@ -27,6 +30,10 @@ TWO_PI = 2.0 * math.pi
 
 class AdmissibilityError(ValueError):
     """A coefficient generator produced (or would produce) a value outside D."""
+
+
+class DegenerateCoefficientError(ArithmeticError):
+    """A coefficient sits too close to the unit circle for double precision."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,12 @@ class ExpGenerator:
     @property
     def modulus(self) -> float:
         return math.sqrt(1.0 - self.epsilon**2)
+
+    @property
+    def prefactor(self) -> float:
+        """(1 - |f|^2)^(-1/2) = 1/eps in closed form: one rounding, where the
+        rounded f may lie on the unit circle once eps is below about 1e-8."""
+        return 1.0 / self.epsilon
 
     def evaluate_grid(self, thetas, j):
         """Vectorized evaluation at angles ``thetas`` and parities ``j`` (a
@@ -212,11 +225,14 @@ class _Run:
     """Consecutive rows of one family (ExpGenerator or PerturbedGenerator) and
     one k on angles shaped (..., rows, N), in one call of the family's
     ``evaluate_grid``, looked up at each call, on (rows, 1) columns of the rows'
-    moduli and couplings, taken now: each row gets the bits of its own call."""
+    moduli and couplings, taken now: each row gets the bits of its own call.
+    A family that states a ``prefactor`` gives the run a (rows, 1) column of them."""
 
     def __init__(self, gens):
         self.family, self.k = type(gens[0]), gens[0].k
         self.modulus = m = np.array([g.modulus for g in gens])[:, None]
+        if hasattr(self.family, "prefactor"):
+            self.prefactor = np.array([g.prefactor for g in gens])[:, None]
         if self.family is PerturbedGenerator:
             c = [np.array(cl)[:, None] for cl in zip(*(g._constants()[1] for g in gens))]
             self._constants = lambda: (m, c)
@@ -246,6 +262,37 @@ class _Rows:
         for rows, g in self.parts:
             out[..., rows, :] = g.evaluate_grid(thetas[..., rows, :], j[..., rows, :])
         return out
+
+def prefactor(g, vals):
+    """The prefactors (1 - |f|^2)^(-1/2) of the values ``vals`` that
+    ``g.evaluate_grid`` returned, broadcasting with them: ``g``'s closed form,
+    or None if it states none.  A ``_Rows`` gives each row its part's, or
+    ``extended_prefactor`` of the row's own values where the part states none."""
+    if not isinstance(g, _Rows):
+        return getattr(g, "prefactor", None)
+    closed = [getattr(part, "prefactor", None) for _, part in g.parts]
+    if all(c is None for c in closed):
+        return None
+    rho = np.empty(vals.shape)
+    for (rows, _), c in zip(g.parts, closed):
+        rho[..., rows, :] = extended_prefactor(vals[..., rows, :]) if c is None else c
+    return rho
+
+
+def extended_prefactor(f):
+    """(1 - |f|^2)^(-1/2) from the values ``f``, with 1 - |f|^2 in extended
+    precision: in doubles it cancels as |f| -> 1.  Summed in place and
+    subtracted straight into doubles, so no extended-precision copy of f is
+    held.  Raises DegenerateCoefficientError where |f| rounded to >= 1."""
+    f = np.asarray(f, dtype=complex)
+    rem = np.square(f.real, dtype=np.longdouble)
+    rem += np.square(f.imag, dtype=np.longdouble)
+    rem = np.subtract(1.0, rem, out=np.empty(f.shape))
+    if (rem <= 0.0).any():
+        raise DegenerateCoefficientError(
+            "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
+        )
+    return rem**-0.5
 
 
 def by_row(g, rows: int):

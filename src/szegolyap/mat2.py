@@ -23,14 +23,18 @@ def det(x):
 def op_norm(x):
     """Largest singular value sigma_max, in closed form.
 
-    With F the squared Frobenius norm and D = |det|^2, the singular values
-    satisfy sigma^2 = (F +- sqrt(F^2 - 4 D)) / 2.  The discriminant is
-    clamped at zero to absorb rounding when the two singular values
-    coincide.
+    With p and q the squared norms of the two rows and r = a conj(c) +
+    b conj(d) their inner product, x x* = [[p, r], [conj(r), q]] and
+
+        sigma_max^2 = (p + q + sqrt((p - q)^2 + 4 |r|^2)) / 2,
+
+    a sum of nonnegative terms: no cancellation, even where the two
+    singular values nearly coincide.  (p - q)^2 + 4 |r|^2 = F^2 - 4 |det|^2
+    <= F^2, with F = p + q the squared Frobenius norm.
     """
     x = np.asarray(x)
-    fro2 = np.add.reduce(np.abs(x) ** 2, axis=(-1, -2))
-    d2 = np.abs(det(x)) ** 2
-    disc = np.maximum(fro2 * fro2 - 4.0 * d2, 0.0)
-    return np.sqrt(0.5 * (fro2 + np.sqrt(disc)))
-
+    sq = x.real**2 + x.imag**2
+    p, q = sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1]
+    r = x[..., 0, 0] * np.conj(x[..., 1, 0]) + x[..., 0, 1] * np.conj(x[..., 1, 1])
+    disc = (p - q) ** 2 + 4.0 * (r.real**2 + r.imag**2)
+    return np.sqrt(0.5 * (p + q + np.sqrt(disc)))

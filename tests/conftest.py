@@ -16,9 +16,9 @@ def corrupted_kernel(monkeypatch):
     """
     real = cocycle.szego_matrices
 
-    def corrupted(f, z):
+    def corrupted(f, z, rho=None):
         m2 = np.abs(np.asarray(f, dtype=complex)) ** 2
-        return real(f, z) * np.sqrt((1.0 - m2) / (1.0 + m2))[..., None, None]
+        return real(f, z, rho) * np.sqrt((1.0 - m2) / (1.0 + m2))[..., None, None]
 
     monkeypatch.setattr(cocycle, "szego_matrices", corrupted)
 

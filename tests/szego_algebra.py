@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from szegolyap.cocycle import szego_matrices
+from szegolyap.dynamics import prefactor
 
 # Indefinite form preserved by U(1,1).
 J = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -23,9 +24,10 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def one_step(g, theta, j, z):
-    """A^z(theta, j) as one 2x2 matrix, from the generator's grid
-    evaluation and ``szego_matrices``."""
-    return szego_matrices(g.evaluate_grid(np.array([theta]), j), z)[0]
+    """A^z(theta, j) as one 2x2 matrix, as the engine builds it: from the
+    generator's grid evaluation and its prefactor, by ``szego_matrices``."""
+    f = g.evaluate_grid(np.array([theta]), j)
+    return szego_matrices(f, z, prefactor(g, f))[0]
 
 
 def conjugator(j, z):

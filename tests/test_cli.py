@@ -408,14 +408,28 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, flag):
 
 
 def test_verify_t1_numerical_failure_exit_code(capsys):
+    # The prefactor 1/eps = 1e100 times reach = 2^(1/2) is past 2^254, where
+    # a read's fourth powers would overflow.
     rc, out, err = run(
-        capsys, "verify-t1", "--eps", "1e-9", "--z-grid", "4", "--n", "6",
+        capsys, "verify-t1", "--eps", "1e-100", "--z-grid", "4", "--n", "6",
         "--grid", "256",
     )
     assert rc == 3
     assert err.startswith("numerical failure: ")
     assert "Traceback" not in err
     assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("eps", ["1e-8", "1e-9", "1e-12"])
+def test_verify_t1_passes_at_small_eps(capsys, eps):
+    # The exponential family's prefactor is 1/eps in closed form, so the
+    # theorem is verified where sqrt(1 - eps^2) rounds to 1 and f onto the
+    # unit circle, and 1 - |f|^2 from the rounded f would be 0 or garbage.
+    rc, out, err = run(capsys, "verify-t1", "--eps", eps, "--z-grid", "4", "--n", "6",
+                       "--grid", "256")
+    assert rc == 0 and err == ""
+    assert out.endswith("PASS\n")
+    assert f"worst margin 1.146e-01 at eps = {float(eps):g}," in out
 
 
 def test_config_file_bad_key(tmp_path, capsys):
@@ -544,7 +558,7 @@ def test_underflowed_radius_admits_zero_lambda(capsys, argv):
     "argv, code",
     [
         (["scan", "--method", "nonsense"], 2),
-        (["verify-t1", "--eps", "1e-9", "--z-grid", "4", "--n", "6", "--grid", "256"], 3),
+        (["verify-t1", "--eps", "1e-100", "--z-grid", "4", "--n", "6", "--grid", "256"], 3),
     ],
 )
 def test_process_exit_code(argv, code):

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from szegolyap import cocycle, dynamics
 from szegolyap import mat2 as m2
-from szegolyap.cocycle import DegenerateCoefficientError, NumericalBlowupError, grid_log_norms
+from szegolyap.cocycle import NumericalBlowupError, grid_log_norms
 from szegolyap.dynamics import (
     AdmissibilityError,
     ConstantGenerator,
+    DegenerateCoefficientError,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
@@ -65,6 +66,60 @@ def test_szego_det_is_z():
     for _ in range(1000):
         theta, j, z, g = random_admissible(rng)
         assert abs(m2.det(one_step(g, theta, j, z)) - z) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_szego_det_error_grows_as_inverse_eps_squared(eps):
+    # det A = rho^2 (1 - |f|^2) z, and the engine's rho = 1/eps is one
+    # rounding while f = (1 - eps^2)^(1/2) e^(2 pi i k theta) is rounded:
+    # 1 - |f|^2 = eps^2 - 2 delta with delta a few units of 2^-53, so the
+    # determinant is off by a few 2^-53 / eps^2.
+    rng = np.random.default_rng(int(-math.log10(eps)))
+    thetas, j = rng.random(1000), rng.integers(0, 2, 1000)
+    z = np.exp(2j * np.pi * rng.random(1000))
+    for k in (-2, -1, 1, 3):
+        g = ExpGenerator(eps, k)
+        mats = cocycle.szego_matrices(g.evaluate_grid(thetas, j), z, g.prefactor)
+        assert np.max(np.abs(m2.det(mats) - z)) <= 8 * 2.0**-53 / eps**2
+
+
+def test_szego_matrices_without_prefactor_keep_their_bytes():
+    # Without a stated prefactor, szego_matrices takes 1 - |f|^2 from f in
+    # extended precision: the bytes of that formula written plainly, and
+    # of passing its result as the prefactor.
+    rng = np.random.default_rng(33)
+    f = np.sqrt(rng.random((6, 50))) * np.exp(2j * np.pi * rng.random((6, 50)))
+    f[0, :3] = [0.0, 1.0 - 2.0**-40, 0.5]
+    z = np.exp(2j * np.pi * rng.random(50))
+    sq = f.real.astype(np.longdouble) ** 2 + f.imag.astype(np.longdouble) ** 2
+    c = (1.0 - sq).astype(float) ** -0.5
+    t = -c * f
+    want = np.stack([np.stack([c * z, np.conj(t)], -1), np.stack([t * z, c + 0j], -1)], -2)
+    assert _bits(cocycle.szego_matrices(f, z)).tobytes() == _bits(want).tobytes()
+    assert _bits(cocycle.szego_matrices(f, z, dynamics.extended_prefactor(f))).tobytes() == (
+        _bits(want).tobytes())
+
+
+def test_rows_without_a_closed_form_keep_their_bytes_in_a_mixed_batch(monkeypatch):
+    # Perturbed, constant and parity-blind rows between exponential rows of
+    # one batch get the prefactors computed from their own values: their
+    # log norms and checkpoints are the bytes of an engine whose one-step
+    # matrices ignore every stated prefactor.
+    gens = ([ExpGenerator(0.4, 1)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4))
+            + [ConstantGenerator(0.3 - 0.6j), ExpGenerator(0.3, 1), ParityBlind(),
+               PerturbedGenerator(0.6, 1, 0.0, [1, 1])])
+    rng = np.random.default_rng(34)
+    rows, width, n, marks = len(gens), 9, 40, [3, 17]
+    args = (rng.random((rows, width)), rng.integers(0, 2, (rows, width)), GOLDEN, gens,
+            np.exp(2j * np.pi * rng.random(width)), n)
+    logn, rec = grid_log_norms(*args, checkpoints=marks)
+    build = cocycle.szego_matrices
+    monkeypatch.setattr(cocycle, "szego_matrices", lambda f, z, rho=None: build(f, z))
+    old, rec_old = grid_log_norms(*args, checkpoints=marks)
+    for row, g in enumerate(gens):
+        if not isinstance(g, ExpGenerator):
+            assert logn[row].tobytes() == old[row].tobytes(), row
+            assert all(rec[m][row].tobytes() == rec_old[m][row].tobytes() for m in marks)
 
 
 def test_szego_is_u11():
@@ -363,6 +418,31 @@ def test_one_step_entries_are_bounded_by_the_largest_prefactor(fs, z_mod, z_turn
     assert np.isfinite(mats).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-300, 0.99),
+    st.sampled_from([-3, -1, 1, 2]),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 1)), min_size=1, max_size=6),
+    st.one_of(st.just(0.0), st.floats(-1000.0, 500.0).map(lambda e: 2.0**e)),
+    st.floats(0.0, 1.0),
+)
+def test_one_step_entries_are_bounded_by_the_stated_prefactor(eps, k, points, z_mod, z_turn):
+    # The same premise where the generator states its prefactor c = 1/eps
+    # and |f| may round past 1 (eps below about 1e-8): the (1, 1) entry is
+    # c, every entry is at most 2 c max(1, |z|), and a finite 4 c w, w =
+    # max(|z|, 1/|z|), proves the stack finite.
+    g = ExpGenerator(eps, k)
+    thetas, j = (np.array(v) for v in zip(*points))
+    z = z_mod * turn(z_turn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = cocycle.szego_matrices(g.evaluate_grid(thetas, j), z, g.prefactor)
+    c, w = g.prefactor, max(abs(z), 1.0 / abs(z)) if z else math.inf
+    assert np.all(mats[..., 1, 1] == c) and not np.any(np.signbit(mats[..., 1, 1].imag))
+    assert np.all(np.abs(mats) <= 2.0 * c * max(1.0, abs(z)))
+    if 4.0 * c * w < math.inf:
+        assert np.isfinite(mats).all()
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)],
                          ids=["inf", "nan", "imaginary-inf"])
 def test_non_finite_spectral_parameters_are_rejected(bad):
@@ -635,10 +715,11 @@ def test_paired_parities_match_per_parity_calls(kinds, width, n, data, budget, t
 
 
 class RecordingGenerator:
-    """An exponential generator that records the shape of every angle array."""
+    """An exponential generator that records the shape of every angle array,
+    and states the prefactor of the generator it wraps."""
 
     def __init__(self, g):
-        self.g, self.shapes = g, []
+        self.g, self.shapes, self.prefactor = g, [], g.prefactor
 
     def evaluate_grid(self, thetas, j):
         self.shapes.append(np.shape(thetas))
@@ -806,25 +887,28 @@ def _mp_log_op_norm(prod):
     return mpmath.log((fro2 + mpmath.sqrt(fro2**2 - 4 * det2)) / 2) / 2
 
 
-def _oracle_log_norm(fs, z):
+def _oracle_log_norm(fs, z, eps=None):
     """log sigma_max of the product of the one-step matrices at the
     coefficients ``fs`` (step order) and z, in 50-digit arithmetic from
-    the same doubles."""
+    the same doubles, with the prefactor 1/eps where ``eps`` is given (the
+    exponential family's closed form) and (1 - |f|^2)^(-1/2) otherwise."""
     with mpmath.workdps(50):
         z = mpmath.mpc(z)
         prod = mpmath.eye(2)
         for f in fs:
             f = mpmath.mpc(f)
-            c = 1 / mpmath.sqrt(1 - abs(f) ** 2)
+            c = 1 / mpmath.sqrt(1 - abs(f) ** 2) if eps is None else 1 / mpmath.mpf(eps)
             prod = c * mpmath.matrix([[z, -mpmath.conj(f)], [-f * z, 1]]) * prod
         return float(_mp_log_op_norm(prod))
 
 
 @pytest.mark.parametrize("family", ["exp", "perturbed"])
 def test_short_products_match_mpmath_oracle(family):
+    # The exponential family down to eps = 1e-12, where f rounds onto the
+    # unit circle and only its closed-form prefactor 1/eps is defined.
     rng = np.random.default_rng(20 if family == "exp" else 21)
-    for _ in range(8):
-        eps = float(10 ** rng.uniform(-3, math.log10(0.95)))
+    for _ in range(12 if family == "exp" else 8):
+        eps = float(10 ** rng.uniform(-12 if family == "exp" else -3, math.log10(0.95)))
         k = int(rng.choice([-1, 1, 2]))
         if family == "exp":
             g = ExpGenerator(eps, k)
@@ -842,7 +926,7 @@ def test_short_products_match_mpmath_oracle(family):
         ms = np.arange(n)[:, None]
         fs = g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2)
         for i in range(b):
-            expected = _oracle_log_norm(fs[:, i], zs[i])
+            expected = _oracle_log_norm(fs[:, i], zs[i], eps if family == "exp" else None)
             assert abs(logn[i] - expected) <= 1e-13 * (1 + abs(expected))
 
 
@@ -877,7 +961,8 @@ def test_operator_norm_only_at_read_steps(monkeypatch, budget):
 def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     """The engine's arithmetic written plainly: the coefficients of all n
     steps from ``% 1.0`` angles, one generator call per row of the (R, N)
-    start grid, one stack of all R N orbits, and the row-by-row fold with a
+    start grid, one stack of all R N orbits with each row's prefactors as
+    its generator states them or else from its values, and the row-by-row fold with a
     temporary per product, renormalized by a power of two at every step
     (the engine rescales rarely), read as (E + e) log 2 + log m with m, e
     the frexp of the operator norm and E the exponents stripped so far."""
@@ -885,10 +970,14 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     b = rows * w
     ms = np.arange(n)[:, None]
     j0s = np.broadcast_to(j0s, theta0s.shape)
-    fs = np.concatenate([g.evaluate_grid((theta0s[i] + ms * r.alpha) % 1.0,
-                                         np.broadcast_to((j0s[i] + ms) % 2, (n, w)))
-                         for i, g in enumerate(gens)], axis=1)
-    mats = cocycle.szego_matrices(fs, np.tile(np.broadcast_to(zs, (w,)), rows))
+    fs = [g.evaluate_grid((theta0s[i] + ms * r.alpha) % 1.0,
+                          np.broadcast_to((j0s[i] + ms) % 2, (n, w)))
+          for i, g in enumerate(gens)]
+    rhos = [dynamics.prefactor(g, f) for g, f in zip(gens, fs)]
+    rho = np.concatenate([np.broadcast_to(dynamics.extended_prefactor(f) if c is None else c,
+                                          f.shape) for f, c in zip(fs, rhos)], axis=1)
+    mats = cocycle.szego_matrices(np.concatenate(fs, axis=1),
+                                  np.tile(np.broadcast_to(zs, (w,)), rows), rho)
     cur = np.zeros((2, 2, b), dtype=complex)
     cur[0, 0] = cur[1, 1] = 1.0
     exps, recorded = np.zeros(b, dtype=int), {}
@@ -1049,8 +1138,8 @@ def test_log_norms_match_60_digit_fold(g):
     zs = np.exp(2j * np.pi * rng.random(b))
     logn, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, n)
     ms = np.arange(n)[:, None]
-    mats = cocycle.szego_matrices(
-        g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2), zs)
+    f = g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2)
+    mats = cocycle.szego_matrices(f, zs, dynamics.prefactor(g, f))
     errors = []
     with mpmath.workdps(60):
         for i in range(b):
@@ -1165,7 +1254,9 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
     # sequence object gives every row its own generator's bits, a run of
     # rows of one family and one k in one call, and the engine's coefficients
     # are the sequence's, or one generator's for all rows.  A run that
-    # covers every row is the object the engine is handed.
+    # covers every row is the object the engine is handed.  Each row's
+    # prefactors are its generator's closed form, or else the bits computed
+    # from its own values; None where no row states one.
     rng = np.random.default_rng(seed)
     gens = [_random_generator(rng, *g) if isinstance(g, tuple) else g for g in gens]
     rows = len(gens)
@@ -1184,10 +1275,20 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
     got = rowwise.evaluate_grid(thetas, parity)
     for row, g in enumerate(gens):
         assert np.array_equal(got[:, row], g.evaluate_grid(thetas[:, row], parity[:, row]))
-    assert np.array_equal(cocycle._coefficients(theta0s, j0s, GOLDEN, rowwise, ms), got)
+    vals, rho = cocycle._coefficients(theta0s, j0s, GOLDEN, rowwise, ms)
+    assert np.array_equal(vals, got)
+    stated = [getattr(g, "prefactor", None) for g in gens]
+    if all(c is None for c in stated):
+        assert rho is None
+    else:
+        for row, c in enumerate(stated):
+            want = dynamics.extended_prefactor(got[:, row]) if c is None else c
+            assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
+                    == np.broadcast_to(want, got[:, row].shape).tobytes())
     assert by_row(gens[-1], rows) is gens[-1]
-    got = cocycle._coefficients(theta0s, j0s, GOLDEN, gens[-1], ms)
+    got, rho = cocycle._coefficients(theta0s, j0s, GOLDEN, gens[-1], ms)
     assert np.array_equal(got, gens[-1].evaluate_grid(thetas, parity))
+    assert rho == getattr(gens[-1], "prefactor", None)
 
 
 def test_run_reads_lambda_at_the_call():
@@ -1308,16 +1409,17 @@ def test_scan_batch_one_call_per_block(monkeypatch):
     # scan's batch, two exponential rows of 32 orbits over 300 steps in 10
     # blocks, makes one evaluate_grid call per block, on the rows' run and
     # through the class attribute that the benchmark's tracer wraps, and one
-    # szego_matrices call per block on the very array that call returned.
+    # szego_matrices call per block on the very array that call returned,
+    # with the run's column of prefactors 1/eps.
     evaluate, build, calls = ExpGenerator.evaluate_grid, cocycle.szego_matrices, []
 
     def spy_evaluate(self, thetas, j):
         calls.append(("evaluate", type(self), np.shape(thetas), evaluate(self, thetas, j)))
         return calls[-1][-1]
 
-    def spy_build(f, z):
-        calls.append(("build", f is calls[-1][-1]))
-        return build(f, z)
+    def spy_build(f, z, rho=None):
+        calls.append(("build", f is calls[-1][-1], np.asarray(rho).tolist()))
+        return build(f, z, rho)
 
     monkeypatch.setattr(ExpGenerator, "evaluate_grid", spy_evaluate)
     monkeypatch.setattr(cocycle, "szego_matrices", spy_build)
@@ -1328,7 +1430,7 @@ def test_scan_batch_one_call_per_block(monkeypatch):
     blocks = [32] * 9 + [12]  # BUDGET // 64 steps each
     assert [c[:3] for c in calls[::2]] == [("evaluate", dynamics._Run, (b, 2, 32))
                                            for b in blocks]
-    assert calls[1::2] == [("build", True)] * len(blocks)
+    assert calls[1::2] == [("build", True, [[1.0 / 0.3], [1.0 / 0.5]])] * len(blocks)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Tests for the closed-form 2x2 kernel, against independent oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +118,28 @@ def test_op_norm_unitary_invariance():
         x = random_mat(rng)
         u = random_unitary(rng)
         assert abs(m2.op_norm(m2.mul(u, x)) - m2.op_norm(x)) <= 1e-10 * m2.op_norm(x)
+
+
+def mp_op_norm(x):
+    """sigma_max of the 2x2 matrix of doubles ``x``, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix(x.tolist())
+        fro2 = sum(abs(m[i, j]) ** 2 for i in range(2) for j in range(2))
+        det2 = abs(mpmath.det(m)) ** 2
+        return mpmath.sqrt((fro2 + mpmath.sqrt(max(fro2**2 - 4 * det2, 0))) / 2)
+
+
+def test_op_norm_with_near_equal_singular_values_matches_mpmath():
+    # On diag(e^(i phi), e^(-i phi)) and on unitaries both singular values
+    # are 1 up to the rounding of the entries, where a discriminant formed
+    # as F^2 - 4 |det|^2 cancels (to 1.5e-8 relative error in sigma_max).
+    rng = np.random.default_rng(7)
+    mats = [np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
+            for phi in np.linspace(0.0, 2.0 * np.pi, 50)]
+    mats += [random_unitary(rng) for _ in range(50)]
+    for x in mats:
+        want = mp_op_norm(x)
+        assert abs(m2.op_norm(x) - want) <= 4 * 2.0**-53 * want, x
 
 
 def test_op_norm_batched_matches_scalar():
