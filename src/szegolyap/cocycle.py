@@ -6,9 +6,11 @@ f in D is
     A = (1 - |f|^2)^(-1/2) [[z, -conj(f)], [-f z, 1]],
 
 with det A = z, an element of U(1,1) where |z| = 1.  The prefactor rho =
-(1 - |f|^2)^(-1/2) is the generator's closed form where it states one (1/eps
-for the exponential family, ``dynamics.prefactor``), else computed from f
-in extended precision (``dynamics.extended_prefactor``).  Orbit products are
+(1 - |f|^2)^(-1/2) comes with the values (``dynamics.evaluate``): in closed
+form for every built-in family (1/eps for the exponential family, per value
+from the Horner pass that gives f for the perturbed one, exact in rationals
+for a constant), else computed from f in extended precision
+(``dynamics.extended_prefactor``).  Orbit products are
 renormalized by exact powers of two, whose exponents are summed per
 orbit, so products of any length never overflow and the scaling never
 rounds.
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dynamics import Rotation, by_row, extended_prefactor, prefactor
+from .dynamics import Rotation, by_row, evaluate, extended_prefactor
 from .mat2 import op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
@@ -46,7 +48,7 @@ class NumericalBlowupError(ArithmeticError):
 def szego_matrices(f, z, rho=None):
     """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast, and the
     real prefactors ``rho`` = (1 - |f|^2)^(-1/2) broadcast with them: as the
-    generator states them (``dynamics.prefactor``), or, when None, computed
+    generator gives them (``dynamics.evaluate``), or, when None, computed
     from f by ``dynamics.extended_prefactor``, which raises
     DegenerateCoefficientError unless |f| < 1.
     Entry-major: a ``(..., 2, 2)`` view in which each entry is contiguous."""
@@ -65,17 +67,6 @@ def szego_matrices(f, z, rho=None):
     np.multiply(t, z, out=out[1, 0, ...])
     out[1, 1] = c
     return out.transpose(*range(2, out.ndim), 0, 1)
-
-
-def _coefficients(theta0s, j0, r: Rotation, g, ms):
-    """Coefficients of a tile's orbits at the steps in ``ms`` from one call on
-    ``r.orbit``, copied into a fresh array of their shape only if they merely
-    broadcast, and their prefactors as ``g`` states them (``dynamics.prefactor``)."""
-    thetas, parity = r.orbit(theta0s, j0, ms)
-    vals, shape = g.evaluate_grid(thetas, parity), np.broadcast(thetas, parity).shape
-    if not (isinstance(vals, np.ndarray) and vals.shape == shape and vals.flags.c_contiguous):
-        vals = np.broadcast_to(vals, shape).astype(complex, order="C")
-    return vals, prefactor(g, vals)
 
 
 def _check_finite(stack, m0):
@@ -117,8 +108,9 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     TILE // R columns (at least one).  A tile builds at most BUDGET
     one-step matrices per block and folds them step by step, in the same
     arithmetic at any block length.  A block makes one ``g.evaluate_grid``
-    call, and reads the prefactors ``g`` states (``dynamics.prefactor``),
-    each row's its own; a value depends only on its own angle and parity, so a result
+    call, which gives the values with their prefactors (``dynamics.evaluate``),
+    each row's its own, and c is the largest of those; a value and its
+    prefactor depend only on their own angle and parity, so a result
     depends only on (theta0, j0, z, g, n): not on the rest of the batch,
     TILE, BUDGET, the checkpoints or the steps at which the product was
     rescaled, and is reproducible bit for bit.  A blowup names the earliest
@@ -198,17 +190,18 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
     for m0 in range(0, n, block):
         ms = np.arange(m0, min(m0 + block, n))[:, None, None]
         zs = zs[:len(ms)]  # the last block may be short
-        vals, rho = _coefficients(theta0s, j0, r, g, ms)
+        vals, rho = evaluate(g, *r.orbit(theta0s, j0, ms))
         mats = szego_matrices(vals, zs, rho).reshape(-1, b, 2, 2)
-        vals = rho = None  # not held through the fold, whose reads set the peak
         # The stack is finite if 4 c w is, c its largest prefactor, and only
-        # then is it not scanned entry by entry.  A stated prefactor comes
-        # with |f| <= 1 up to rounding (1/eps lies in (1, inf]); one computed
-        # from f means szego_matrices has raised unless |f| < 1, and lies in
-        # [1, 2^537] or is NaN.  Either way every partial result of the
+        # then is it not scanned entry by entry.  A prefactor in closed form
+        # comes with |f| <= 1 up to rounding (1/eps lies in (1, inf], the
+        # perturbed family's is finite where its 1 - |f|^2 is > 0); one
+        # computed from f means evaluate has raised unless |f| < 1, and lies
+        # in [1, 2^537] or is NaN.  Either way every partial result of the
         # entries is at most 2 c max(1, |z|).  A NaN or infinite c fails the
         # test, as z = 0 (w = inf) and |z| near 2^1024 do.
-        c = float(mats[..., 1, 1].real.max())
+        c = float(rho.max() if isinstance(rho, np.ndarray) else rho)
+        vals = rho = None  # not held through the fold, whose reads set the peak
         if not 4.0 * c * w < math.inf:
             _check_finite(mats, m0)
         # A read's op_norm forms (p - q)^2 + 4 |r|^2 = F^2 - 4 |det|^2 <= F^2,

@@ -12,13 +12,17 @@ engine sees.  A generator whose parity-1 values are the conjugates of its
 parity-0 values, bit for bit, may say so with a true ``conjugate_parity``;
 an object without the attribute is read as false.  A generator keeping
 |f| <= 1 up to rounding may state its prefactor (1 - |f|^2)^(-1/2) in
-closed form as ``prefactor``, a float or an array broadcasting with its
-values; ``prefactor(g, vals)`` reads it, each row's own for a sequence.
+closed form: as ``prefactor``, a float or an array broadcasting with its
+values, or per value, with a true ``fills_prefactor``, by filling the
+float array of its values' full shape that its ``evaluate_grid`` takes as
+``rho``.  ``evaluate(g, thetas, j)`` returns the values with their
+prefactors, each row's own for a sequence.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -149,15 +153,34 @@ class PerturbedGenerator:
 
     a polynomial of degree 2k with P(0) = lambda a_-k: the form Herman's
     subharmonicity argument uses.  ``evaluate_grid`` takes one complex
-    exponential per angle (``_phase``) and evaluates the Laurent polynomial
-    by Horner's rule, in w for the powers 0..k and in conj(w) = 1/w for the
-    powers -1..-k; a value depends only on its own angle and parity.
+    exponential per angle (``_phase``), evaluates L = lambda sum_l a_l w^l
+    by Horner's rule, in w for the powers 0..k - 1 and in conj(w) = 1/w for
+    the powers -1..-k, and b = w^k by k - 1 products, and returns m (b + L);
+    a value depends only on its own angle and parity.
+
+    The prefactor comes from the same L and b in closed form.  As |b| = 1,
+
+        |f|^2 = m^2 |b + L|^2 = m^2 (1 + 2 Re(conj(b) L) + |L|^2),
+        1 - |f|^2 = eps^2 - m^2 Re((2 b + L) conj(L)),
+
+    with (2 b + L) conj(L) = 2 b conj(L) + |L|^2.  The 1 of |f|^2 is never
+    formed, so nothing cancels against it: as |L| < lambda_max sum|a_l| =
+    1/m - 1, the second term is below m^2 ((1 + |L|)^2 - 1) < eps^2, and the
+    rounding of m, b and L moves 1 - |f|^2 by a few k units of 2^-53 eps^2.
+    Admissibility is tested on this 1 - |f|^2 (> 0, which a NaN fails), not
+    on |f| < 1: once eps is below about 1e-8, m rounds to 1 and a rounded f
+    may leave the disk by rounding while the exact one lies inside, and
+    1 - |f|^2 from the rounded f cancels to 0 or garbage.  Only |f| <= 1 up
+    to rounding remains, which is all the engine's finiteness proof uses.
     """
 
     epsilon: float
     k: int
     lam: complex
     coeffs: tuple
+
+    # evaluate_grid fills a ``rho`` array with (1 - |f|^2)^(-1/2).
+    fills_prefactor = True
 
     def __post_init__(self):
         if _family_k(self.epsilon, self.k) < 1:
@@ -188,36 +211,52 @@ class PerturbedGenerator:
         return all((self.lam * a).imag == 0 for a in self.coeffs)
 
     def _constants(self):
-        """The modulus m and the couplings lambda a_l, l = -k, ..., k - 1,
-        read at each evaluation.  The products are formed in Python: numpy's
-        complex multiply rounds differently."""
-        return self.modulus, [self.lam * a for a in self.coeffs]
+        """The modulus m, the couplings lambda a_l, l = -k, ..., k - 1, and
+        eps^2, read at each evaluation.  The products are formed in Python:
+        numpy's complex multiply rounds differently."""
+        return self.modulus, [self.lam * a for a in self.coeffs], self.epsilon**2
 
-    def evaluate_grid(self, thetas, j):
-        m, c = self._constants()
+    def evaluate_grid(self, thetas, j, rho=None):
+        """The values at angles ``thetas`` and parities ``j``; where a float
+        array ``rho`` of their shape is given, it is filled with their
+        prefactors (1 - |f|^2)^(-1/2) from the closed form."""
+        m, c, eps2 = self._constants()
         w = _phase(thetas, j, 1)
         wbar = np.conjugate(w)
         # Each product has its own out= array, so a value never depends on its
         # batch: numpy rounds a complex product differently in place (one
         # element) or with swapped operands (reusing a temporary, >= 256 KiB).
         pos, neg, spare = np.empty_like(w), np.empty_like(w), np.empty_like(w)
-        # w^k + sum_{l >= 0} c_l w^l by Horner in w ...
-        np.add(w, c[-1], out=pos)
+        # L = sum_{l >= 0} c_l w^l by Horner in w ...
+        lam_p = c[-1]
         for cl in reversed(c[self.k:-1]):
-            np.multiply(pos, w, out=spare)
-            np.add(spare, cl, out=pos)
-        # ... and sum_{l < 0} c_l w^l by Horner in conj(w).
+            np.multiply(w, lam_p, out=spare)
+            lam_p = np.add(spare, cl, out=pos)
+        # ... plus sum_{l < 0} c_l w^l by Horner in conj(w).
         np.multiply(wbar, c[0], out=neg)
         for cl in c[1:self.k]:
             np.add(neg, cl, out=spare)
             np.multiply(spare, wbar, out=neg)
-        np.add(pos, neg, out=spare)
-        vals = np.multiply(spare, m, out=pos)
-        worst = np.max(np.abs(vals))
-        if not worst < 1.0:  # NaN values fail too
+        lam_p = np.add(neg, lam_p, out=spare)
+        b = w  # w^k, its last product in pos
+        for i in range(1, self.k):
+            b = np.multiply(b, w, out=(pos, neg)[(self.k - 1 - i) % 2])
+        np.add(b, lam_p, out=wbar)
+        vals = np.multiply(wbar, m, out=neg)
+        # 1 - |f|^2 = eps^2 - m^2 Re(h conj(L)), h = 2 b + L = (b + L) + b,
+        # summed in the real parts of h.
+        h = np.add(wbar, b, out=wbar)
+        rem = np.multiply(h.real, lam_p.real, out=h.real)
+        rem += np.multiply(h.imag, lam_p.imag, out=h.imag)
+        rem *= 1.0 - eps2
+        rem = np.subtract(eps2, rem, out=rem if rho is None else rho)
+        worst = rem.min()
+        if not worst > 0.0:  # NaN values fail too
             raise AdmissibilityError(
-                f"coefficient value of modulus {worst} escaped the unit disk"
+                f"coefficient value with 1 - |f|^2 = {worst} escaped the unit disk"
             )
+        if rho is not None:
+            np.divide(1.0, np.sqrt(rho, out=rho), out=rho)
         return vals
 
 
@@ -225,26 +264,31 @@ class _Run:
     """Consecutive rows of one family (ExpGenerator or PerturbedGenerator) and
     one k on angles shaped (..., rows, N), in one call of the family's
     ``evaluate_grid``, looked up at each call, on (rows, 1) columns of the rows'
-    moduli and couplings, taken now: each row gets the bits of its own call.
-    A family that states a ``prefactor`` gives the run a (rows, 1) column of them."""
+    moduli, couplings and eps^2, taken now: each row gets the bits of its own
+    call.  The run states or fills its prefactors as its family does: an
+    exponential run as a (rows, 1) column of 1/eps."""
 
     def __init__(self, gens):
         self.family, self.k = type(gens[0]), gens[0].k
         self.modulus = m = np.array([g.modulus for g in gens])[:, None]
-        if hasattr(self.family, "prefactor"):
+        if self.family is ExpGenerator:
             self.prefactor = np.array([g.prefactor for g in gens])[:, None]
-        if self.family is PerturbedGenerator:
+        else:
             c = [np.array(cl)[:, None] for cl in zip(*(g._constants()[1] for g in gens))]
-            self._constants = lambda: (m, c)
+            eps2 = np.array([g.epsilon**2 for g in gens])[:, None]
+            self._constants, self.fills_prefactor = lambda: (m, c, eps2), True
 
-    def evaluate_grid(self, thetas, j):
-        return self.family.evaluate_grid(self, thetas, j)
+    def evaluate_grid(self, thetas, j, **rho):
+        return self.family.evaluate_grid(self, thetas, j, **rho)
 
 
 class _Rows:
     """One generator per row of orbits shaped (..., rows, N), evaluated with
     one call per maximal run of two or more consecutive rows of one family
-    and one k (a ``_Run``) and one per other row."""
+    and one k (a ``_Run``) and one per other row.  Given ``rho``, it fills
+    each row with its part's prefactors (``evaluate``)."""
+
+    fills_prefactor = True
 
     def __init__(self, gens, rows: int):
         if len(gens) != rows:
@@ -256,34 +300,45 @@ class _Rows:
         self.parts = [(slice(lo, hi), _Run(gens[lo:hi])) if hi - lo > 1 else (lo, gens[lo])
                       for lo, hi in zip(starts, starts[1:] + [len(gens)])]
 
-    def evaluate_grid(self, thetas, j):
+    def evaluate_grid(self, thetas, j, rho=None):
         thetas, j = np.broadcast_arrays(thetas, j)
         out = np.empty(thetas.shape, dtype=complex)
         for rows, g in self.parts:
-            out[..., rows, :] = g.evaluate_grid(thetas[..., rows, :], j[..., rows, :])
+            part = thetas[..., rows, :], j[..., rows, :]
+            if rho is None:
+                out[..., rows, :] = g.evaluate_grid(*part)
+            else:
+                out[..., rows, :], rho[..., rows, :] = evaluate(g, *part)
         return out
 
-def prefactor(g, vals):
-    """The prefactors (1 - |f|^2)^(-1/2) of the values ``vals`` that
-    ``g.evaluate_grid`` returned, broadcasting with them: ``g``'s closed form,
-    or None if it states none.  A ``_Rows`` gives each row its part's, or
-    ``extended_prefactor`` of the row's own values where the part states none."""
-    if not isinstance(g, _Rows):
-        return getattr(g, "prefactor", None)
-    closed = [getattr(part, "prefactor", None) for _, part in g.parts]
-    if all(c is None for c in closed):
-        return None
-    rho = np.empty(vals.shape)
-    for (rows, _), c in zip(g.parts, closed):
-        rho[..., rows, :] = extended_prefactor(vals[..., rows, :]) if c is None else c
-    return rho
+
+def evaluate(g, thetas, j):
+    """The values of ``g`` at the angles ``thetas`` and parities ``j``, from
+    one ``g.evaluate_grid`` call, and their prefactors (1 - |f|^2)^(-1/2),
+    broadcasting with them.  The values come as a C-contiguous complex array
+    of the shape of (thetas, j), copied into one only if they merely
+    broadcast to it.  The prefactors are filled in by the call where ``g``
+    fills them (into a fresh array, so each gets the bits of a call on its
+    own), else ``g``'s stated ``prefactor``, else ``extended_prefactor`` of
+    the values."""
+    shape = np.broadcast(thetas, j).shape
+    if getattr(g, "fills_prefactor", False):
+        rho = np.empty(shape)
+        return g.evaluate_grid(thetas, j, rho=rho), rho
+    vals = g.evaluate_grid(thetas, j)
+    if not (isinstance(vals, np.ndarray) and vals.shape == shape and vals.flags.c_contiguous):
+        vals = np.broadcast_to(vals, shape).astype(complex, order="C")
+    rho = getattr(g, "prefactor", None)
+    return vals, extended_prefactor(vals) if rho is None else rho
 
 
 def extended_prefactor(f):
     """(1 - |f|^2)^(-1/2) from the values ``f``, with 1 - |f|^2 in extended
     precision: in doubles it cancels as |f| -> 1.  Summed in place and
     subtracted straight into doubles, so no extended-precision copy of f is
-    held.  Raises DegenerateCoefficientError where |f| rounded to >= 1."""
+    held.  Raises DegenerateCoefficientError where |f| rounded to >= 1.  Only
+    generators that state no prefactor, and ``szego_matrices`` without one,
+    reach it: its width depends on the platform."""
     f = np.asarray(f, dtype=complex)
     rem = np.square(f.real, dtype=np.longdouble)
     rem += np.square(f.imag, dtype=np.longdouble)
@@ -307,14 +362,18 @@ def by_row(g, rows: int):
 
 @dataclass(frozen=True)
 class ConstantGenerator:
-    """Constant coefficient in D; handy for exact-value tests."""
+    """Constant coefficient in D; handy for exact-value tests.  Its prefactor
+    (1 - |v|^2)^(-1/2) is stated in closed form: 1 - |v|^2 exact in rationals,
+    rounded once, at construction."""
 
     value: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        if abs(self.value) >= 1.0:
-            raise AdmissibilityError(f"|value| = {abs(self.value)} is not < 1")
+        v = complex(self.value)
+        object.__setattr__(self, "value", v)
+        if not (abs(v) < 1.0 and (rem := 1 - Fraction(v.real) ** 2 - Fraction(v.imag) ** 2) > 0):
+            raise AdmissibilityError(f"|value| = {abs(v)} is not < 1")
+        object.__setattr__(self, "prefactor", float(rem) ** -0.5)
 
     def evaluate_grid(self, thetas, j):
         return np.full(np.broadcast(thetas, j).shape, self.value, dtype=complex)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from szegolyap.cocycle import szego_matrices
-from szegolyap.dynamics import prefactor
+from szegolyap.dynamics import evaluate
 
 # Indefinite form preserved by U(1,1).
 J = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -26,8 +26,8 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def one_step(g, theta, j, z):
     """A^z(theta, j) as one 2x2 matrix, as the engine builds it: from the
     generator's grid evaluation and its prefactor, by ``szego_matrices``."""
-    f = g.evaluate_grid(np.array([theta]), j)
-    return szego_matrices(f, z, prefactor(g, f))[0]
+    f, rho = evaluate(g, np.array([theta]), j)
+    return szego_matrices(f, z, rho)[0]
 
 
 def conjugator(j, z):

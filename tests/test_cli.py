@@ -150,9 +150,9 @@ def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_cal
     # both steps: one exponential call per tile, each angle once.
     calls = {ExpGenerator: [], PerturbedGenerator: []}
     for cls, seen in calls.items():
-        def spy(self, thetas, j, seen=seen, evaluate=cls.evaluate_grid):
+        def spy(self, thetas, j, seen=seen, evaluate=cls.evaluate_grid, **rho):
             seen.append((type(self), np.shape(thetas)[1:]))
-            return evaluate(self, thetas, j)
+            return evaluate(self, thetas, j, **rho)
         monkeypatch.setattr(cls, "evaluate_grid", spy)
     assert run(capsys, *argv)[0] == 0
     exp, cols = {"scan": (dynamics._Run, (2, 32)), "verify-t2": (ExpGenerator, (16,)),
@@ -430,6 +430,18 @@ def test_verify_t1_passes_at_small_eps(capsys, eps):
     assert rc == 0 and err == ""
     assert out.endswith("PASS\n")
     assert f"worst margin 1.146e-01 at eps = {float(eps):g}," in out
+
+
+@pytest.mark.parametrize("eps", ["1e-8", "1e-9", "1e-12"])
+def test_verify_t2_passes_at_small_eps(capsys, eps):
+    # sqrt(1 - eps^2) rounds to 1 here and the perturbed rungs' rounded
+    # values may leave the disk by rounding, but the exact ones lie inside:
+    # the perturbed family tests and takes its prefactor from its closed
+    # form for 1 - |f|^2, and every rung runs.
+    rc, out, err = run(capsys, "verify-t2", "--eps", eps, "--z-grid", "2", "--n", "10")
+    assert rc == 0 and err == ""
+    assert "escaped" not in out
+    assert out.count("[ok]") == 5
 
 
 def test_config_file_bad_key(tmp_path, capsys):

@@ -68,12 +68,17 @@ def test_szego_det_is_z():
         assert abs(m2.det(one_step(g, theta, j, z)) - z) < 1e-12
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
 def test_szego_det_error_grows_as_inverse_eps_squared(eps):
     # det A = rho^2 (1 - |f|^2) z, and the engine's rho = 1/eps is one
     # rounding while f = (1 - eps^2)^(1/2) e^(2 pi i k theta) is rounded:
     # 1 - |f|^2 = eps^2 - 2 delta with delta a few units of 2^-53, so the
-    # determinant is off by a few 2^-53 / eps^2.
+    # determinant is off by a few 2^-53 / eps^2.  The perturbed family's rho
+    # is the closed form's for the exact f, whose 1 - |f|^2 is at least
+    # about eps^2 / 2 at half the radius, while the rounded |f| is off by
+    # about k + 2 units of 2^-53 (from |w|, the k - 1 products of w^k, the
+    # sum and m): the determinant is off by about 4 (k + 2) 2^-53 / eps^2
+    # at most (14.3 2^-53 / eps^2 seen at k = 3).
     rng = np.random.default_rng(int(-math.log10(eps)))
     thetas, j = rng.random(1000), rng.integers(0, 2, 1000)
     z = np.exp(2j * np.pi * rng.random(1000))
@@ -81,6 +86,12 @@ def test_szego_det_error_grows_as_inverse_eps_squared(eps):
         g = ExpGenerator(eps, k)
         mats = cocycle.szego_matrices(g.evaluate_grid(thetas, j), z, g.prefactor)
         assert np.max(np.abs(m2.det(mats) - z)) <= 8 * 2.0**-53 / eps**2
+    for k in (1, 2, 3):
+        coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+        lam = 0.5 * lambda_max(eps, coeffs) * np.exp(2j * np.pi * rng.random())
+        f, rho = dynamics.evaluate(PerturbedGenerator(eps, k, lam, coeffs), thetas, j)
+        mats = cocycle.szego_matrices(f, z, rho)
+        assert np.max(np.abs(m2.det(mats) - z)) <= 8 * (k + 2) * 2.0**-53 / eps**2
 
 
 def test_szego_matrices_without_prefactor_keep_their_bytes():
@@ -100,14 +111,27 @@ def test_szego_matrices_without_prefactor_keep_their_bytes():
         _bits(want).tobytes())
 
 
+class Unstated:
+    """A generator's values with no prefactor stated, as a duck-typed
+    generator gives them."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def evaluate_grid(self, thetas, j):
+        return self.g.evaluate_grid(thetas, j)
+
+
 def test_rows_without_a_closed_form_keep_their_bytes_in_a_mixed_batch(monkeypatch):
-    # Perturbed, constant and parity-blind rows between exponential rows of
+    # Rows that state no prefactor (a constant behind a duck-typed wrapper,
+    # parity-blind rows) between exponential, perturbed and constant rows of
     # one batch get the prefactors computed from their own values: their
     # log norms and checkpoints are the bytes of an engine whose one-step
-    # matrices ignore every stated prefactor.
+    # matrices ignore every prefactor given in closed form.
     gens = ([ExpGenerator(0.4, 1)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4))
-            + [ConstantGenerator(0.3 - 0.6j), ExpGenerator(0.3, 1), ParityBlind(),
-               PerturbedGenerator(0.6, 1, 0.0, [1, 1])])
+            + [Unstated(ConstantGenerator(0.3 - 0.6j)), ExpGenerator(0.3, 1), ParityBlind(),
+               PerturbedGenerator(0.6, 1, 0.0, [1, 1]), ConstantGenerator(0.5j),
+               Unstated(ConstantGenerator(0.5j))])
     rng = np.random.default_rng(34)
     rows, width, n, marks = len(gens), 9, 40, [3, 17]
     args = (rng.random((rows, width)), rng.integers(0, 2, (rows, width)), GOLDEN, gens,
@@ -117,9 +141,31 @@ def test_rows_without_a_closed_form_keep_their_bytes_in_a_mixed_batch(monkeypatc
     monkeypatch.setattr(cocycle, "szego_matrices", lambda f, z, rho=None: build(f, z))
     old, rec_old = grid_log_norms(*args, checkpoints=marks)
     for row, g in enumerate(gens):
-        if not isinstance(g, ExpGenerator):
+        if isinstance(g, (Unstated, ParityBlind)):
             assert logn[row].tobytes() == old[row].tobytes(), row
             assert all(rec[m][row].tobytes() == rec_old[m][row].tobytes() for m in marks)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-12])
+def test_built_in_families_never_reach_extended_precision(monkeypatch, eps):
+    # Every built-in family gives its prefactor in closed form, so the
+    # engine computes none from f in extended precision, whose width
+    # depends on the platform: not for one generator, nor for a sequence
+    # of them, nor where f rounds onto the unit circle.
+    def unreachable(f):
+        raise AssertionError("extended precision reached")
+
+    monkeypatch.setattr(dynamics, "extended_prefactor", unreachable)
+    monkeypatch.setattr(cocycle, "extended_prefactor", unreachable)
+    gens = ([ExpGenerator(eps, 2)] + _ladder(eps, 2, [1, 1j, -1, 0.5], (0.999, 0.5))
+            + [ConstantGenerator(0.3 - 0.6j), PerturbedGenerator(eps, 1, 0.0, [1, 1]),
+               ExpGenerator(0.3, -1)])
+    rng = np.random.default_rng(35)
+    thetas, j0s = rng.random((len(gens), 7)), rng.integers(0, 2, (len(gens), 7))
+    zs = np.exp(2j * np.pi * rng.random(7))
+    assert np.isfinite(grid_log_norms(thetas, j0s, GOLDEN, gens, zs, 30)[0]).all()
+    for g in gens:
+        assert np.isfinite(grid_log_norms(thetas[0], j0s, GOLDEN, g, zs, 30)[0]).all()
 
 
 def test_szego_is_u11():
@@ -887,29 +933,45 @@ def _mp_log_op_norm(prod):
     return mpmath.log((fro2 + mpmath.sqrt(fro2**2 - 4 * det2)) / 2) / 2
 
 
-def _oracle_log_norm(fs, z, eps=None):
+def _oracle_log_norm(fs, z, rhos):
     """log sigma_max of the product of the one-step matrices at the
     coefficients ``fs`` (step order) and z, in 50-digit arithmetic from
-    the same doubles, with the prefactor 1/eps where ``eps`` is given (the
-    exponential family's closed form) and (1 - |f|^2)^(-1/2) otherwise."""
+    the same doubles, with the prefactors ``rhos`` (one per step)."""
     with mpmath.workdps(50):
         z = mpmath.mpc(z)
         prod = mpmath.eye(2)
-        for f in fs:
+        for f, c in zip(fs, rhos):
             f = mpmath.mpc(f)
-            c = 1 / mpmath.sqrt(1 - abs(f) ** 2) if eps is None else 1 / mpmath.mpf(eps)
             prod = c * mpmath.matrix([[z, -mpmath.conj(f)], [-f * z, 1]]) * prod
         return float(_mp_log_op_norm(prod))
 
 
+def _exact_prefactor(g, theta, j):
+    """(1 - |f|^2)^(-1/2) in 50 digits of the generator's formula at the
+    double angle theta and parity j: 1/eps for the exponential family, and
+    for the perturbed one from f = m (w^k + lambda sum_l a_l w^l), every
+    power of w taken on its own, with m, lambda a_l and 1 - |f|^2 exact to
+    50 digits, not from the rounded f."""
+    with mpmath.workdps(50):
+        eps = mpmath.mpf(g.epsilon)
+        if isinstance(g, ExpGenerator):
+            return 1 / eps
+        phase = (1 if j == 0 else -1) * 2 * mpmath.pi * mpmath.mpf(theta)
+        pert = sum(mpmath.mpc(a) * mpmath.expj(l * phase)
+                   for a, l in zip(g.coeffs, range(-g.k, g.k)))
+        f = mpmath.sqrt(1 - eps**2) * (mpmath.expj(g.k * phase) + mpmath.mpc(g.lam) * pert)
+        return 1 / mpmath.sqrt(1 - abs(f) ** 2)
+
+
 @pytest.mark.parametrize("family", ["exp", "perturbed"])
 def test_short_products_match_mpmath_oracle(family):
-    # The exponential family down to eps = 1e-12, where f rounds onto the
-    # unit circle and only its closed-form prefactor 1/eps is defined.
+    # Both families down to eps = 1e-12, where f rounds onto the unit
+    # circle and 1 - |f|^2 from the rounded f is 0 or garbage: the oracle
+    # takes each step's prefactor from the generator's formula in 50
+    # digits, and the engine from its closed form.
     rng = np.random.default_rng(20 if family == "exp" else 21)
-    for _ in range(12 if family == "exp" else 8):
-        eps = float(10 ** rng.uniform(-12 if family == "exp" else -3, math.log10(0.95)))
-        k = int(rng.choice([-1, 1, 2]))
+    for eps in [1e-12, 1e-9] + list(10 ** rng.uniform(-12, math.log10(0.95), 10)):
+        eps, k = float(eps), int(rng.choice([-1, 1, 2]))
         if family == "exp":
             g = ExpGenerator(eps, k)
         else:
@@ -924,9 +986,11 @@ def test_short_products_match_mpmath_oracle(family):
         # The coefficients the engine multiplies, from the same angle
         # arithmetic.
         ms = np.arange(n)[:, None]
-        fs = g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2)
+        angles, parity = (thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2
+        fs = g.evaluate_grid(angles, parity)
         for i in range(b):
-            expected = _oracle_log_norm(fs[:, i], zs[i], eps if family == "exp" else None)
+            rhos = [_exact_prefactor(g, t, j) for t, j in zip(angles[:, i], parity[:, i])]
+            expected = _oracle_log_norm(fs[:, i], zs[i], rhos)
             assert abs(logn[i] - expected) <= 1e-13 * (1 + abs(expected))
 
 
@@ -961,8 +1025,8 @@ def test_operator_norm_only_at_read_steps(monkeypatch, budget):
 def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     """The engine's arithmetic written plainly: the coefficients of all n
     steps from ``% 1.0`` angles, one generator call per row of the (R, N)
-    start grid, one stack of all R N orbits with each row's prefactors as
-    its generator states them or else from its values, and the row-by-row fold with a
+    start grid with its prefactors (``dynamics.evaluate``), one stack of all
+    R N orbits, and the row-by-row fold with a
     temporary per product, renormalized by a power of two at every step
     (the engine rescales rarely), read as (E + e) log 2 + log m with m, e
     the frexp of the operator norm and E the exponents stripped so far."""
@@ -970,12 +1034,10 @@ def _reference_log_norms(theta0s, j0s, r, gens, zs, n, marks):
     b = rows * w
     ms = np.arange(n)[:, None]
     j0s = np.broadcast_to(j0s, theta0s.shape)
-    fs = [g.evaluate_grid((theta0s[i] + ms * r.alpha) % 1.0,
-                          np.broadcast_to((j0s[i] + ms) % 2, (n, w)))
-          for i, g in enumerate(gens)]
-    rhos = [dynamics.prefactor(g, f) for g, f in zip(gens, fs)]
-    rho = np.concatenate([np.broadcast_to(dynamics.extended_prefactor(f) if c is None else c,
-                                          f.shape) for f, c in zip(fs, rhos)], axis=1)
+    fs, rhos = zip(*(dynamics.evaluate(g, (theta0s[i] + ms * r.alpha) % 1.0,
+                                       np.broadcast_to((j0s[i] + ms) % 2, (n, w)))
+                     for i, g in enumerate(gens)))
+    rho = np.concatenate([np.broadcast_to(c, f.shape) for f, c in zip(fs, rhos)], axis=1)
     mats = cocycle.szego_matrices(np.concatenate(fs, axis=1),
                                   np.tile(np.broadcast_to(zs, (w,)), rows), rho)
     cur = np.zeros((2, 2, b), dtype=complex)
@@ -1138,8 +1200,8 @@ def test_log_norms_match_60_digit_fold(g):
     zs = np.exp(2j * np.pi * rng.random(b))
     logn, _ = grid_log_norms(thetas, j0s, GOLDEN, g, zs, n)
     ms = np.arange(n)[:, None]
-    f = g.evaluate_grid((thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2)
-    mats = cocycle.szego_matrices(f, zs, dynamics.prefactor(g, f))
+    f, rho = dynamics.evaluate(g, (thetas + ms * GOLDEN.alpha) % 1.0, (j0s + ms) % 2)
+    mats = cocycle.szego_matrices(f, zs, rho)
     errors = []
     with mpmath.workdps(60):
         for i in range(b):
@@ -1255,8 +1317,8 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
     # rows of one family and one k in one call, and the engine's coefficients
     # are the sequence's, or one generator's for all rows.  A run that
     # covers every row is the object the engine is handed.  Each row's
-    # prefactors are its generator's closed form, or else the bits computed
-    # from its own values; None where no row states one.
+    # prefactors have the bits of its generator's own call: its closed form,
+    # stated or filled in per value, or else computed from its own values.
     rng = np.random.default_rng(seed)
     gens = [_random_generator(rng, *g) if isinstance(g, tuple) else g for g in gens]
     rows = len(gens)
@@ -1275,20 +1337,26 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
     got = rowwise.evaluate_grid(thetas, parity)
     for row, g in enumerate(gens):
         assert np.array_equal(got[:, row], g.evaluate_grid(thetas[:, row], parity[:, row]))
-    vals, rho = cocycle._coefficients(theta0s, j0s, GOLDEN, rowwise, ms)
+    vals, rho = dynamics.evaluate(rowwise, thetas, parity)
     assert np.array_equal(vals, got)
-    stated = [getattr(g, "prefactor", None) for g in gens]
-    if all(c is None for c in stated):
-        assert rho is None
-    else:
-        for row, c in enumerate(stated):
-            want = dynamics.extended_prefactor(got[:, row]) if c is None else c
-            assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
-                    == np.broadcast_to(want, got[:, row].shape).tobytes())
+    for row, g in enumerate(gens):
+        want = dynamics.evaluate(g, thetas[:, row], parity[:, row])[1]
+        assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
+                == np.broadcast_to(want, got[:, row].shape).tobytes())
+        assert np.isfinite(want).all()
+        if isinstance(g, PerturbedGenerator):
+            filled = np.empty(got[:, row].shape)
+            g.evaluate_grid(thetas[:, row], parity[:, row], rho=filled)
+            assert want.tobytes() == filled.tobytes()
+        else:
+            assert want == g.prefactor
     assert by_row(gens[-1], rows) is gens[-1]
-    got, rho = cocycle._coefficients(theta0s, j0s, GOLDEN, gens[-1], ms)
+    got, rho = dynamics.evaluate(gens[-1], thetas, parity)
     assert np.array_equal(got, gens[-1].evaluate_grid(thetas, parity))
-    assert rho == getattr(gens[-1], "prefactor", None)
+    for row in range(rows):
+        alone = dynamics.evaluate(gens[-1], thetas[:, row], parity[:, row])[1]
+        assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
+                == np.broadcast_to(alone, got[:, row].shape).tobytes())
 
 
 def test_run_reads_lambda_at_the_call():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from szegolyap.dynamics import (
     AdmissibilityError,
@@ -142,8 +144,8 @@ def test_perturbed_grid_matches_rows_and_single_angles(k):
 
 def _sign_formula(g, thetas, j):
     """Values from one exponential per (angle, parity) pair, the phase's
-    sign 1 - 2j in the exponent, and the same Horner products as
-    ``PerturbedGenerator.evaluate_grid``."""
+    sign 1 - 2j in the exponent, and the same Horner products and powers
+    w^k as ``PerturbedGenerator.evaluate_grid``."""
     sign = 1 - 2 * np.asarray(j)
     if isinstance(g, ExpGenerator):
         return g.modulus * np.exp(1j * TWO_PI * g.k * sign * np.asarray(thetas))
@@ -151,16 +153,19 @@ def _sign_formula(g, thetas, j):
     wbar = np.conjugate(w)
     c = [g.lam * a for a in g.coeffs]
     pos, neg, spare = np.empty_like(w), np.empty_like(w), np.empty_like(w)
-    np.add(w, c[-1], out=pos)
+    lam_p = c[-1]
     for cl in reversed(c[g.k:-1]):
-        np.multiply(pos, w, out=spare)
-        np.add(spare, cl, out=pos)
+        np.multiply(w, lam_p, out=spare)
+        lam_p = np.add(spare, cl, out=pos)
     np.multiply(wbar, c[0], out=neg)
     for cl in c[1:g.k]:
         np.add(neg, cl, out=spare)
         np.multiply(spare, wbar, out=neg)
-    np.add(pos, neg, out=spare)
-    return np.multiply(spare, g.modulus, out=pos)
+    lam_p = np.add(neg, lam_p, out=spare)
+    b = w
+    for i in range(1, g.k):
+        b = np.multiply(b, w, out=(pos, neg)[(g.k - 1 - i) % 2])
+    return np.multiply(np.add(b, lam_p, out=wbar), g.modulus, out=neg)
 
 
 @pytest.mark.parametrize(
@@ -196,15 +201,21 @@ def test_evaluate_grid_shares_each_angle_across_a_parity_axis(g):
                                           full).tobytes()
 
 
+def _perturbed_exact(g, theta, j):
+    """m (e^(+-2 pi i k theta) + lambda sum_l a_l e^(+-2 pi i l theta)) at
+    the double theta in the working precision, every exponential taken on
+    its own."""
+    m = mpmath.sqrt(1 - mpmath.mpf(g.epsilon) ** 2)
+    phase = (1 if j == 0 else -1) * 2 * mpmath.pi * mpmath.mpf(theta)
+    pert = sum(mpmath.mpc(a) * mpmath.expj(l * phase)
+               for a, l in zip(g.coeffs, range(-g.k, g.k)))
+    return m * (mpmath.expj(g.k * phase) + mpmath.mpc(g.lam) * pert)
+
+
 def _perturbed_oracle(g, theta, j):
-    """m (e^(+-2 pi i k theta) + lambda sum_l a_l e^(+-2 pi i l theta)) in
-    50 digits at the double theta, every exponential taken on its own."""
+    """The perturbed value in 50 digits, rounded once."""
     with mpmath.workdps(50):
-        m = mpmath.sqrt(1 - mpmath.mpf(g.epsilon) ** 2)
-        phase = (1 if j == 0 else -1) * 2 * mpmath.pi * mpmath.mpf(theta)
-        pert = sum(mpmath.mpc(a) * mpmath.expj(l * phase)
-                   for a, l in zip(g.coeffs, range(-g.k, g.k)))
-        return complex(m * (mpmath.expj(g.k * phase) + mpmath.mpc(g.lam) * pert))
+        return complex(_perturbed_exact(g, theta, j))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -259,6 +270,60 @@ def test_perturbed_rejects_large_lambda():
     lmax = lambda_max(0.5, [1, 1])
     with pytest.raises(AdmissibilityError):
         PerturbedGenerator(0.5, 1, 1.001 * lmax, [1, 1])
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.001])
+@pytest.mark.parametrize("eps", [0.5, 1e-8, 1e-12])
+def test_perturbed_rejects_coupling_at_or_above_the_radius(eps, factor):
+    coeffs = [1, 0.5j, -1, 2]
+    with pytest.raises(AdmissibilityError, match="admissible radius"):
+        PerturbedGenerator(eps, 2, factor * lambda_max(eps, coeffs) * 1j, coeffs)
+
+
+def _random_perturbed(eps, k, frac, seed):
+    """A perturbed generator with normal complex a_l at a coupling of modulus
+    frac * lambda_max in a random direction."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+    return PerturbedGenerator(eps, k, frac * lambda_max(eps, coeffs)
+                              * np.exp(2j * np.pi * rng.random()), coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_eps=st.floats(-12.0, math.log10(0.95)), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(log_eps=-12.0, k=1, seed=0)
+def test_perturbed_admissible_near_the_radius_at_small_eps(log_eps, k, seed):
+    # At 0.999 lambda_max the exact values keep 1 - |f|^2 >= eps^2 / 2000,
+    # though m rounds to 1 and rounded values may leave the disk below
+    # eps ~ 1e-8: the closed form admits every value of a dense grid, and
+    # its prefactors lie in [1, 50 / eps] up to rounding.
+    eps = 10.0**log_eps
+    g = _random_perturbed(eps, k, 0.999, seed)
+    thetas = np.arange(4096) / 4096
+    for j in (0, 1):
+        rho = np.empty(thetas.shape)
+        g.evaluate_grid(thetas, j, rho=rho)
+        assert np.all((1.0 - 2.0**-50 <= rho) & (rho <= 50.0 / eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_eps=st.floats(-12.0, math.log10(0.95)), k=st.integers(1, 3),
+       frac=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_perturbed_prefactor_matches_50_digit_oracle(log_eps, k, frac, seed):
+    # The closed form against (1 - |f|^2)^(-1/2) of the exact f at the same
+    # double angle, in 50 digits: within 8 units of 2^-53, relative, up to
+    # half the radius, where 1 - |f|^2 >= eps^2 / 2 (4 seen for k <= 3).
+    g = _random_perturbed(10.0**log_eps, k, frac, seed)
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([[0.0, 0.25, 0.5, 1.0 - 2.0**-53], rng.random(12)])
+    parity = rng.integers(0, 2, thetas.shape)
+    rho = np.empty(thetas.shape)
+    g.evaluate_grid(thetas, parity, rho=rho)
+    with mpmath.workdps(50):
+        for theta, j, got in zip(thetas, parity, rho):
+            exact = 1 / mpmath.sqrt(1 - abs(_perturbed_exact(g, theta, j)) ** 2)
+            assert abs(mpmath.mpf(got) / exact - 1) <= 8 * 2.0**-53, (theta, j)
 
 
 def test_perturbed_coefficient_count():
@@ -368,3 +433,24 @@ def test_constant_generator():
     assert value(g, 0.7, 1) == 0.25j
     with pytest.raises(AdmissibilityError):
         ConstantGenerator(1.0)
+
+
+@pytest.mark.parametrize("v", [0.25j, 0.6 - 0.3j, (1.0 - 1e-14) * np.exp(0.6j),
+                               complex(1.0 - 2.0**-53, 0.0), complex(2.0**-30, 1.0 - 2.0**-52)])
+def test_constant_prefactor_in_closed_form(v):
+    # 1 - |v|^2 exact in rationals and rounded once, then ^(-1/2): within two
+    # units of 2^-53 of the 50-digit value, where 1 - |v|^2 in doubles keeps
+    # only a few digits near the circle.
+    g = ConstantGenerator(v)
+    with mpmath.workdps(50):
+        exact = 1 / mpmath.sqrt(1 - mpmath.mpf(v.real) ** 2 - mpmath.mpf(v.imag) ** 2)
+        assert abs(mpmath.mpf(g.prefactor) / exact - 1) <= 2 * 2.0**-53
+
+
+@pytest.mark.parametrize("v", [complex(math.nan), complex(math.inf), complex(0.6, 0.8),
+                               complex(1.0 - 2.0**-53, 2.0**-26)])
+def test_constant_on_or_past_the_circle_is_rejected(v):
+    # A value whose modulus rounds to 1, and a NaN or an infinite one, which
+    # has no prefactor: a NaN used to be accepted.
+    with pytest.raises(AdmissibilityError):
+        ConstantGenerator(v)
