@@ -22,7 +22,6 @@ prefactors, each row's own for a sequence.
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -285,8 +284,9 @@ class _Run:
 class _Rows:
     """One generator per row of orbits shaped (..., rows, N), evaluated with
     one call per maximal run of two or more consecutive rows of one family
-    and one k (a ``_Run``) and one per other row.  Given ``rho``, it fills
-    each row with its part's prefactors (``evaluate``)."""
+    and one k (a ``_Run``) and one per other row.  It fills ``rho``, or a
+    scratch array where none is given, with each part's prefactors
+    (``evaluate``)."""
 
     fills_prefactor = True
 
@@ -303,12 +303,10 @@ class _Rows:
     def evaluate_grid(self, thetas, j, rho=None):
         thetas, j = np.broadcast_arrays(thetas, j)
         out = np.empty(thetas.shape, dtype=complex)
+        if rho is None:
+            rho = np.empty(thetas.shape)
         for rows, g in self.parts:
-            part = thetas[..., rows, :], j[..., rows, :]
-            if rho is None:
-                out[..., rows, :] = g.evaluate_grid(*part)
-            else:
-                out[..., rows, :], rho[..., rows, :] = evaluate(g, *part)
+            out[..., rows, :], rho[..., rows, :] = evaluate(g, thetas[..., rows, :], j[..., rows, :])
         return out
 
 
@@ -324,11 +322,11 @@ def evaluate(g, thetas, j):
     shape = np.broadcast(thetas, j).shape
     if getattr(g, "fills_prefactor", False):
         rho = np.empty(shape)
-        return g.evaluate_grid(thetas, j, rho=rho), rho
-    vals = g.evaluate_grid(thetas, j)
+        vals = g.evaluate_grid(thetas, j, rho=rho)
+    else:
+        rho, vals = getattr(g, "prefactor", None), g.evaluate_grid(thetas, j)
     if not (isinstance(vals, np.ndarray) and vals.shape == shape and vals.flags.c_contiguous):
         vals = np.broadcast_to(vals, shape).astype(complex, order="C")
-    rho = getattr(g, "prefactor", None)
     return vals, extended_prefactor(vals) if rho is None else rho
 
 
@@ -369,6 +367,9 @@ class ConstantGenerator:
     value: complex
 
     def __post_init__(self):
+        # Imported here: no command builds a constant generator, so importing
+        # the package need not load fractions (and with it decimal).
+        from fractions import Fraction
         v = complex(self.value)
         object.__setattr__(self, "value", v)
         if not (abs(v) < 1.0 and (rem := 1 - Fraction(v.real) ** 2 - Fraction(v.imag) ** 2) > 0):

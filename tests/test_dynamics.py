@@ -17,6 +17,7 @@ from szegolyap.dynamics import (
     PerturbedGenerator,
     Rotation,
     TWO_PI,
+    evaluate,
     lambda_max,
 )
 
@@ -146,9 +147,27 @@ def _sign_formula(g, thetas, j):
     """Values from one exponential per (angle, parity) pair, the phase's
     sign 1 - 2j in the exponent, and the same Horner products and powers
     w^k as ``PerturbedGenerator.evaluate_grid``."""
-    sign = 1 - 2 * np.asarray(j)
     if isinstance(g, ExpGenerator):
+        sign = 1 - 2 * np.asarray(j)
         return g.modulus * np.exp(1j * TWO_PI * g.k * sign * np.asarray(thetas))
+    return _sign_horner(g, thetas, j)[2]
+
+
+def _sign_prefactor(g, thetas, j):
+    """A perturbed ``g``'s prefactors (1 - |f|^2)^(-1/2) restated in plain
+    numpy from the closed form 1 - |f|^2 = eps^2 - (1 - eps^2) Re((2 b + L)
+    conj(L)), with 2 b + L summed as (b + L) + b, on the b and L of
+    ``_sign_horner``."""
+    b, lam_p, _ = _sign_horner(g, thetas, j)
+    h = (b + lam_p) + b
+    eps2 = g.epsilon**2
+    return 1.0 / np.sqrt(eps2 - (h.real * lam_p.real + h.imag * lam_p.imag) * (1.0 - eps2))
+
+
+def _sign_horner(g, thetas, j):
+    """A perturbed ``g``'s b = w^k, L = lambda sum_l a_l w^l and values
+    m (b + L), as ``_sign_formula`` takes them."""
+    sign = 1 - 2 * np.asarray(j)
     w = np.exp(1j * TWO_PI * sign * np.asarray(thetas))
     wbar = np.conjugate(w)
     c = [g.lam * a for a in g.coeffs]
@@ -165,7 +184,7 @@ def _sign_formula(g, thetas, j):
     b = w
     for i in range(1, g.k):
         b = np.multiply(b, w, out=(pos, neg)[(g.k - 1 - i) % 2])
-    return np.multiply(np.add(b, lam_p, out=wbar), g.modulus, out=neg)
+    return b, lam_p, np.multiply(np.add(b, lam_p, out=wbar), g.modulus, out=neg)
 
 
 @pytest.mark.parametrize(
@@ -197,8 +216,25 @@ def test_evaluate_grid_shares_each_angle_across_a_parity_axis(g):
     for row in (0, 1):
         assert got[:, row].tobytes() == g.evaluate_grid(thetas, parity[:, row]).tobytes()
     full = np.broadcast_to(parity, got.shape)
-    assert got.tobytes() == _sign_formula(g, np.broadcast_to(thetas[:, None, :], got.shape),
-                                          full).tobytes()
+    angles = np.broadcast_to(thetas[:, None, :], got.shape)
+    assert got.tobytes() == _sign_formula(g, angles, full).tobytes()
+    if isinstance(g, PerturbedGenerator):
+        # The filled prefactors too, so that a change of one ulp fails.
+        rho = np.empty(got.shape)
+        assert g.evaluate_grid(thetas[:, None, :], parity, rho=rho).tobytes() == got.tobytes()
+        assert rho.tobytes() == _sign_prefactor(g, angles, full).tobytes()
+
+
+def test_evaluate_gives_c_ordered_values_at_any_angle_layout():
+    # The perturbed family's values take the layout of its angles; evaluate
+    # gives them C-contiguous, with the prefactors it fills, as at C-ordered
+    # angles.
+    g = PerturbedGenerator(0.4, 2, 0.5 * lambda_max(0.4, [1, 1j, -1, 2]), [1, 1j, -1, 2])
+    thetas = np.random.default_rng(5).random((6, 9))
+    want = evaluate(g, thetas, 1)
+    got = evaluate(g, np.asfortranarray(thetas), 1)
+    assert got[0].flags.c_contiguous and got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def _perturbed_exact(g, theta, j):
