@@ -130,14 +130,14 @@ def _z_points(z_grid):
     return ts, zs
 
 
-def _birkhoff_batch(rng, r, gens, zs, n):
-    """Birkhoff estimates over the z points ``zs`` for each generator in
-    ``gens``, shaped (generators, z points), from one engine batch on that
-    grid, one generator per row.  The start points are drawn generator by
-    generator, in the order separate scans would draw them."""
-    starts = [(rng.random(len(zs)), rng.integers(0, 2, len(zs))) for _ in gens]
+def _birkhoff_batch(rng, r, g, rows, zs, n):
+    """Birkhoff estimates over the z points ``zs`` for the ``rows`` rows of
+    ``g``, shaped (rows, z points), from one engine batch on that grid.
+    The start points are drawn row by row, in the order separate scans
+    would draw them."""
+    starts = [(rng.random(len(zs)), rng.integers(0, 2, len(zs))) for _ in range(rows)]
     theta0s, j0s = (np.array(part) for part in zip(*starts))
-    return birkhoff_scan(theta0s, j0s, r, gens, zs, n)
+    return birkhoff_scan(theta0s, j0s, r, g, zs, n)
 
 
 def _phase_grid(r, gens, zs, n, grid):
@@ -163,17 +163,20 @@ def cmd_scan(args) -> int:
         print("error: --coeffs needs --lambda (the perturbation coupling)",
               file=sys.stderr)
         return 2
+    # The family at one eps, or at the column of every eps.
+    coeffs = coeffs if coeffs is not None else [1.0 + 0.0j] * (2 * args.k)
+    family = (functools.partial(ExpGenerator, k=args.k) if args.lam is None else
+              functools.partial(PerturbedGenerator, k=args.k, lam=args.lam, coeffs=coeffs))
     try:
-        if args.lam is None:
-            gens = [ExpGenerator(eps, args.k) for eps in args.eps]
-        else:
-            coeffs = coeffs if coeffs is not None else [1.0 + 0.0j] * (2 * args.k)
-            gens = [PerturbedGenerator(eps, args.k, args.lam, coeffs)
-                    for eps in args.eps]
+        gens = [family(eps) for eps in args.eps]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for path in filter(None, (args.out, args.svg)):  # all outputs or none: test first
+    outputs = [path for path in (args.out, args.svg) if path]
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        print(f"error: --out and --svg are one file: {args.out}", file=sys.stderr)
+        return 2
+    for path in outputs:  # all outputs or none: test first
         folder = os.path.join(os.path.dirname(os.path.abspath(path)), "")  # "/": dirs only
         if os.path.isdir(path) or not os.access(path if os.path.isfile(path) else folder, os.W_OK):
             print(f"error: cannot write {path}", file=sys.stderr)
@@ -185,7 +188,7 @@ def cmd_scan(args) -> int:
     methods = _METHODS[args.method]
     results = {}
     if "birkhoff" in methods:
-        results["birkhoff"] = _birkhoff_batch(rng, r, gens, zs, args.n)
+        results["birkhoff"] = _birkhoff_batch(rng, r, family(args.eps), len(gens), zs, args.n)
     if "phaseAverage" in methods:
         results["phaseAverage"] = _phase_grid(r, gens, zs, args.n, args.grid)
     # The chart's rows; the CSV adds the scan's |lambda| and n, and each margin.
@@ -248,35 +251,32 @@ def cmd_verify_t2(args) -> int:
     r = Rotation(args.alpha)
     _, zs = _z_points(args.z_grid)
     rng = np.random.default_rng(args.seed)
-    # Per epsilon, the unperturbed family and then one per ladder rung; all
-    # of them run as one batch.
+    # Per epsilon, the unperturbed family and then the ladder, one rung per
+    # row; all of them run as one batch.
     lmaxes = [lambda_max(eps, coeffs) for eps in args.eps]
     try:
-        families = [
-            [ExpGenerator(eps, args.k)] + [
-                PerturbedGenerator(eps, args.k, factor * lmax * direction, coeffs)
-                for factor in LADDER_FACTORS
-            ]
-            for eps, lmax in zip(args.eps, lmaxes)
-        ]
+        ladders = [PerturbedGenerator(eps, args.k, [f * lmax * direction for f in LADDER_FACTORS],
+                                      coeffs) for eps, lmax in zip(args.eps, lmaxes)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    gammas = _birkhoff_batch(rng, r, [g for gens in families for g in gens], zs, args.n)
-    mins = gammas.min(axis=1).reshape(len(families), -1)
+    gens = [g for eps, ladder in zip(args.eps, ladders)
+            for g in (ExpGenerator(eps, args.k), ladder)]
+    gammas = _birkhoff_batch(rng, r, gens, len(ladders) * (1 + len(LADDER_FACTORS)), zs, args.n)
+    mins = gammas.min(axis=1).reshape(len(ladders), -1)
     status = 0
-    for eps, lmax, gens, (base_min, *rung_mins) in zip(args.eps, lmaxes, families, mins):
+    for eps, lmax, ladder, (base_min, *rung_mins) in zip(args.eps, lmaxes, ladders, mins):
         print(f"eps = {eps:g}: admissible radius lambda_max = {lmax:.6g}")
         print(f"  lambda = 0 (unperturbed): min gamma_hat = {base_min:.6f}")
         empirical = None
-        for factor, g, mn in zip(LADDER_FACTORS, gens[1:], rung_mins):
+        for factor, lam, mn in zip(LADDER_FACTORS, ladder.lam, rung_mins):
             mark = "ok" if mn > args.threshold else "below threshold"
             print(
-                f"  |lambda| = {abs(g.lam):.6g} ({factor:g} * lambda_max): "
+                f"  |lambda| = {abs(lam):.6g} ({factor:g} * lambda_max): "
                 f"min gamma_hat = {mn:.6f} [{mark}]"
             )
             if empirical is None and mn > args.threshold:
-                empirical = abs(g.lam)
+                empirical = abs(lam)
         if empirical is None:
             print(
                 f"  no tested coupling kept min gamma_hat above {args.threshold:g}"

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dynamics import Rotation, by_row, evaluate, extended_prefactor
+from .dynamics import Rotation, _Rows, evaluate, extended_prefactor
 from .mat2 import op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
@@ -89,11 +89,12 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     parities ``j0`` broadcast to, R = 1 if both are 1-D or scalar: N angles
     with a scalar or N parities, N angles against a column of R parities,
     shape (R, 1), or an (R, N) array of each.  ``g`` is one coefficient
-    generator or a sequence of one per row (``dynamics.by_row``), so that
-    several families run as one batch; ``zs`` is a finite scalar or one
-    per column.  Returns ``(log_norms, recorded)``, shaped like the orbits,
-    where ``recorded[m]`` holds the log norms after m steps for each m in
-    ``checkpoints`` (all in 1..n).
+    generator (a column generator has a row per entry) or a sequence of them
+    stacked along the rows (``dynamics._Rows``), so that several families
+    run as one batch; ``zs`` is a finite scalar or one per column.  Returns
+    ``(log_norms, recorded)``, shaped like the orbits, where ``recorded[m]``
+    holds the log norms after m steps for each m in ``checkpoints`` (all in
+    1..n).
     Every SPAN // log2(8 c w) steps, c the largest prefactor of a block and
     w = max(|z|, 1/|z|), each orbit's product is scaled by the power of two
     that brings its largest real or imaginary part into [1/2, 1), and the
@@ -107,18 +108,18 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     The orbits are folded over all n steps a tile at a time, all R rows of
     TILE // R columns (at least one).  A tile builds at most BUDGET
     one-step matrices per block and folds them step by step, in the same
-    arithmetic at any block length.  A block makes one ``g.evaluate_grid``
-    call, which gives the values with their prefactors (``dynamics.evaluate``),
-    each row's its own, and c is the largest of those; a value and its
-    prefactor depend only on their own angle and parity, so a result
-    depends only on (theta0, j0, z, g, n): not on the rest of the batch,
-    TILE, BUDGET, the checkpoints or the steps at which the product was
-    rescaled, and is reproducible bit for bit.  A blowup names the earliest
-    step of any tile with a non-finite one-step matrix; finite ones with
-    c (1 + |z|^2)^(1/2) >= 2^254 raise NumericalBlowupError naming that
-    bound (see ``_fold``).  A block's matrices are scanned for one only
-    where 4 c w overflows: with |f| <= 1 up to rounding every entry is at
-    most 2 c w in modulus, so a finite 4 c w proves them finite.
+    arithmetic at any block length.  A block makes one ``evaluate_grid``
+    call per generator, giving the values with their prefactors
+    (``dynamics.evaluate``), each row's its own, and c is the largest of
+    those; a value and its prefactor depend only on their own angle and
+    parity, so a result depends only on (theta0, j0, z, g, n): not on the
+    rest of the batch, TILE, BUDGET, the checkpoints or the steps at which
+    the product was rescaled, and is reproducible bit for bit.  A blowup
+    names the earliest step of any tile with a non-finite one-step matrix;
+    finite ones with c (1 + |z|^2)^(1/2) >= 2^254 raise NumericalBlowupError
+    naming that bound (see ``_fold``).  A block's matrices are scanned for
+    one only where 4 c w overflows: with |f| <= 1 up to rounding every entry
+    is at most 2 c w in modulus, so a finite 4 c w proves them finite.
     """
     wanted = set(checkpoints) if checkpoints is not None else set()
     if n < 1 or not all(m in range(1, n + 1) for m in wanted):
@@ -128,7 +129,7 @@ def grid_log_norms(theta0s, j0, r: Rotation, g, zs, n: int, checkpoints=None):
     shape = np.broadcast_shapes(np.shape(j0), theta0s.shape)
     theta0s, j0 = np.atleast_2d(theta0s, j0)
     rows, size = np.broadcast_shapes(theta0s.shape, j0.shape)
-    g = by_row(g, rows)
+    g = _Rows(g, rows) if isinstance(g, (list, tuple)) else g
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if not np.isfinite(zs).all():
         raise ValueError("spectral parameters zs must be finite")

@@ -5,18 +5,18 @@ irrational rotation on the 1-torus with the flip on Z_2 (``Rotation.orbit``).
 Coefficient generators map phase points to values in the open unit disk.
 The cocycle engine is generic over anything with an ``evaluate_grid(thetas,
 j)`` method, whose parity ``j`` is a scalar or an integer array broadcasting
-with the angles ``thetas`` and whose values broadcast to their shape;
-``by_row`` makes one of a sequence of one generator per row, with one call
-per run of rows of one family and one k; a lone run is the generator the
-engine sees.  A generator whose parity-1 values are the conjugates of its
-parity-0 values, bit for bit, may say so with a true ``conjugate_parity``;
-an object without the attribute is read as false.  A generator keeping
-|f| <= 1 up to rounding may state its prefactor (1 - |f|^2)^(-1/2) in
-closed form: as ``prefactor``, a float or an array broadcasting with its
-values, or per value, with a true ``fills_prefactor``, by filling the
-float array of its values' full shape that its ``evaluate_grid`` takes as
-``rho``.  ``evaluate(g, thetas, j)`` returns the values with their
-prefactors, each row's own for a sequence.
+with the angles ``thetas`` and whose values broadcast to their shape.  A
+family's eps (and lambda) given as a sequence makes a column generator of
+one row per entry, each with the bits of its own scalar generator; a
+sequence of generators is stacked along the rows (``_Rows``).  A generator
+whose parity-1 values are the conjugates of its parity-0 values, bit for
+bit, may say so with a true ``conjugate_parity``; an object without the
+attribute is read as false.  A generator keeping |f| <= 1 up to rounding
+may state its prefactor (1 - |f|^2)^(-1/2) in closed form: as
+``prefactor``, a float or an array broadcasting with its values, or per
+value, with a true ``fills_prefactor``, by filling the float array of its
+values' full shape that its ``evaluate_grid`` takes as ``rho``.
+``evaluate(g, thetas, j)`` returns the values with their prefactors.
 """
 
 import math
@@ -57,11 +57,35 @@ class Rotation:
         return thetas, (j0 + ms) % 2
 
 
-def _family_k(epsilon, k) -> int:
-    """Check a family's epsilon in (0, 1) and read its k by ``operator.index``:
-    ints and numpy integers pass, anything else is a ValueError."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+def _per_row(g, name, convert):
+    """Field ``name`` of ``g`` read by ``convert``, stored back, as a tuple of
+    its values and its rows: a sequence (a list, a tuple or an array) gives
+    one value per row and its length, a lone value a 1-tuple and None."""
+    value = getattr(g, name)
+    if not isinstance(value, (list, tuple, np.ndarray)) or np.ndim(value) == 0:
+        object.__setattr__(g, name, value := convert(value))
+        return (value,), None
+    if not (values := tuple(map(convert, value))):
+        raise ValueError(f"{name} needs one value per row, got an empty sequence")
+    object.__setattr__(g, name, values)
+    return values, len(values)
+
+
+def _set_columns(g, rows, **constants):
+    """Set ``g.rows`` and each of ``constants``, a list of one value per row:
+    its lone value where ``rows`` is None, else a (rows, 1) column."""
+    object.__setattr__(g, "rows", rows)
+    for name, values in constants.items():
+        object.__setattr__(g, name, values[0] if rows is None else np.array(values)[:, None])
+
+
+def _family_k(epsilons, k) -> int:
+    """Check a family's epsilons, each in (0, 1), and read its k by
+    ``operator.index``: ints and numpy integers pass, anything else is a
+    ValueError."""
+    for epsilon in epsilons:
+        if not (0.0 < epsilon < 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     try:
         return operator.index(k)
     except TypeError:
@@ -81,7 +105,8 @@ def _phase(thetas, j, k):
 class ExpGenerator:
     """Simple-exponential coefficients (1 - eps^2)^(1/2) e^(+-2 pi i k theta).
 
-    The phase sign is + for parity j = 0 and - for j = 1.
+    The phase sign is + for parity j = 0 and - for j = 1.  ``epsilon`` is a
+    float, or a tuple of one per row: a column generator of ``rows`` rows.
     """
 
     epsilon: float
@@ -92,18 +117,14 @@ class ExpGenerator:
     conjugate_parity = True
 
     def __post_init__(self):
-        if _family_k(self.epsilon, self.k) == 0:
+        eps, rows = _per_row(self, "epsilon", float)
+        if _family_k(eps, self.k) == 0:
             raise ValueError("k must be a nonzero integer")
-
-    @property
-    def modulus(self) -> float:
-        return math.sqrt(1.0 - self.epsilon**2)
-
-    @property
-    def prefactor(self) -> float:
-        """(1 - |f|^2)^(-1/2) = 1/eps in closed form: one rounding, where the
-        rounded f may lie on the unit circle once eps is below about 1e-8."""
-        return 1.0 / self.epsilon
+        # The modulus m = (1 - eps^2)^(1/2), and the prefactor (1 - |f|^2)^(-1/2)
+        # = 1/eps in closed form: one rounding, where the rounded f may lie
+        # on the unit circle once eps is below about 1e-8.
+        _set_columns(self, rows, modulus=[math.sqrt(1.0 - e**2) for e in eps],
+                     prefactor=[1.0 / e for e in eps])
 
     def evaluate_grid(self, thetas, j):
         """Vectorized evaluation at angles ``thetas`` and parities ``j`` (a
@@ -142,6 +163,8 @@ class PerturbedGenerator:
 
     ``coeffs`` holds the 2k perturbation coefficients a_l for
     l = -k, ..., k - 1; for parity j = 1 every phase is negated.
+    ``epsilon`` and ``lam`` are each a number, serving every row, or a tuple
+    of one per row: a column generator of ``rows`` rows.
     Construction rejects couplings outside the sufficient admissibility
     radius, so evaluation stays inside the unit disk.
 
@@ -182,44 +205,43 @@ class PerturbedGenerator:
     fills_prefactor = True
 
     def __post_init__(self):
-        if _family_k(self.epsilon, self.k) < 1:
+        eps, eps_rows = _per_row(self, "epsilon", float)
+        lams, lam_rows = _per_row(self, "lam", complex)
+        if _family_k(eps, self.k) < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "coeffs", tuple(complex(a) for a in self.coeffs))
-        object.__setattr__(self, "lam", complex(self.lam))
-        if len(self.coeffs) != 2 * self.k:
-            raise ValueError(
-                f"need 2k = {2 * self.k} coefficients, got {len(self.coeffs)}"
-            )
-        if not np.isfinite(self.lam):
-            raise ValueError(f"lambda must be finite, got {self.lam}")
-        # lambda = 0 is the unperturbed family, admissible even where the
-        # radius underflows to 0.
-        radius = lambda_max(self.epsilon, self.coeffs)
-        if self.lam != 0 and abs(self.lam) >= radius:
-            raise AdmissibilityError(
-                f"|lambda| = {abs(self.lam)} exceeds the admissible radius "
-                f"{radius} at epsilon = {self.epsilon}"
-            )
-
-    modulus = ExpGenerator.modulus  # (1 - eps^2)^(1/2)
-
-    @property
-    def conjugate_parity(self) -> bool:
-        """f(theta, 1) = conj f(theta, 0) bit for bit: Horner's +, x and
-        conj(w) commute with conjugation when every lambda a_l is real."""
-        return all((self.lam * a).imag == 0 for a in self.coeffs)
-
-    def _constants(self):
-        """The modulus m, the couplings lambda a_l, l = -k, ..., k - 1, and
-        eps^2, read at each evaluation.  The products are formed in Python:
-        numpy's complex multiply rounds differently."""
-        return self.modulus, [self.lam * a for a in self.coeffs], self.epsilon**2
+        object.__setattr__(self, "coeffs", coeffs := tuple(complex(a) for a in self.coeffs))
+        if len(coeffs) != 2 * self.k:
+            raise ValueError(f"need 2k = {2 * self.k} coefficients, got {len(coeffs)}")
+        if eps_rows and lam_rows and eps_rows != lam_rows:
+            raise ValueError(f"{eps_rows} epsilons for {lam_rows} couplings")
+        # One radius per epsilon, then eps and lambda one per row; lambda = 0 is
+        # the unperturbed family, admissible even where the radius underflows to 0.
+        radii = {e: lambda_max(e, coeffs) for e in eps}
+        rows = eps_rows or lam_rows
+        eps, lams = (v * ((rows or 1) // len(v)) for v in (eps, lams))
+        for e, lam in zip(eps, lams):
+            if not np.isfinite(lam):
+                raise ValueError(f"lambda must be finite, got {lam}")
+            if lam != 0 and abs(lam) >= radii[e]:
+                raise AdmissibilityError(f"|lambda| = {abs(lam)} exceeds the admissible "
+                                         f"radius {radii[e]} at epsilon = {e}")
+        # The modulus m = (1 - eps^2)^(1/2), the couplings lambda a_l, l = -k,
+        # ..., k - 1, per l, and eps^2.  The products are formed in Python:
+        # numpy's complex multiply rounds differently.
+        c = [[lam * a for lam in lams] for a in coeffs]
+        _set_columns(self, rows, modulus=[math.sqrt(1.0 - e**2) for e in eps],
+                     _eps2=[e**2 for e in eps])
+        object.__setattr__(self, "_couplings", [cl[0] for cl in c] if rows is None
+                           else np.array(c)[..., None])
+        # f(theta, 1) = conj f(theta, 0) bit for bit: Horner's +, x and
+        # conj(w) commute with conjugation when every lambda a_l is real.
+        object.__setattr__(self, "conjugate_parity", not any(x.imag for cl in c for x in cl))
 
     def evaluate_grid(self, thetas, j, rho=None):
         """The values at angles ``thetas`` and parities ``j``; where a float
         array ``rho`` of their shape is given, it is filled with their
         prefactors (1 - |f|^2)^(-1/2) from the closed form."""
-        m, c, eps2 = self._constants()
+        m, c, eps2 = self.modulus, self._couplings, self._eps2
         w = _phase(thetas, j, 1)
         wbar = np.conjugate(w)
         # Each product has its own out= array, so a value never depends on its
@@ -259,46 +281,22 @@ class PerturbedGenerator:
         return vals
 
 
-class _Run:
-    """Consecutive rows of one family (ExpGenerator or PerturbedGenerator) and
-    one k on angles shaped (..., rows, N), in one call of the family's
-    ``evaluate_grid``, looked up at each call, on (rows, 1) columns of the rows'
-    moduli, couplings and eps^2, taken now: each row gets the bits of its own
-    call.  The run states or fills its prefactors as its family does: an
-    exponential run as a (rows, 1) column of 1/eps."""
-
-    def __init__(self, gens):
-        self.family, self.k = type(gens[0]), gens[0].k
-        self.modulus = m = np.array([g.modulus for g in gens])[:, None]
-        if self.family is ExpGenerator:
-            self.prefactor = np.array([g.prefactor for g in gens])[:, None]
-        else:
-            c = [np.array(cl)[:, None] for cl in zip(*(g._constants()[1] for g in gens))]
-            eps2 = np.array([g.epsilon**2 for g in gens])[:, None]
-            self._constants, self.fills_prefactor = lambda: (m, c, eps2), True
-
-    def evaluate_grid(self, thetas, j, **rho):
-        return self.family.evaluate_grid(self, thetas, j, **rho)
-
-
 class _Rows:
-    """One generator per row of orbits shaped (..., rows, N), evaluated with
-    one call per maximal run of two or more consecutive rows of one family
-    and one k (a ``_Run``) and one per other row.  It fills ``rho``, or a
-    scratch array where none is given, with each part's prefactors
-    (``evaluate``)."""
+    """A stack of generators along the row axis of orbits shaped (..., rows,
+    N): a column generator takes its ``rows`` rows, any other generator one.
+    One call per generator, on its own rows; it fills ``rho``, or a scratch
+    array where none is given, with each one's prefactors (``evaluate``)."""
 
     fills_prefactor = True
 
     def __init__(self, gens, rows: int):
-        if len(gens) != rows:
-            raise ValueError(f"{len(gens)} generators for {rows} rows of orbits: "
-                             "pass one generator, or one per row")
-        starts = [0] + [i for i in range(1, len(gens)) if not (
-            type(gens[i - 1]) is type(gens[i]) in (ExpGenerator, PerturbedGenerator)
-            and gens[i - 1].k == gens[i].k)]
-        self.parts = [(slice(lo, hi), _Run(gens[lo:hi])) if hi - lo > 1 else (lo, gens[lo])
-                      for lo, hi in zip(starts, starts[1:] + [len(gens)])]
+        self.parts, lo = [], 0
+        for g in gens:
+            size = getattr(g, "rows", None)
+            self.parts.append((lo if size is None else slice(lo, lo + size), g))
+            lo += size or 1
+        if lo != rows:
+            raise ValueError(f"generators of {lo} rows for {rows} rows of orbits")
 
     def evaluate_grid(self, thetas, j, rho=None):
         thetas, j = np.broadcast_arrays(thetas, j)
@@ -346,16 +344,6 @@ def extended_prefactor(f):
             "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
         )
     return rem**-0.5
-
-
-def by_row(g, rows: int):
-    """``g`` for ``rows`` rows of orbits: one generator as it is, which takes
-    each angle once for all rows, or a sequence of one generator per row as a
-    ``_Rows``, whose runs read their constants now, or its part covering all rows."""
-    if not isinstance(g, (list, tuple)):
-        return g
-    rowwise = _Rows(g, rows)
-    return rowwise.parts[0][1] if len(rowwise.parts) == 1 else rowwise
 
 
 @dataclass(frozen=True)

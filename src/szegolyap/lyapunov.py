@@ -72,8 +72,10 @@ def birkhoff_scan(theta0s, j0s, r: Rotation, g, zs, n: int):
     ``theta0s`` and ``j0s`` broadcast to the (R, N) grid of orbits and
     ``zs`` is a scalar or one per column; orbit (i, c) starts at
     (theta0s[i, c], j0s[i, c]) with parameter zs[c].  ``g`` is one
-    generator, or one per row (``dynamics.by_row``).  All orbits, of
-    either starting parity and every row, run as one batched product.
+    generator for every row, a column generator with one entry per row
+    (an eps sweep, a lambda ladder), or a sequence of them stacked along
+    the rows.  All orbits, of either starting parity and every row, run as
+    one batched product.
     """
     return grid_log_norms(theta0s, j0s, r, g, zs, n)[0] / n
 
@@ -92,10 +94,13 @@ def _phase_means(r: Rotation, g, z, grid_size: int, marks):
     log ||A^z_m(theta, 1)|| = log ||A^conj(z)_m(theta, 0)||
     byte for byte.  At any real z the parity-1 row is then the parity-0 row:
     only that row runs and its mean counts twice (mu[0] + mu[-1], and
-    x + x == 2 x exactly), the bits of two equal rows.
+    x + x == 2 x exactly), the bits of two equal rows.  As the rows are the
+    parities, a column generator or a sequence is a ValueError.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
+    if isinstance(g, (list, tuple)) or getattr(g, "rows", None) is not None:
+        raise ValueError("a phase average takes one row's generator: its rows are the parities")
     symmetric = complex(z).imag == 0 and getattr(g, "conjugate_parity", False)
     parities = [[0]] if symmetric else [[0], [1]]
     last, rec = grid_log_norms(np.arange(grid_size) / grid_size, parities, r, g, z,
@@ -216,6 +221,8 @@ def subharmonic_check(r: Rotation, g: ExpGenerator, z, j0: int, n: int) -> Subha
     """
     if not isinstance(g, ExpGenerator):
         raise TypeError("subharmonic_check is defined for the exponential family only")
+    if g.rows is not None:
+        raise ValueError("subharmonic_check takes one row's generator, not a column")
     if g.k < 1:
         raise ValueError("subharmonic_check requires k >= 1")
     if j0 not in (0, 1):

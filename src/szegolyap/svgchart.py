@@ -22,13 +22,14 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 55
 PLOT_W = 560
 PLOT_H = 320
+TITLE = "Lyapunov exponent scan"
 
 
 def _fmt(x):
     return f"{x:.2f}"
 
 
-def write_scan_svg(path, rows, title="Lyapunov exponent scan"):
+def write_scan_svg(path, rows):
     """Write a gamma_hat vs. z-argument chart for a list of scan rows.
 
     Each row is a mapping with keys ``z_arg``, ``epsilon``, ``method``,
@@ -66,7 +67,7 @@ def write_scan_svg(path, rows, title="Lyapunov exponent scan"):
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     out.append(
         f'<text x="{width / 2}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>'
+        f'font-family="sans-serif" font-size="15">{TITLE}</text>'
     )
 
     # Axes with a few labeled ticks.

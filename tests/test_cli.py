@@ -10,9 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from szegolyap import dynamics, lyapunov
-from szegolyap.cli import CSV_HEADER, main
-from szegolyap.dynamics import GOLDEN_MEAN, ExpGenerator, PerturbedGenerator, Rotation
+from szegolyap import lyapunov
+from szegolyap.cli import CSV_HEADER, LADDER_FACTORS, main
+from szegolyap.dynamics import (
+    GOLDEN_MEAN,
+    ExpGenerator,
+    PerturbedGenerator,
+    Rotation,
+    lambda_max,
+)
 from szegolyap.lyapunov import birkhoff_scan, theorem1_bound
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +120,30 @@ def test_scan_matches_per_eps_birkhoff_scans(capsys):
     assert out == "\n".join(lines) + "\n"
 
 
+def test_verify_t2_matches_per_row_birkhoff_scans(capsys):
+    # Every epsilon's unperturbed row and ladder rungs run in one engine
+    # batch; each "min gamma_hat" line is that of one birkhoff_scan per
+    # row, fed the same random stream in row order: per epsilon, the
+    # unperturbed row and then the rungs from 0.8 lambda_max down.
+    rc, out, _ = run(capsys, "verify-t2", "--eps", "0.3,0.5", "--k", "1", "--z-grid", "4",
+                     "--n", "30", "--seed", "2")
+    assert rc == 0
+    rng = np.random.default_rng(2)
+    zs = np.exp(2j * np.pi * np.arange(4) / 4)
+    want = []
+    for eps in (0.3, 0.5):
+        lmax = lambda_max(eps, [1, 1])
+        rows = [("lambda = 0 (unperturbed)", ExpGenerator(eps, 1))] + [
+            (f"|lambda| = {factor * lmax:.6g} ({factor:g} * lambda_max)",
+             PerturbedGenerator(eps, 1, factor * lmax, [1, 1])) for factor in LADDER_FACTORS]
+        for label, g in rows:
+            gammas = birkhoff_scan(rng.random(4), rng.integers(0, 2, 4),
+                                   Rotation(GOLDEN_MEAN), g, zs, 30)
+            want.append(f"  {label}: min gamma_hat = {gammas.min():.6f}")
+    got = [line.split(" [")[0] for line in out.splitlines() if "min gamma_hat" in line]
+    assert got == want
+
+
 @pytest.mark.parametrize("argv, grid", [
     (["scan", "--eps", "0.3,0.5", "--z-grid", "8", "--n", "20"], (2, 8)),
     (["verify-t2", "--eps", "0.5", "--z-grid", "4", "--n", "20"], (6, 4)),
@@ -142,23 +172,24 @@ def test_birkhoff_workloads_run_one_engine_call(capsys, monkeypatch, argv, grid)
 ])
 def test_generator_calls_per_block(capsys, monkeypatch, argv, exp_calls, run_calls):
     # The one engine call runs blocks of BUDGET // orbits steps: 10 of 32
-    # steps for scan's two rows of 32 orbits, one exponential call per block
-    # for both rows, made on their run (``dynamics._Run``); 5 of 21 steps for
+    # steps for scan's two rows of 32 orbits, one call per block on its one
+    # exponential generator, a column of both epsilons; 5 of 21 steps for
     # verify-t2's six rows of 16, its unperturbed row one call per block and
-    # its five ladder rungs another, made on their run.  verify-t1's one real
-    # z runs one parity row in 32 tiles of 1024 angles, each one block of
-    # both steps: one exponential call per tile, each angle once.
+    # its five ladder rungs, one perturbed generator with a column of
+    # couplings, another.  verify-t1's one real z runs one parity row in 32
+    # tiles of 1024 angles, each one block of both steps: one exponential
+    # call per tile, each angle once.
     calls = {ExpGenerator: [], PerturbedGenerator: []}
     for cls, seen in calls.items():
         def spy(self, thetas, j, seen=seen, evaluate=cls.evaluate_grid, **rho):
-            seen.append((type(self), np.shape(thetas)[1:]))
+            seen.append((type(self), self.rows, np.shape(thetas)[1:]))
             return evaluate(self, thetas, j, **rho)
         monkeypatch.setattr(cls, "evaluate_grid", spy)
     assert run(capsys, *argv)[0] == 0
-    exp, cols = {"scan": (dynamics._Run, (2, 32)), "verify-t2": (ExpGenerator, (16,)),
-                 "verify-t1": (ExpGenerator, (1, 1024))}[argv[0]]
-    assert calls[ExpGenerator] == [(exp, cols)] * exp_calls
-    assert calls[PerturbedGenerator] == [(dynamics._Run, (5, *cols))] * run_calls
+    exp = {"scan": (2, (2, 32)), "verify-t2": (None, (16,)),
+           "verify-t1": (None, (1, 1024))}[argv[0]]
+    assert calls[ExpGenerator] == [(ExpGenerator, *exp)] * exp_calls
+    assert calls[PerturbedGenerator] == [(PerturbedGenerator, 5, (5, 16))] * run_calls
 
 
 @pytest.mark.parametrize("argv, forms", [
@@ -405,6 +436,25 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, flag):
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
     assert out == "" and not good.exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_one_file_for_both_outputs_is_config_error(tmp_path, capsys, monkeypatch, spelling):
+    # --out and --svg resolving to one file would leave only the chart
+    # there; the pair is refused before the engine runs and nothing is
+    # written.
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("szegolyap.cli.birkhoff_scan", engine)
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "P"
+    other = path if spelling == "same" else tmp_path / "sub" / ".." / "P"
+    rc, out, err = run(capsys, "scan", "--eps", "0.5", "--z-grid", "2", "--n", "10",
+                       "--out", str(path), "--svg", str(other))
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 def test_verify_t1_numerical_failure_exit_code(capsys):

@@ -21,7 +21,6 @@ from szegolyap.dynamics import (
     GOLDEN_MEAN,
     PerturbedGenerator,
     Rotation,
-    by_row,
     lambda_max,
 )
 from szegolyap.lyapunov import birkhoff_scan
@@ -92,6 +91,44 @@ def test_szego_det_error_grows_as_inverse_eps_squared(eps):
         f, rho = dynamics.evaluate(PerturbedGenerator(eps, k, lam, coeffs), thetas, j)
         mats = cocycle.szego_matrices(f, z, rho)
         assert np.max(np.abs(m2.det(mats) - z)) <= 8 * (k + 2) * 2.0**-53 / eps**2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["exp", "perturbed"]),
+    log_eps=st.floats(-3.0, math.log10(0.95)),
+    k=st.integers(1, 3),
+    n=st.integers(1, 32),
+    z_turn=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_det_of_products_is_z_to_the_n(kind, log_eps, k, n, z_turn, seed):
+    # det A_n = z^n.  The engine's double one-step matrices over an orbit,
+    # at eps on the last row of a column generator (a column of epsilons,
+    # or of couplings up to half the radius), are folded exactly: in 50
+    # digits beyond the 2 n log10(4 / eps) that the product's determinant
+    # cancels.  Each step's determinant is off by a few 2^-53 / eps^2
+    # (``test_szego_det_error_grows_as_inverse_eps_squared``), so the
+    # product's is off by at most n times that bound, doubled.
+    rng = np.random.default_rng(seed)
+    eps = 10.0**log_eps
+    if kind == "exp":
+        g = ExpGenerator([float(rng.uniform(0.05, 0.95)), eps], k * int(rng.choice([-1, 1])))
+    else:
+        coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+        lams = 0.5 * rng.random(2) * lambda_max(eps, coeffs) * np.exp(2j * np.pi * rng.random(2))
+        g = PerturbedGenerator(eps, k, list(lams), coeffs)
+    thetas, parity = GOLDEN.orbit(rng.random((2, 1)), rng.integers(0, 2, (2, 1)),
+                                  np.arange(n)[:, None, None])
+    f, rho = dynamics.evaluate(g, thetas, parity)
+    z = turn(z_turn)
+    mats = cocycle.szego_matrices(f[:, 1, 0], z, np.broadcast_to(rho, f.shape)[:, 1, 0])
+    with mpmath.workdps(50 + math.ceil(2 * n * math.log10(4.0 / eps))):
+        prod = mpmath.eye(2)
+        for a in mats:
+            prod = mpmath.matrix(a.tolist()) * prod
+        det = prod[0, 0] * prod[1, 1] - prod[0, 1] * prod[1, 0]
+        assert abs(det / mpmath.mpc(z) ** n - 1) <= 2 * n * 8 * 2.0**-53 / eps**2
 
 
 def test_szego_matrices_without_prefactor_keep_their_bytes():
@@ -427,7 +464,9 @@ def test_faults_on_one_parity_row(monkeypatch, budget, tile):
     # Rows of parity 0 alone meet no fault.
     grid_log_norms(args[0], 0, args[2], RowOneFaultGenerator(np.nan), 1.0, 12)
     g = PerturbedGenerator(0.5, 1, 0.0, [1, 1])
-    object.__setattr__(g, "lam", 0.9)  # past the radius the constructor enforces
+    # Couplings lambda a_l of lambda = 0.9, past the radius the constructor
+    # enforces, in place of those it took.
+    object.__setattr__(g, "_couplings", [0.9 + 0j, 0.9 + 0j])
     with pytest.raises(AdmissibilityError):
         grid_log_norms(*args, g, 1.0, 12)
 
@@ -808,6 +847,18 @@ def test_generators_must_match_the_rows():
         grid_log_norms(np.zeros(4), [[0], [1], [0]], GOLDEN, gens[:2], 1.0, 5)
     with pytest.raises(ValueError, match="for 1 rows"):
         grid_log_norms(np.zeros(3), 0, GOLDEN, gens, 1.0, 5)
+    # A column generator takes as many rows as its column, alone (its
+    # columns then fail to broadcast) or in a sequence.
+    column = ExpGenerator([0.5, 0.3], 1)
+    with pytest.raises(ValueError):
+        grid_log_norms(np.zeros(4), [[0], [1], [0]], GOLDEN, column, 1.0, 5)
+    with pytest.raises(ValueError):
+        grid_log_norms(np.zeros(4), 0, GOLDEN, column, 1.0, 5)
+    with pytest.raises(ValueError):
+        grid_log_norms(np.zeros(4), 0, GOLDEN, PerturbedGenerator(0.5, 1, [0.0, 0.01], [1, 1]),
+                       1.0, 5)
+    with pytest.raises(ValueError, match="4 rows for 3 rows"):
+        grid_log_norms(np.zeros(4), [[0], [1], [0]], GOLDEN, [column] * 2, 1.0, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -844,10 +895,28 @@ def _ladder(eps, k, coeffs, factors):
     return [PerturbedGenerator(eps, k, f * lmax, coeffs) for f in factors]
 
 
+def _ladder_column(eps, k, coeffs, factors):
+    """The rows of ``_ladder`` as one generator with a column of couplings."""
+    lmax = lambda_max(eps, coeffs)
+    return PerturbedGenerator(eps, k, [f * lmax for f in factors], coeffs)
+
+
+def _scalar_rows(g):
+    """The scalar generator of each row of ``g``: one per entry of a column
+    generator's columns, else ``g`` itself."""
+    rows = getattr(g, "rows", None)
+    if rows is None:
+        return [g]
+    if isinstance(g, ExpGenerator):
+        return [ExpGenerator(eps, g.k) for eps in g.epsilon]
+    eps, lams = (v if isinstance(v, tuple) else (v,) * rows for v in (g.epsilon, g.lam))
+    return [PerturbedGenerator(e, g.k, lam, g.coeffs) for e, lam in zip(eps, lams)]
+
+
 @pytest.mark.parametrize("width", [37, 3000, 20000])
 @pytest.mark.parametrize(
     "g", [ExpGenerator(0.35, 2), PerturbedGenerator(0.5, 2, 0.02, [1, 1, 1, 1]),
-          [ExpGenerator(0.5, 2)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4, 0.2, 0.1, 0.05))],
+          [ExpGenerator(0.5, 2), _ladder_column(0.5, 2, [1, 1, 1, 1], (0.8, 0.4, 0.2, 0.1, 0.05))]],
     ids=["exp", "perturbed", "ladder"],
 )
 def test_orbit_alone_matches_orbit_in_batch(g, width):
@@ -855,9 +924,10 @@ def test_orbit_alone_matches_orbit_in_batch(g, width):
     # rest of the batch.  A lone orbit runs in blocks of BUDGET steps, 37
     # orbits in blocks of BUDGET // 37 steps (so 60 steps span two blocks)
     # and 3000 and 20000 orbits in tiles of TILE, the last one short.  The
-    # verify-t2 ladder, one generator per row, runs its rungs as one run.
+    # verify-t2 batch, the unperturbed row and a column of five ladder
+    # rungs, gives each rung's orbit the bits of its own scalar generator.
     rng = np.random.default_rng(width)
-    gens = g if isinstance(g, list) else [g]
+    gens = [row for part in g for row in _scalar_rows(part)] if isinstance(g, list) else [g]
     thetas, j0s = rng.random((len(gens), width)), rng.integers(0, 2, (len(gens), width))
     zs = np.exp(2j * np.pi * rng.random(width))
     n = 60
@@ -1144,7 +1214,7 @@ def test_rescaling_steps_do_not_change_results(monkeypatch, g):
 @pytest.mark.parametrize("on_circle", [True, False], ids=["circle", "off-circle"])
 @pytest.mark.parametrize(
     "gens", [[ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)],
-             [ExpGenerator(0.5, 2)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4, 0.2, 0.1, 0.05))],
+             [ExpGenerator(0.5, 2), _ladder_column(0.5, 2, [1, 1, 1, 1], (0.8, 0.4, 0.2, 0.1, 0.05))]],
     ids=["exp", "ladder"],
 )
 def test_step_forms_agree_across_the_boundary(monkeypatch, step_forms, gens, on_circle, span):
@@ -1155,7 +1225,8 @@ def test_step_forms_agree_across_the_boundary(monkeypatch, step_forms, gens, on_
     # blocks of BUDGET // 48 steps, reads at block edges, z = 0 and |z| != 1
     # among the columns, and SPAN = 0 (a rescaling before every step).
     rng = np.random.default_rng(24)
-    rows, cols = len(gens), 48 // len(gens)
+    rows = sum(len(_scalar_rows(g)) for g in gens)
+    cols = 48 // rows
     b, n, marks = rows * cols, 90, [1, 2, 42, 43, 84, 89]
     zs = (np.exp(2j * np.pi * rng.random(cols)) if on_circle
           else np.resize([0.0, 0.5j, -2.0, 1e-3, 1.0 + 3.0j], cols))
@@ -1295,38 +1366,51 @@ def test_engine_z_domain_at_the_extremes():
 
 
 def _boundaries():
-    # Runs end at a k change, an exponential row and a constant row.
-    return ([ExpGenerator(0.4, 1)] + _ladder(0.3, 1, [1, 0.5j], (0.9, 0.1))
-            + _ladder(0.6, 2, [1, -1, 1j, 2], (0.0, 0.5, 0.99)) + [ConstantGenerator(0.3 - 0.2j)]
-            + _ladder(0.7, 2, [1, 1, 1, 1], (0.2, 0.4)) + [ExpGenerator(0.5, 2)]
-            + _ladder(0.5, 2, [1, 1, 1, 1], (0.3,)))
+    # Parts end at a k change, a family change and a constant row; the last
+    # is a column of one row.
+    return [ExpGenerator(0.4, 1), _ladder_column(0.3, 1, [1, 0.5j], (0.9, 0.1)),
+            _ladder_column(0.6, 2, [1, -1, 1j, 2], (0.0, 0.5, 0.99)),
+            ConstantGenerator(0.3 - 0.2j), _ladder_column(0.7, 2, [1, 1, 1, 1], (0.2, 0.4)),
+            ExpGenerator((0.5, 0.45), 2), _ladder_column(0.5, 2, [1, 1, 1, 1], (0.3,))]
 
 
-@pytest.mark.parametrize("seed, gens, runs", [
-    (16 + rows, [("exp",), ("perturbed",), ("perturbed",), ("exp",)][:rows], None)
+def _random_column(rng, k, rows, eps_column=True, lam_column=True):
+    """A perturbed generator of ``rows`` rows with complex a_l: a column of
+    epsilons, of complex couplings below every row's radius, or both."""
+    coeffs = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+    eps = rng.uniform(0.2, 0.9, rows)
+    lmax = min(lambda_max(float(e), coeffs) for e in eps)
+    lams = rng.uniform(0.0, 0.99, rows) * lmax * np.exp(2j * np.pi * rng.random(rows))
+    return PerturbedGenerator(list(eps) if eps_column else float(eps[0]), k,
+                              list(lams) if lam_column else complex(lams[0]), coeffs)
+
+
+@pytest.mark.parametrize("seed, make, parts", [
+    (16 + rows, lambda rng, rows=rows: [_random_generator(rng, kind) for kind in
+                                        ("exp", "perturbed", "perturbed", "exp")[:rows]],
+     list(range(rows)))
     for rows in (1, 2, 3, 4)
 ] + [
-    (21, _ladder(0.5, 2, [1, 1, 1, 1], np.linspace(0.0, 0.99, 6)), [(0, 6)]),
-    (22, [("perturbed", 2)] * 4, [(0, 4)]),  # each row its own eps, complex a_l and lambda
-    (23, _boundaries(), [0, (1, 3), (3, 6), 6, (7, 9), 9, 10]),
+    (21, lambda rng: _ladder_column(0.5, 2, [1, 1, 1, 1], np.linspace(0.0, 0.99, 6)), None),
+    (22, lambda rng: _random_column(rng, 2, 4), None),  # each row its own eps and lambda
+    (23, lambda rng: _boundaries(), [0, (1, 3), (3, 6), 6, (7, 9), (9, 11), (11, 12)]),
 ], ids=["1", "2", "3", "4", "ladder", "mixed-run", "boundaries"])
-def test_coefficients_match_mod_one_angles(seed, gens, runs):
+def test_coefficients_match_mod_one_angles(seed, make, parts):
     # Rotation.orbit's floor-reduced angles are the bits of (theta0 + m
-    # alpha) % 1.0, for negative starts and m up to 1e5.  On them the
-    # sequence object gives every row its own generator's bits, a run of
-    # rows of one family and one k in one call, and the engine's coefficients
-    # are the sequence's, or one generator's for all rows.  A run that
-    # covers every row is the object the engine is handed.  Each row's
-    # prefactors have the bits of its generator's own call: its closed form,
-    # stated or filled in per value, or else computed from its own values.
+    # alpha) % 1.0, for negative starts and m up to 1e5.  On them a column
+    # generator, handed to the engine as it is, gives every row the bytes
+    # of the row's own scalar generator, and so does a stack of generators,
+    # a column taking its rows and any other generator one.  Each row's
+    # prefactors have the bits of its scalar generator's own call: its
+    # closed form, stated or filled in per value.  A scalar generator gives
+    # every row its own bits too.
     rng = np.random.default_rng(seed)
-    gens = [_random_generator(rng, *g) if isinstance(g, tuple) else g for g in gens]
+    g = make(rng)
+    rowwise = dynamics._Rows(g, sum(len(_scalar_rows(p)) for p in g)) if isinstance(g, list) else g
+    if parts is not None:
+        assert [r if isinstance(r, int) else (r.start, r.stop) for r, _ in rowwise.parts] == parts
+    gens = [row for part in (g if isinstance(g, list) else [g]) for row in _scalar_rows(part)]
     rows = len(gens)
-    rowwise = by_row(gens, rows)
-    if runs is not None:
-        assert [r if isinstance(r, int) else (r.start, r.stop)
-                for r, _ in dynamics._Rows(gens, rows).parts] == runs
-        assert isinstance(rowwise, dynamics._Run) == (runs == [(0, rows)])
     theta0s = rng.uniform(-3.0, 3.0, (rows, 5))
     theta0s[0, :2] = [-0.0, -1.0]
     j0s = rng.integers(0, 2, (rows, 5))
@@ -1336,9 +1420,9 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
     assert np.array_equal(parity, (j0s + ms) % 2)
     got = rowwise.evaluate_grid(thetas, parity)
     for row, g in enumerate(gens):
-        assert np.array_equal(got[:, row], g.evaluate_grid(thetas[:, row], parity[:, row]))
+        assert got[:, row].tobytes() == g.evaluate_grid(thetas[:, row], parity[:, row]).tobytes()
     vals, rho = dynamics.evaluate(rowwise, thetas, parity)
-    assert np.array_equal(vals, got)
+    assert vals.tobytes() == got.tobytes()
     for row, g in enumerate(gens):
         want = dynamics.evaluate(g, thetas[:, row], parity[:, row])[1]
         assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
@@ -1350,26 +1434,12 @@ def test_coefficients_match_mod_one_angles(seed, gens, runs):
             assert want.tobytes() == filled.tobytes()
         else:
             assert want == g.prefactor
-    assert by_row(gens[-1], rows) is gens[-1]
     got, rho = dynamics.evaluate(gens[-1], thetas, parity)
     assert np.array_equal(got, gens[-1].evaluate_grid(thetas, parity))
     for row in range(rows):
         alone = dynamics.evaluate(gens[-1], thetas[:, row], parity[:, row])[1]
         assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
                 == np.broadcast_to(alone, got[:, row].shape).tobytes())
-
-
-def test_run_reads_lambda_at_the_call():
-    # A rung pushed past the radius after construction is evaluated with
-    # its new lambda, in its run, and escapes the disk.
-    ladder = _ladder(0.5, 1, [1, 1], (0.8, 0.4, 0.2))
-    args = np.full((3, 2), 0.1), [[0], [1], [0]], GOLDEN, ladder, 1.0, 12
-    grid_log_norms(*args)
-    object.__setattr__(ladder[1], "lam", 0.9)
-    assert [r for r, _ in dynamics._Rows(ladder, 3).parts] == [slice(0, 3)]
-    assert isinstance(by_row(ladder, 3), dynamics._Run)
-    with pytest.raises(AdmissibilityError):
-        grid_log_norms(*args)
 
 
 class ParityBlind:
@@ -1416,18 +1486,22 @@ def test_coefficients_of_the_orbit_shape_in_any_form(form):
 
 
 def _row_generators(rng, blocks):
-    """Consecutive rows of each (kind, k, count) in ``blocks``: exponential
-    rows of their own eps, perturbed ladders of one eps with real or complex
-    couplings, constants, or parity-blind rows."""
+    """One generator per (kind, k, count) in ``blocks``: an exponential
+    column of ``count`` epsilons, a perturbed ladder of one eps with a
+    column of real or complex couplings, a column of epsilons at one
+    complex coupling (``scan --lambda``), or ``count`` constants or
+    parity-blind rows."""
     gens = []
     for kind, k, count in blocks:
         if kind == "exp":
-            gens += [ExpGenerator(float(eps), k) for eps in rng.uniform(0.05, 0.95, count)]
+            gens.append(ExpGenerator(list(rng.uniform(0.05, 0.95, count)), k))
         elif kind in ("real", "complex"):
             coeffs = rng.normal(size=2 * abs(k)) + (kind == "complex") * 1j * rng.normal(
                 size=2 * abs(k))
-            gens += _ladder(float(rng.uniform(0.2, 0.9)), abs(k), coeffs,
-                            rng.uniform(0.0, 0.99, count))
+            gens.append(_ladder_column(float(rng.uniform(0.2, 0.9)), abs(k), coeffs,
+                                       rng.uniform(0.0, 0.99, count)))
+        elif kind == "scan":
+            gens.append(_random_column(rng, abs(k), count, lam_column=False))
         elif kind == "constant":
             gens += [ConstantGenerator(complex(*rng.uniform(-0.6, 0.6, 2))) for _ in range(count)]
         else:
@@ -1437,7 +1511,8 @@ def _row_generators(rng, blocks):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    blocks=st.lists(st.tuples(st.sampled_from(["exp", "real", "complex", "constant", "blind"]),
+    blocks=st.lists(st.tuples(st.sampled_from(["exp", "real", "complex", "scan", "constant",
+                                               "blind"]),
                               st.sampled_from([1, -1, 2]), st.integers(1, 3)),
                     min_size=1, max_size=6),
     width=st.integers(1, 12),
@@ -1446,25 +1521,28 @@ def _row_generators(rng, blocks):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(blocks=[("exp", 1, 2), ("exp", -1, 2), ("exp", 2, 1), ("real", 1, 2), ("complex", 1, 2),
-                 ("real", 2, 2), ("constant", 1, 1), ("blind", 1, 2), ("exp", 2, 3)],
+                 ("scan", 2, 3), ("real", 2, 2), ("constant", 1, 1), ("blind", 1, 2),
+                 ("exp", 2, 3)],
          width=5, n=9, tile=7, seed=3)
 def test_runs_match_one_call_per_row(blocks, width, n, tile, seed):
-    # Runs of exponential rows (one eps each, so a (rows, 1) modulus column)
-    # and of perturbed rows, between constants and parity-blind rows, give
-    # every row the bytes of its own generator's call, in the sequence's
-    # values and in the engine's log norms and checkpoints.
+    # Column generators (exponential rows of their own eps, perturbed rows
+    # of their own lambda or their own eps), between constants and
+    # parity-blind rows, give every row the bytes of its own scalar
+    # generator's call, in the stack's values and in the engine's log norms
+    # and checkpoints.
     rng = np.random.default_rng(seed)
     gens = _row_generators(rng, blocks)
-    rows = len(gens)
+    twins = [row for g in gens for row in _scalar_rows(g)]
+    rows = len(twins)
     theta0s, j0s = rng.uniform(-1.0, 2.0, (rows, width)), rng.integers(0, 2, (rows, width))
     thetas, parity = GOLDEN.orbit(theta0s, j0s, np.arange(n)[:, None, None])
-    got = by_row(gens, rows).evaluate_grid(thetas, parity)
+    got = dynamics._Rows(gens, rows).evaluate_grid(thetas, parity)
     zs = rng.uniform(0.5, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
     marks = [1, n // 2 + 1, n]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "TILE", tile)
         logn, rec = grid_log_norms(theta0s, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
-    for row, g in enumerate(gens):
+    for row, g in enumerate(twins):
         one = g.evaluate_grid(thetas[:, row], parity[:, row])
         assert got[:, row].tobytes() == np.broadcast_to(one, (n, width)).tobytes()
         alone, rec_alone = grid_log_norms(theta0s[row], j0s[row], GOLDEN, g, zs, n,
@@ -1475,14 +1553,14 @@ def test_runs_match_one_call_per_row(blocks, width, n, tile, seed):
 
 def test_scan_batch_one_call_per_block(monkeypatch):
     # scan's batch, two exponential rows of 32 orbits over 300 steps in 10
-    # blocks, makes one evaluate_grid call per block, on the rows' run and
-    # through the class attribute that the benchmark's tracer wraps, and one
-    # szego_matrices call per block on the very array that call returned,
-    # with the run's column of prefactors 1/eps.
+    # blocks, makes one evaluate_grid call per block, on its one generator
+    # with a column of both epsilons and through the class attribute that
+    # the benchmark's tracer wraps, and one szego_matrices call per block on
+    # the very array that call returned, with the column of prefactors 1/eps.
     evaluate, build, calls = ExpGenerator.evaluate_grid, cocycle.szego_matrices, []
 
     def spy_evaluate(self, thetas, j):
-        calls.append(("evaluate", type(self), np.shape(thetas), evaluate(self, thetas, j)))
+        calls.append(("evaluate", self.rows, np.shape(thetas), evaluate(self, thetas, j)))
         return calls[-1][-1]
 
     def spy_build(f, z, rho=None):
@@ -1492,12 +1570,11 @@ def test_scan_batch_one_call_per_block(monkeypatch):
     monkeypatch.setattr(ExpGenerator, "evaluate_grid", spy_evaluate)
     monkeypatch.setattr(cocycle, "szego_matrices", spy_build)
     rng = np.random.default_rng(7)
-    gens = [ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)]
+    g = ExpGenerator([0.3, 0.5], 1)
     zs = np.exp(2j * np.pi * np.arange(32) / 32)
-    grid_log_norms(rng.random((2, 32)), rng.integers(0, 2, (2, 32)), GOLDEN, gens, zs, 300)
+    grid_log_norms(rng.random((2, 32)), rng.integers(0, 2, (2, 32)), GOLDEN, g, zs, 300)
     blocks = [32] * 9 + [12]  # BUDGET // 64 steps each
-    assert [c[:3] for c in calls[::2]] == [("evaluate", dynamics._Run, (b, 2, 32))
-                                           for b in blocks]
+    assert [c[:3] for c in calls[::2]] == [("evaluate", 2, (b, 2, 32)) for b in blocks]
     assert calls[1::2] == [("build", True, [[1.0 / 0.3], [1.0 / 0.5]])] * len(blocks)
 
 

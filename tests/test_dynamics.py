@@ -384,10 +384,11 @@ def test_non_finite_perturbation_is_a_value_error(lam, coeffs):
 
 
 def test_nan_values_fail_the_unit_disk_check():
+    # A NaN value, here from a NaN angle past the constructor's checks,
+    # fails the 1 - |f|^2 > 0 test, which a NaN never passes.
     g = PerturbedGenerator(0.5, 1, 0.0, [1, 1])
-    object.__setattr__(g, "lam", complex(math.nan))  # past the constructor's checks
     with pytest.raises(AdmissibilityError, match="escaped the unit disk"):
-        g.evaluate_grid(np.arange(4) / 4, 0)
+        g.evaluate_grid(np.array([0.0, 0.25, math.nan, 0.75]), 0)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
@@ -407,6 +408,36 @@ def test_numpy_integer_k_gives_the_bits_of_int_k(k):
         g, ref = family(0.5, k, *args), family(0.5, 2, *args)
         for j in (0, 1):
             assert g.evaluate_grid(thetas, j).tobytes() == ref.evaluate_grid(thetas, j).tobytes()
+
+
+def test_column_generators_check_every_row():
+    # eps, and lambda for the perturbed family, are each a number or a
+    # sequence of one per row, kept as a tuple; a number serves every row.
+    # Each row is checked as its scalar generator is, and an empty column or
+    # two columns of different lengths are a ValueError.
+    lmax = lambda_max(0.5, [1, 1])
+    assert ExpGenerator(0.5, 1).rows is None
+    assert ExpGenerator(np.array([0.5, 0.3]), 1) == ExpGenerator([0.5, 0.3], 1)
+    assert ExpGenerator((0.5, 0.3), 1).epsilon == (0.5, 0.3)
+    g = PerturbedGenerator(0.5, 1, [0.5 * lmax, 0.0, -0.5j * lmax], [1, 1])
+    assert (g.rows, g.lam) == (3, (0.5 * lmax, 0j, -0.5j * lmax))
+    assert PerturbedGenerator([0.5, 0.4], 1, 0.01, [1, 1]).rows == 2
+    assert len({ExpGenerator([0.5, 0.3], 1), ExpGenerator((0.5, 0.3), 1)}) == 1
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        ExpGenerator([0.5, 1.0], 1)
+    with pytest.raises(ValueError, match="empty sequence"):
+        ExpGenerator([], 1)
+    with pytest.raises(ValueError, match="empty sequence"):
+        PerturbedGenerator(0.5, 1, [], [1, 1])
+    with pytest.raises(ValueError, match="2 epsilons for 3 couplings"):
+        PerturbedGenerator([0.5, 0.4], 1, [0.0, 0.0, 0.0], [1, 1])
+    with pytest.raises(ValueError, match="must be finite"):
+        PerturbedGenerator(0.5, 1, [0.0, math.nan], [1, 1])
+    # 0.9 lambda_max(0.5) is past the radius at eps = 0.3, though not at 0.5.
+    with pytest.raises(AdmissibilityError, match="at epsilon = 0.3"):
+        PerturbedGenerator([0.5, 0.3], 1, 0.9 * lmax, [1, 1])
+    with pytest.raises(AdmissibilityError, match="admissible radius"):
+        PerturbedGenerator(0.5, 1, [0.5 * lmax, 1.001 * lmax], [1, 1])
 
 
 def test_perturbed_continuity_in_lambda():

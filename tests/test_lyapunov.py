@@ -219,8 +219,12 @@ def test_conjugate_parity_declared_exactly_where_it_holds(kind):
         g = _family(np.random.default_rng(seed), kind)
         holds = np.array_equal(g.evaluate_grid(thetas, 1), np.conj(g.evaluate_grid(thetas, 0)))
         assert g.conjugate_parity == holds == (kind != "complex"), (kind, seed)
-    # The unperturbed member of the family is symmetric whatever its a_l.
+    # The unperturbed member of the family is symmetric whatever its a_l,
+    # and a column generator is where every row is.
     assert PerturbedGenerator(0.5, 1, 0.0, [1j, 2 + 1j]).conjugate_parity
+    assert PerturbedGenerator(0.5, 1, [0.01, -0.02, 0.0], [1, 2]).conjugate_parity
+    assert not PerturbedGenerator(0.5, 1, [0.01, 0.01j], [1, 2]).conjugate_parity
+    assert not PerturbedGenerator([0.5, 0.4], 1, 0.01j, [1, 2]).conjugate_parity
 
 
 class Undeclared:
@@ -339,30 +343,33 @@ def test_phase_average_peak_memory():
 
 
 def test_birkhoff_batch_peak_memory():
-    # 64 orbits, two rows of 32 with one generator per row, over n = 320
-    # steps: ten blocks of BUDGET // 64 steps.  The traced peak was 331792
-    # bytes with a log per step and a buffer of squares, logs and scales
-    # made once per call; 330552 with the squares in the product buffer and
-    # a block array of scales, whose logs are summed once per block;
-    # 313928 with the product rescaled by powers of two.
+    # scan's shape: 64 orbits, two rows of 32 of one generator with a
+    # column of two epsilons, over n = 320 steps: ten blocks of BUDGET // 64
+    # steps.  The traced peak was 331792 bytes with a log per step and a
+    # buffer of squares, logs and scales made once per call; 330552 with
+    # the squares in the product buffer and a block array of scales, whose
+    # logs are summed once per block; 313928 with the product rescaled by
+    # powers of two; 248152 with the closed-form prefactors and the column.
     rng = np.random.default_rng(5)
     thetas, j0s = rng.random((2, 32)), rng.integers(0, 2, (2, 32))
     zs = np.exp(2j * np.pi * np.arange(32) / 32)
-    gens = [ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)]
-    assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, gens, zs, 320)) <= 313928
+    g = ExpGenerator([0.3, 0.5], 1)
+    assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, g, zs, 320)) <= 313928
 
 
 def test_ladder_batch_peak_memory():
-    # verify-t2's shape: the unperturbed row and five ladder rungs, 16
-    # orbits each, over n = 100 steps, five blocks of BUDGET // 96 steps.
-    # The traced peak was 315968 bytes with one generator call per row,
-    # 318536 with the rungs evaluated as one run.
+    # verify-t2's shape: the unperturbed row and five ladder rungs, one
+    # generator with a column of couplings, 16 orbits each, over n = 100
+    # steps, five blocks of BUDGET // 96 steps.  The traced peak was 315968
+    # bytes with one generator call per row, 318536 with the rungs
+    # evaluated as one run, 284272 with the closed-form prefactors and the
+    # column of couplings.
     rng = np.random.default_rng(6)
     thetas, j0s = rng.random((6, 16)), rng.integers(0, 2, (6, 16))
     zs = np.exp(2j * np.pi * np.arange(16) / 16)
     lmax = lambda_max(0.5, [1, 1, 1, 1])
-    gens = [ExpGenerator(0.5, 2)] + [PerturbedGenerator(0.5, 2, f * lmax, [1, 1, 1, 1])
-                                     for f in (0.8, 0.4, 0.2, 0.1, 0.05)]
+    gens = [ExpGenerator(0.5, 2), PerturbedGenerator(
+        0.5, 2, [f * lmax for f in (0.8, 0.4, 0.2, 0.1, 0.05)], [1, 1, 1, 1])]
     assert _traced_peak(lambda: birkhoff_scan(thetas, j0s, GOLDEN, gens, zs, 100)) <= 318536
 
 
@@ -396,6 +403,32 @@ def test_phase_average_profile_rejects_bad_n_max(n_max):
     # n_max = 0 used to return an empty profile, and -1 to fail inside numpy.
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         phase_average_profile(GOLDEN, ExpGenerator(0.5, 1), turn(0.2), n_max, 16)
+
+
+@pytest.mark.parametrize("z", [turn(0.2), 1.0], ids=["complex-z", "real-z"])
+@pytest.mark.parametrize("g", [
+    ExpGenerator([0.3, 0.5], 1),
+    ExpGenerator([0.3], 1),
+    PerturbedGenerator(0.5, 1, [0.01, 0.02], [1, 1]),
+    PerturbedGenerator([0.3, 0.5], 1, 0.0, [1, 1]),
+    [ExpGenerator(0.3, 1), ExpGenerator(0.5, 1)],
+], ids=["exp-column", "one-row-column", "lambda-column", "eps-column", "sequence"])
+def test_phase_average_takes_one_row_generator(monkeypatch, g, z):
+    # A phase average's rows are the parities: a two-row column or
+    # sequence would pair its first row with parity 0 and its second with
+    # parity 1, silently.  Each is refused before the engine runs, as a
+    # column generator is by the subharmonic check.
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(lyapunov, "grid_log_norms", engine)
+    with pytest.raises(ValueError, match="one row's generator"):
+        estimate_phase_average(GOLDEN, g, z, 4, 16)
+    with pytest.raises(ValueError, match="one row's generator"):
+        phase_average_profile(GOLDEN, g, z, 4, 16)
+    if isinstance(g, ExpGenerator):
+        with pytest.raises(ValueError, match="one row's generator"):
+            subharmonic_check(GOLDEN, g, z, 0, 2)
 
 
 @pytest.mark.parametrize("n", [0, -2])
