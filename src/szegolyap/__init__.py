@@ -9,7 +9,6 @@ subharmonic mean-value inequality behind it.
 from .dynamics import (
     AdmissibilityError,
     ConstantGenerator,
-    DegenerateCoefficientError,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityError",
     "ConstantGenerator",
-    "DegenerateCoefficientError",
     "ExpGenerator",
     "GOLDEN_MEAN",
     "NumericalBlowupError",

@@ -18,7 +18,6 @@ from . import svgchart
 from .cocycle import NumericalBlowupError
 from .dynamics import (
     AdmissibilityError,
-    DegenerateCoefficientError,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
@@ -254,6 +253,11 @@ def cmd_verify_t2(args) -> int:
     # Per epsilon, the unperturbed family and then the ladder, one rung per
     # row; all of them run as one batch.
     lmaxes = [lambda_max(eps, coeffs) for eps in args.eps]
+    for eps, lmax in zip(args.eps, lmaxes):
+        if not 0.0 < lmax < math.inf:  # the ladder would be all inf or all 0
+            print(f"numerical failure: lambda_max = {lmax} at epsilon = {eps} "
+                  "leaves the double range", file=sys.stderr)
+            return 3
     try:
         ladders = [PerturbedGenerator(eps, args.k, [f * lmax * direction for f in LADDER_FACTORS],
                                       coeffs) for eps, lmax in zip(args.eps, lmaxes)]
@@ -324,9 +328,11 @@ _OPTIONS = {
                                 help="estimator(s)")),
     "lam": ("--lambda", dict(type=parse_complex_pair, metavar="RE,IM",
                              help="perturbation coupling; verify-t2 takes only "
-                             "its direction, the ladder sets |lambda|")),
+                             "its direction, the ladder sets |lambda|; a value "
+                             "with a leading minus needs --lambda=-RE,IM")),
     "coeffs": ("--coeffs", dict(type=parse_coeff_list, metavar="RE,IM;RE,IM;...",
-                                help="2k perturbation coefficients a_l, l = -k..k-1")),
+                                help="2k perturbation coefficients a_l, l = -k..k-1; "
+                                "a list with a leading minus needs --coeffs=-RE,IM;...")),
     "seed": ("--seed", dict(type=nonnegative_int, default=0,
                             help="seed for Birkhoff start-point sampling")),
     "out": ("--out", dict(help="CSV output path")),
@@ -423,7 +429,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (DegenerateCoefficientError, NumericalBlowupError, AdmissibilityError) as exc:
+    except (NumericalBlowupError, AdmissibilityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

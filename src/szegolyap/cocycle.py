@@ -6,11 +6,10 @@ f in D is
     A = (1 - |f|^2)^(-1/2) [[z, -conj(f)], [-f z, 1]],
 
 with det A = z, an element of U(1,1) where |z| = 1.  The prefactor rho =
-(1 - |f|^2)^(-1/2) comes with the values (``dynamics.evaluate``): in closed
-form for every built-in family (1/eps for the exponential family, per value
-from the Horner pass that gives f for the perturbed one, exact in rationals
-for a constant), else computed from f in extended precision
-(``dynamics.extended_prefactor``).  Orbit products are
+(1 - |f|^2)^(-1/2) comes with the values (``dynamics.evaluate``), in closed
+form from the generator: 1/eps for the exponential family, per value from
+the Horner pass that gives f for the perturbed one, exact in rationals for
+a constant.  Orbit products are
 renormalized by exact powers of two, whose exponents are summed per
 orbit, so products of any length never overflow and the scaling never
 rounds.
@@ -20,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dynamics import Rotation, _Rows, evaluate, extended_prefactor
+from .dynamics import AdmissibilityError, Rotation, _Rows, evaluate
 from .mat2 import op_norm
 
 # One-step matrices built per block of steps in grid_log_norms.  2048 take
@@ -47,15 +46,22 @@ class NumericalBlowupError(ArithmeticError):
 
 def szego_matrices(f, z, rho=None):
     """Stack of one-step cocycle matrices; ``f`` and ``z`` broadcast, and the
-    real prefactors ``rho`` = (1 - |f|^2)^(-1/2) broadcast with them: as the
-    generator gives them (``dynamics.evaluate``), or, when None, computed
-    from f by ``dynamics.extended_prefactor``, which raises
-    DegenerateCoefficientError unless |f| < 1.
+    real prefactors ``rho`` = (1 - |f|^2)^(-1/2) broadcast with them, as the
+    generator gives them (``dynamics.evaluate``).  When None (the engine
+    never leaves it so), rho is ((1 - |f|)(1 + |f|))^(-1/2) in doubles: 1 -
+    |f| is exact for |f| >= 1/2, where 1 - |f|^2 from a rounded |f|^2
+    cancels.  It is an AdmissibilityError unless |f| < 1; a NaN passes.
     Entry-major: a ``(..., 2, 2)`` view in which each entry is contiguous."""
     f, z = np.asarray(f, dtype=complex), np.asarray(z, dtype=complex)
     if f.shape != z.shape:
         f, z = np.broadcast_arrays(f, z)  # a ufunc's own broadcast rounds t z otherwise
-    c = extended_prefactor(f) if rho is None else rho
+    c = rho
+    if c is None:
+        a = np.abs(f)
+        c = (1.0 - a) * (1.0 + a)
+        if (c <= 0.0).any():
+            raise AdmissibilityError("coefficient value with |f| >= 1 outside the unit disk")
+        c **= -0.5
     out = np.empty((2, 2) + f.shape, dtype=complex)
     np.multiply(c, z, out=out[0, 0, ...])
     # Both off-diagonals from t = -c f: conj(t) is -c conj(f) (up to the sign
@@ -196,11 +202,10 @@ def _fold(theta0s, j0, r: Rotation, g, zs, w, reach, n: int, recorded, work):
         # The stack is finite if 4 c w is, c its largest prefactor, and only
         # then is it not scanned entry by entry.  A prefactor in closed form
         # comes with |f| <= 1 up to rounding (1/eps lies in (1, inf], the
-        # perturbed family's is finite where its 1 - |f|^2 is > 0); one
-        # computed from f means evaluate has raised unless |f| < 1, and lies
-        # in [1, 2^537] or is NaN.  Either way every partial result of the
-        # entries is at most 2 c max(1, |z|).  A NaN or infinite c fails the
-        # test, as z = 0 (w = inf) and |z| near 2^1024 do.
+        # perturbed family's is finite where its 1 - |f|^2 is > 0), so every
+        # partial result of the entries is at most 2 c max(1, |z|).  A NaN
+        # or infinite c fails the test, as z = 0 (w = inf) and |z| near
+        # 2^1024 do.
         c = float(rho.max() if isinstance(rho, np.ndarray) else rho)
         vals = rho = None  # not held through the fold, whose reads set the peak
         if not 4.0 * c * w < math.inf:

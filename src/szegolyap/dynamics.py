@@ -11,11 +11,11 @@ one row per entry, each with the bits of its own scalar generator; a
 sequence of generators is stacked along the rows (``_Rows``).  A generator
 whose parity-1 values are the conjugates of its parity-0 values, bit for
 bit, may say so with a true ``conjugate_parity``; an object without the
-attribute is read as false.  A generator keeping |f| <= 1 up to rounding
-may state its prefactor (1 - |f|^2)^(-1/2) in closed form: as
-``prefactor``, a float or an array broadcasting with its values, or per
-value, with a true ``fills_prefactor``, by filling the float array of its
-values' full shape that its ``evaluate_grid`` takes as ``rho``.
+attribute is read as false.  A generator keeps |f| <= 1 up to rounding
+and gives its prefactor (1 - |f|^2)^(-1/2) in closed form: it states it as
+``prefactor``, a float or an array broadcasting with its values, or, with
+no ``prefactor``, fills it per value into the float array of its values'
+full shape that its ``evaluate_grid`` takes as ``rho``.
 ``evaluate(g, thetas, j)`` returns the values with their prefactors.
 """
 
@@ -33,10 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 class AdmissibilityError(ValueError):
     """A coefficient generator produced (or would produce) a value outside D."""
-
-
-class DegenerateCoefficientError(ArithmeticError):
-    """A coefficient sits too close to the unit circle for double precision."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +69,12 @@ def _per_row(g, name, convert):
 
 def _set_columns(g, rows, **constants):
     """Set ``g.rows`` and each of ``constants``, a list of one value per row:
-    its lone value where ``rows`` is None, else a (rows, 1) column."""
+    a (rows, 1) column, or its lone value where there is one row, so that a
+    one-row column evaluates as its scalar generator (at one element, numpy
+    rounds a complex product with a broadcast operand differently)."""
     object.__setattr__(g, "rows", rows)
     for name, values in constants.items():
-        object.__setattr__(g, name, values[0] if rows is None else np.array(values)[:, None])
+        object.__setattr__(g, name, values[0] if len(values) == 1 else np.array(values)[:, None])
 
 
 def _family_k(epsilons, k) -> int:
@@ -201,9 +199,6 @@ class PerturbedGenerator:
     lam: complex
     coeffs: tuple
 
-    # evaluate_grid fills a ``rho`` array with (1 - |f|^2)^(-1/2).
-    fills_prefactor = True
-
     def __post_init__(self):
         eps, eps_rows = _per_row(self, "epsilon", float)
         lams, lam_rows = _per_row(self, "lam", complex)
@@ -231,7 +226,7 @@ class PerturbedGenerator:
         c = [[lam * a for lam in lams] for a in coeffs]
         _set_columns(self, rows, modulus=[math.sqrt(1.0 - e**2) for e in eps],
                      _eps2=[e**2 for e in eps])
-        object.__setattr__(self, "_couplings", [cl[0] for cl in c] if rows is None
+        object.__setattr__(self, "_couplings", [cl[0] for cl in c] if len(lams) == 1
                            else np.array(c)[..., None])
         # f(theta, 1) = conj f(theta, 0) bit for bit: Horner's +, x and
         # conj(w) commute with conjugation when every lambda a_l is real.
@@ -284,10 +279,8 @@ class PerturbedGenerator:
 class _Rows:
     """A stack of generators along the row axis of orbits shaped (..., rows,
     N): a column generator takes its ``rows`` rows, any other generator one.
-    One call per generator, on its own rows; it fills ``rho``, or a scratch
-    array where none is given, with each one's prefactors (``evaluate``)."""
-
-    fills_prefactor = True
+    One call per generator, on its own rows; it fills ``rho`` with each
+    one's prefactors (``evaluate``)."""
 
     def __init__(self, gens, rows: int):
         self.parts, lo = [], 0
@@ -298,11 +291,9 @@ class _Rows:
         if lo != rows:
             raise ValueError(f"generators of {lo} rows for {rows} rows of orbits")
 
-    def evaluate_grid(self, thetas, j, rho=None):
+    def evaluate_grid(self, thetas, j, rho):
         thetas, j = np.broadcast_arrays(thetas, j)
         out = np.empty(thetas.shape, dtype=complex)
-        if rho is None:
-            rho = np.empty(thetas.shape)
         for rows, g in self.parts:
             out[..., rows, :], rho[..., rows, :] = evaluate(g, thetas[..., rows, :], j[..., rows, :])
         return out
@@ -313,37 +304,19 @@ def evaluate(g, thetas, j):
     one ``g.evaluate_grid`` call, and their prefactors (1 - |f|^2)^(-1/2),
     broadcasting with them.  The values come as a C-contiguous complex array
     of the shape of (thetas, j), copied into one only if they merely
-    broadcast to it.  The prefactors are filled in by the call where ``g``
-    fills them (into a fresh array, so each gets the bits of a call on its
-    own), else ``g``'s stated ``prefactor``, else ``extended_prefactor`` of
-    the values."""
+    broadcast to it.  The prefactors are ``g``'s stated ``prefactor``, else
+    filled in by the call (into a fresh array, so each gets the bits of a
+    call on its own); a ``g`` with neither is a TypeError."""
     shape = np.broadcast(thetas, j).shape
-    if getattr(g, "fills_prefactor", False):
+    rho = getattr(g, "prefactor", None)
+    if rho is None:
         rho = np.empty(shape)
         vals = g.evaluate_grid(thetas, j, rho=rho)
     else:
-        rho, vals = getattr(g, "prefactor", None), g.evaluate_grid(thetas, j)
+        vals = g.evaluate_grid(thetas, j)
     if not (isinstance(vals, np.ndarray) and vals.shape == shape and vals.flags.c_contiguous):
         vals = np.broadcast_to(vals, shape).astype(complex, order="C")
-    return vals, extended_prefactor(vals) if rho is None else rho
-
-
-def extended_prefactor(f):
-    """(1 - |f|^2)^(-1/2) from the values ``f``, with 1 - |f|^2 in extended
-    precision: in doubles it cancels as |f| -> 1.  Summed in place and
-    subtracted straight into doubles, so no extended-precision copy of f is
-    held.  Raises DegenerateCoefficientError where |f| rounded to >= 1.  Only
-    generators that state no prefactor, and ``szego_matrices`` without one,
-    reach it: its width depends on the platform."""
-    f = np.asarray(f, dtype=complex)
-    rem = np.square(f.real, dtype=np.longdouble)
-    rem += np.square(f.imag, dtype=np.longdouble)
-    rem = np.subtract(1.0, rem, out=np.empty(f.shape))
-    if (rem <= 0.0).any():
-        raise DegenerateCoefficientError(
-            "1 - |f|^2 underflowed to <= 0; coefficient too close to the unit circle"
-        )
-    return rem**-0.5
+    return vals, rho
 
 
 @dataclass(frozen=True)

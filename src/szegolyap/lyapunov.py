@@ -90,7 +90,7 @@ def _phase_means(r: Rotation, g, z, grid_size: int, marks):
     ``conjugate_parity`` (f(theta, 1) = conj f(theta, 0) bit for bit),
     A^z(theta, 1) = conj A^conj(z)(theta, 0), and conjugation commutes
     exactly with every operation of the engine (+, x, |.|, sqrt, a real
-    prefactor: stated in closed form, or from the extended 1 - |f|^2), so
+    prefactor, stated or filled in closed form by the generator), so
     log ||A^z_m(theta, 1)|| = log ||A^conj(z)_m(theta, 0)||
     byte for byte.  At any real z the parity-1 row is then the parity-0 row:
     only that row runs and its mean counts twice (mu[0] + mu[-1], and

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from szegolyap.cocycle import szego_matrices
-from szegolyap.dynamics import evaluate
+from szegolyap.dynamics import AdmissibilityError, evaluate
 
 # Indefinite form preserved by U(1,1).
 J = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
@@ -28,6 +28,26 @@ def one_step(g, theta, j, z):
     generator's grid evaluation and its prefactor, by ``szego_matrices``."""
     f, rho = evaluate(g, np.array([theta]), j)
     return szego_matrices(f, z, rho)[0]
+
+
+class Filled:
+    """A generator ``g`` that gives values only, made to fill its prefactors
+    (1 - |f|^2)^(-1/2) from them, in doubles as the two-argument
+    ``szego_matrices`` forms them: ((1 - |f|)(1 + |f|))^(-1/2), NaN for a
+    NaN value, an AdmissibilityError where |f| >= 1.  The values are
+    returned as ``g`` gives them."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def evaluate_grid(self, thetas, j, rho):
+        f = self.g.evaluate_grid(thetas, j)
+        a = np.abs(np.broadcast_to(f, rho.shape))
+        np.multiply(1.0 - a, 1.0 + a, out=rho)
+        if (rho <= 0.0).any():
+            raise AdmissibilityError("coefficient value with |f| >= 1 outside the unit disk")
+        rho **= -0.5
+        return f
 
 
 def conjugator(j, z):

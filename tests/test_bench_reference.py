@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from szegolyap import cli
+from szegolyap import cli, cocycle
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -56,3 +56,21 @@ def test_variant_matches_reference(name, variant, tmp_path, monkeypatch):
     }
     expected = REFERENCE.load()[name][variant]
     assert REFERENCE.outputs_mismatch(expected, actual) is None
+
+
+def test_benchmark_commands_give_every_step_its_prefactor(tmp_path, monkeypatch):
+    # The generators are the engine's one source of prefactors: every
+    # one-step stack built by a benchmark command gets them, and none is
+    # formed from f by the two-argument szego_matrices.
+    build, calls = cocycle.szego_matrices, []
+
+    def spy(f, z, rho=None):
+        calls.append(rho is not None)
+        return build(f, z, rho)
+
+    monkeypatch.setattr(cocycle, "szego_matrices", spy)
+    monkeypatch.chdir(tmp_path)
+    for name, wl in WORKLOADS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(wl.argv(0)) == REFERENCE.load()[name][0]["exit"], name
+    assert calls and all(calls)

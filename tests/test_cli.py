@@ -363,6 +363,19 @@ def test_verify_t2_all_zero_coeffs_is_config_error(capsys):
     assert "numerical failure" not in err
 
 
+@pytest.mark.parametrize("coeffs, lmax", [("1e-320,0;0,0", "inf"), ("1e308,0;1e308,0", "0.0")],
+                         ids=["overflow", "underflow"])
+def test_verify_t2_radius_outside_the_double_range_is_numerical_failure(capsys, coeffs, lmax):
+    # A subnormal sum|a_l| makes lambda_max overflow, and a sum that
+    # overflows makes it 0: either would scale the whole ladder to inf or
+    # to 0, so the command stops before it, naming lambda_max and epsilon.
+    rc, out, err = run(capsys, "verify-t2", "--eps", "0.5", "--k", "1", "--coeffs", coeffs,
+                       "--z-grid", "2", "--n", "5")
+    assert rc == 3
+    assert f"numerical failure: lambda_max = {lmax} at epsilon = 0.5" in err
+    assert out == "" and "Traceback" not in err
+
+
 def test_subharmonic_report(capsys):
     rc, out, _ = run(
         capsys,
@@ -562,10 +575,10 @@ def test_usage_error_exit_code():
         (["verify-t2", "--coeffs", "nan;1"], "--coeffs"),
         (["verify-t2", "--lambda", "nan,0"], "--lambda"),
         (["verify-t1", "--tol", "nan", "--grid", "16"], "--tol"),
-        (["verify-t1", "--tol", "-1e-3", "--grid", "16"], "--tol"),
+        (["verify-t1", "--tol=-1e-3", "--grid", "16"], "--tol"),
         (["subharmonic", "--tol", "inf"], "--tol"),
         (["verify-t2", "--threshold", "nan"], "--threshold"),
-        (["verify-t2", "--threshold", "-inf"], "--threshold"),
+        (["verify-t2", "--threshold=-inf"], "--threshold"),
         # Rules the generator constructors own; the CLI reports their reason.
         (["scan", "--k", "-1", "--lambda", "0.01"], "k must be a positive integer"),
         (["scan", "--k", "2", "--lambda", "0.01", "--coeffs", "1;1"],
@@ -582,6 +595,34 @@ def test_rejected_by_parser(capsys, argv, reason):
     assert rc == 2
     assert "Traceback" not in err
     assert reason in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-t1", "--tol=-1e-3"], "argument --tol: must be finite and >= 0, got -0.001"),
+        (["verify-t2", "--threshold=-inf"], "argument --threshold: must be finite, got -inf"),
+    ],
+    ids=["tol", "threshold"],
+)
+def test_negative_values_reach_their_check(capsys, argv, message):
+    # Written with "=", a value with a leading minus is the option's value
+    # and fails its own check, not argparse's "expected one argument".
+    rc, _, err = run(capsys, *argv, "--z-grid", "1", "--n", "2")
+    assert rc == 2
+    assert message in err
+
+
+def test_negative_values_on_the_command_line_match_a_config_file(tmp_path, capsys):
+    # "--lambda=-0.002,0" and "--coeffs=-1;1" give the run of the same
+    # values read from a config file.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = -0.002,0\ncoeffs = -1;1\n")
+    common = ("scan", "--z-grid", "2", "--n", "20")
+    rc, out, err = run(capsys, *common, "--lambda=-0.002,0", "--coeffs=-1;1")
+    assert rc == 0, err
+    assert float(out.splitlines()[1].split(",")[2]) == 0.002
+    assert run(capsys, *common, "--config", str(cfg)) == (0, out, "")
 
 
 @pytest.mark.filterwarnings("error")

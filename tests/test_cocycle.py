@@ -16,7 +16,6 @@ from szegolyap.cocycle import NumericalBlowupError, grid_log_norms
 from szegolyap.dynamics import (
     AdmissibilityError,
     ConstantGenerator,
-    DegenerateCoefficientError,
     ExpGenerator,
     GOLDEN_MEAN,
     PerturbedGenerator,
@@ -24,7 +23,7 @@ from szegolyap.dynamics import (
     lambda_max,
 )
 from szegolyap.lyapunov import birkhoff_scan
-from szego_algebra import SWAP, conjugated_step, conjugator, one_step, u11_residual
+from szego_algebra import SWAP, Filled, conjugated_step, conjugator, one_step, u11_residual
 
 GOLDEN = Rotation(GOLDEN_MEAN)
 
@@ -132,25 +131,32 @@ def test_det_of_products_is_z_to_the_n(kind, log_eps, k, n, z_turn, seed):
 
 
 def test_szego_matrices_without_prefactor_keep_their_bytes():
-    # Without a stated prefactor, szego_matrices takes 1 - |f|^2 from f in
-    # extended precision: the bytes of that formula written plainly, and
-    # of passing its result as the prefactor.
+    # Without a prefactor, szego_matrices takes 1 - |f|^2 from f in doubles
+    # as (1 - |f|)(1 + |f|), whose 1 - |f| is exact for |f| >= 1/2: the
+    # bytes of that formula written plainly.  It rejects |f| >= 1 and lets
+    # a NaN through to its own matrix, leaving the others finite.
     rng = np.random.default_rng(33)
     f = np.sqrt(rng.random((6, 50))) * np.exp(2j * np.pi * rng.random((6, 50)))
     f[0, :3] = [0.0, 1.0 - 2.0**-40, 0.5]
     z = np.exp(2j * np.pi * rng.random(50))
-    sq = f.real.astype(np.longdouble) ** 2 + f.imag.astype(np.longdouble) ** 2
-    c = (1.0 - sq).astype(float) ** -0.5
+    a = np.abs(f)
+    c = ((1.0 - a) * (1.0 + a)) ** -0.5
     t = -c * f
     want = np.stack([np.stack([c * z, np.conj(t)], -1), np.stack([t * z, c + 0j], -1)], -2)
     assert _bits(cocycle.szego_matrices(f, z)).tobytes() == _bits(want).tobytes()
-    assert _bits(cocycle.szego_matrices(f, z, dynamics.extended_prefactor(f))).tobytes() == (
-        _bits(want).tobytes())
+    for bad in (1.0, -1j, 0.6 + 0.8j, 1.5):
+        f[1, 7] = bad
+        with pytest.raises(AdmissibilityError):
+            cocycle.szego_matrices(f, z)
+    f[1, 7] = complex(np.nan, 0.0)
+    mats = cocycle.szego_matrices(f, z)
+    assert np.isnan(mats[1, 7]).all()
+    assert np.isfinite(np.delete(mats.reshape(-1, 2, 2), 57, axis=0)).all()
 
 
 class Unstated:
-    """A generator's values with no prefactor stated, as a duck-typed
-    generator gives them."""
+    """A generator's values with no prefactor stated or filled, as a
+    duck-typed generator might give them."""
 
     def __init__(self, g):
         self.g = g
@@ -159,41 +165,34 @@ class Unstated:
         return self.g.evaluate_grid(thetas, j)
 
 
-def test_rows_without_a_closed_form_keep_their_bytes_in_a_mixed_batch(monkeypatch):
-    # Rows that state no prefactor (a constant behind a duck-typed wrapper,
-    # parity-blind rows) between exponential, perturbed and constant rows of
-    # one batch get the prefactors computed from their own values: their
-    # log norms and checkpoints are the bytes of an engine whose one-step
-    # matrices ignore every prefactor given in closed form.
-    gens = ([ExpGenerator(0.4, 1)] + _ladder(0.5, 2, [1, 1, 1, 1], (0.8, 0.4))
-            + [Unstated(ConstantGenerator(0.3 - 0.6j)), ExpGenerator(0.3, 1), ParityBlind(),
-               PerturbedGenerator(0.6, 1, 0.0, [1, 1]), ConstantGenerator(0.5j),
-               Unstated(ConstantGenerator(0.5j))])
-    rng = np.random.default_rng(34)
-    rows, width, n, marks = len(gens), 9, 40, [3, 17]
-    args = (rng.random((rows, width)), rng.integers(0, 2, (rows, width)), GOLDEN, gens,
-            np.exp(2j * np.pi * rng.random(width)), n)
-    logn, rec = grid_log_norms(*args, checkpoints=marks)
-    build = cocycle.szego_matrices
-    monkeypatch.setattr(cocycle, "szego_matrices", lambda f, z, rho=None: build(f, z))
-    old, rec_old = grid_log_norms(*args, checkpoints=marks)
-    for row, g in enumerate(gens):
-        if isinstance(g, (Unstated, ParityBlind)):
-            assert logn[row].tobytes() == old[row].tobytes(), row
-            assert all(rec[m][row].tobytes() == rec_old[m][row].tobytes() for m in marks)
+def test_generator_without_a_prefactor_is_a_type_error():
+    # The generator is the engine's one source of prefactors: one that
+    # neither states nor fills them is a TypeError, alone or as a row of a
+    # batch with generators that do.
+    args = [0.1, 0.2], [[0], [1]], GOLDEN
+    with pytest.raises(TypeError, match="rho"):
+        grid_log_norms(*args, Unstated(ExpGenerator(0.5, 1)), 1.0, 3)
+    gens = [ExpGenerator(0.5, 1), Unstated(ConstantGenerator(0.5j))]
+    with pytest.raises(TypeError, match="rho"):
+        grid_log_norms(*args, gens, 1.0, 3)
+    gens[1] = Filled(Unstated(ConstantGenerator(0.5j)))
+    assert np.isfinite(grid_log_norms(*args, gens, 1.0, 3)[0]).all()
 
 
 @pytest.mark.parametrize("eps", [0.5, 1e-12])
-def test_built_in_families_never_reach_extended_precision(monkeypatch, eps):
+def test_engine_gives_every_step_its_prefactor(monkeypatch, eps):
     # Every built-in family gives its prefactor in closed form, so the
-    # engine computes none from f in extended precision, whose width
-    # depends on the platform: not for one generator, nor for a sequence
-    # of them, nor where f rounds onto the unit circle.
-    def unreachable(f):
-        raise AssertionError("extended precision reached")
+    # engine passes one with every stack of one-step matrices it builds:
+    # for one generator, for a sequence of them, and where f rounds onto
+    # the unit circle.
+    build, calls = cocycle.szego_matrices, []
 
-    monkeypatch.setattr(dynamics, "extended_prefactor", unreachable)
-    monkeypatch.setattr(cocycle, "extended_prefactor", unreachable)
+    def spy(f, z, rho=None):
+        assert rho is not None
+        calls.append(f.shape)
+        return build(f, z, rho)
+
+    monkeypatch.setattr(cocycle, "szego_matrices", spy)
     gens = ([ExpGenerator(eps, 2)] + _ladder(eps, 2, [1, 1j, -1, 0.5], (0.999, 0.5))
             + [ConstantGenerator(0.3 - 0.6j), PerturbedGenerator(eps, 1, 0.0, [1, 1]),
                ExpGenerator(0.3, -1)])
@@ -203,6 +202,7 @@ def test_built_in_families_never_reach_extended_precision(monkeypatch, eps):
     assert np.isfinite(grid_log_norms(thetas, j0s, GOLDEN, gens, zs, 30)[0]).all()
     for g in gens:
         assert np.isfinite(grid_log_norms(thetas[0], j0s, GOLDEN, g, zs, 30)[0]).all()
+    assert len(calls) == 1 + len(gens)
 
 
 def test_szego_is_u11():
@@ -213,7 +213,7 @@ def test_szego_is_u11():
 
 
 def test_szego_degenerate_coefficient():
-    with pytest.raises(DegenerateCoefficientError):
+    with pytest.raises(AdmissibilityError):
         cocycle.szego_matrices(1.0 - 1e-17, turn(0.3))
 
 
@@ -389,7 +389,7 @@ def test_accumulate_scalar_matrices():
     # overflow, the stripped powers of two must add up to the closed form.
     n = 5000
     theta0s = np.array([0.0, 0.41])
-    logn, _ = grid_log_norms(theta0s, 0, GOLDEN, RealCosineGenerator(), 1.0 + 0.0j, n)
+    logn, _ = grid_log_norms(theta0s, 0, GOLDEN, Filled(RealCosineGenerator()), 1.0 + 0.0j, n)
     for theta0, got in zip(theta0s, logn):
         thetas = (theta0 + np.arange(n) * GOLDEN.alpha) % 1.0
         f = 0.5 + 0.45 * np.cos(2.0 * np.pi * thetas)
@@ -410,7 +410,7 @@ class LateNaNGenerator:
 @pytest.mark.filterwarnings("error")
 def test_accumulate_blowup_detection():
     with pytest.raises(NumericalBlowupError, match=r"at step 1$"):
-        grid_log_norms([0.1, 0.2], 0, GOLDEN, NaNGenerator(), 1.0 + 0.0j, 3)
+        grid_log_norms([0.1, 0.2], 0, GOLDEN, Filled(NaNGenerator()), 1.0 + 0.0j, 3)
 
 
 @pytest.mark.filterwarnings("error")
@@ -418,7 +418,7 @@ def test_accumulate_blowup_detection():
 def test_blowup_names_first_non_finite_step(monkeypatch, budget):
     monkeypatch.setattr(cocycle, "BUDGET", budget)
     with pytest.raises(NumericalBlowupError, match=r"at step 4$"):
-        grid_log_norms([0.0], 1, Rotation(0.1), LateNaNGenerator(), 1.0 + 0.0j, 10)
+        grid_log_norms([0.0], 1, Rotation(0.1), Filled(LateNaNGenerator()), 1.0 + 0.0j, 10)
 
 
 @pytest.mark.filterwarnings("error")
@@ -427,7 +427,7 @@ def test_blowup_names_first_non_finite_step_over_tiles(monkeypatch):
     # coefficient at step 4, the second tile's (from 0.1) at step 3.
     monkeypatch.setattr(cocycle, "TILE", 1)
     with pytest.raises(NumericalBlowupError, match=r"at step 3$"):
-        grid_log_norms([0.0, 0.1], 1, Rotation(0.1), LateNaNGenerator(), 1.0 + 0.0j, 10)
+        grid_log_norms([0.0, 0.1], 1, Rotation(0.1), Filled(LateNaNGenerator()), 1.0 + 0.0j, 10)
 
 
 class RowOneFaultGenerator:
@@ -457,12 +457,12 @@ def test_faults_on_one_parity_row(monkeypatch, budget, tile):
     monkeypatch.setattr(cocycle, "TILE", tile)
     args = [0.5, 0.1], [[0], [1]], Rotation(0.1)
     with pytest.raises(NumericalBlowupError, match=r"at step 3$") as info:
-        grid_log_norms(*args, RowOneFaultGenerator(np.nan), 1.0, 12)
+        grid_log_norms(*args, Filled(RowOneFaultGenerator(np.nan)), 1.0, 12)
     assert info.value.step == 3
-    with pytest.raises(DegenerateCoefficientError):
-        grid_log_norms(*args, RowOneFaultGenerator(1.0), 1.0, 12)
+    with pytest.raises(AdmissibilityError):
+        grid_log_norms(*args, Filled(RowOneFaultGenerator(1.0)), 1.0, 12)
     # Rows of parity 0 alone meet no fault.
-    grid_log_norms(args[0], 0, args[2], RowOneFaultGenerator(np.nan), 1.0, 12)
+    grid_log_norms(args[0], 0, args[2], Filled(RowOneFaultGenerator(np.nan)), 1.0, 12)
     g = PerturbedGenerator(0.5, 1, 0.0, [1, 1])
     # Couplings lambda a_l of lambda = 0.9, past the radius the constructor
     # enforces, in place of those it took.
@@ -483,21 +483,22 @@ def test_one_step_entries_are_bounded_by_the_largest_prefactor(fs, z_mod, z_turn
     # The premise of the engine's finiteness proof: for admissible f (|f| <
     # 1, down to 1 - |f| of about 1e-16) and finite z, |z| <= 2^500, the
     # (1, 1) entry of a one-step matrix is its prefactor c = (1 -
-    # |f|^2)^(-1/2), so the stack's largest (1, 1) real part is the largest
-    # c, and every entry is at most 2 c max(1, |z|) in modulus.
+    # |f|^2)^(-1/2), here exact to 60 digits and rounded once, so the
+    # stack's largest (1, 1) real part is the largest c, and every entry is
+    # at most 2 c max(1, |z|) in modulus.
     f = np.array([r * np.exp(2j * np.pi * t) for r, t in fs])
     z = z_mod * np.exp(2j * np.pi * z_turn)
-    try:
-        mats = cocycle.szego_matrices(f, z)
-    except DegenerateCoefficientError:
-        assume(False)  # |f| rounded to 1
+    with mpmath.workdps(60):
+        rems = [1 - mpmath.mpf(x.real) ** 2 - mpmath.mpf(x.imag) ** 2 for x in f]
+        assume(min(rems) > 0)  # |f| rounded to 1 or past it
+        rho = np.array([float(rem**-0.5) for rem in rems])
+    mats = cocycle.szego_matrices(f, z, rho)
     a11 = mats[..., 1, 1]
     assert np.all(a11.imag == 0.0)
     c = a11.real
-    with mpmath.workdps(40):
-        for x, cx in zip(f, c):  # 1 - |f|^2 ~ 2e-16 keeps 4 digits in extended precision
-            rem = 1 - mpmath.mpf(x.real) ** 2 - mpmath.mpf(x.imag) ** 2
-            assert float(cx**2 * rem) == pytest.approx(1.0, rel=1e-3)
+    with mpmath.workdps(60):
+        for cx, rem in zip(c, rems):
+            assert float(cx**2 * rem) == pytest.approx(1.0, rel=1e-15)
     assert np.all((1.0 <= c) & (c <= 2.0**537))
     assert np.all(np.abs(mats) <= 2.0 * c[:, None, None] * max(1.0, abs(z)))
     assert np.isfinite(mats).all()
@@ -543,7 +544,7 @@ def test_unproven_blocks_are_scanned(finite_checks):
     # by entry, and a NaN still names its step.
     def nan():
         with pytest.raises(NumericalBlowupError, match=r"at step 1$"):
-            grid_log_norms([0.1, 0.2], 0, GOLDEN, NaNGenerator(), 1.0, 3)
+            grid_log_norms([0.1, 0.2], 0, GOLDEN, Filled(NaNGenerator()), 1.0, 3)
 
     assert finite_checks(nan) == [(3, 2, 2, 2)]
     args = [0.1, 0.2, 0.3], [[0], [1]], GOLDEN, ExpGenerator(0.5, 1), [1.0, 0.0, 1j], 5
@@ -1418,12 +1419,9 @@ def test_coefficients_match_mod_one_angles(seed, make, parts):
     thetas, parity = GOLDEN.orbit(theta0s, j0s, ms)
     assert np.array_equal(thetas, (theta0s + ms * GOLDEN.alpha) % 1.0)
     assert np.array_equal(parity, (j0s + ms) % 2)
-    got = rowwise.evaluate_grid(thetas, parity)
+    got, rho = dynamics.evaluate(rowwise, thetas, parity)
     for row, g in enumerate(gens):
         assert got[:, row].tobytes() == g.evaluate_grid(thetas[:, row], parity[:, row]).tobytes()
-    vals, rho = dynamics.evaluate(rowwise, thetas, parity)
-    assert vals.tobytes() == got.tobytes()
-    for row, g in enumerate(gens):
         want = dynamics.evaluate(g, thetas[:, row], parity[:, row])[1]
         assert (np.broadcast_to(rho, got.shape)[:, row].tobytes()
                 == np.broadcast_to(want, got[:, row].shape).tobytes())
@@ -1456,9 +1454,10 @@ def test_generator_ignoring_parity_fills_both_rows():
     # each row equals the same orbits run alone at that parity, and so the
     # other row.
     thetas, z = np.linspace(0.0, 0.9, 7), cmath.exp(0.3j)
-    both, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, ParityBlind(), z, 30, checkpoints=[9])
+    g = Filled(ParityBlind())
+    both, rec = grid_log_norms(thetas, [[0], [1]], GOLDEN, g, z, 30, checkpoints=[9])
     for j in (0, 1):
-        alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, ParityBlind(), z, 30, checkpoints=[9])
+        alone, rec_alone = grid_log_norms(thetas, j, GOLDEN, g, z, 30, checkpoints=[9])
         assert both[j].tobytes() == alone.tobytes()
         assert rec[9][j].tobytes() == rec_alone[9].tobytes()
     assert both[0].tobytes() == both[1].tobytes()
@@ -1474,6 +1473,8 @@ def test_coefficients_of_the_orbit_shape_in_any_form(form):
     # same values as a C-contiguous complex array.
     def formed(form):
         class Formed:
+            prefactor = 2.0  # 1/eps
+
             @staticmethod
             def evaluate_grid(thetas, j):
                 return form(ExpGenerator(0.5, 1).evaluate_grid(thetas, j))
@@ -1490,7 +1491,7 @@ def _row_generators(rng, blocks):
     column of ``count`` epsilons, a perturbed ladder of one eps with a
     column of real or complex couplings, a column of epsilons at one
     complex coupling (``scan --lambda``), or ``count`` constants or
-    parity-blind rows."""
+    parity-blind rows, which fill their prefactors."""
     gens = []
     for kind, k, count in blocks:
         if kind == "exp":
@@ -1505,7 +1506,7 @@ def _row_generators(rng, blocks):
         elif kind == "constant":
             gens += [ConstantGenerator(complex(*rng.uniform(-0.6, 0.6, 2))) for _ in range(count)]
         else:
-            gens += [ParityBlind()] * count
+            gens += [Filled(ParityBlind())] * count
     return gens
 
 
@@ -1524,27 +1525,30 @@ def _row_generators(rng, blocks):
                  ("scan", 2, 3), ("real", 2, 2), ("constant", 1, 1), ("blind", 1, 2),
                  ("exp", 2, 3)],
          width=5, n=9, tile=7, seed=3)
+@example(blocks=[("complex", 1, 1)], width=5, n=1, tile=1, seed=0)  # one-row column, one element
 def test_runs_match_one_call_per_row(blocks, width, n, tile, seed):
     # Column generators (exponential rows of their own eps, perturbed rows
     # of their own lambda or their own eps), between constants and
     # parity-blind rows, give every row the bytes of its own scalar
-    # generator's call, in the stack's values and in the engine's log norms
-    # and checkpoints.
+    # generator's call, in the stack's values and prefactors and in the
+    # engine's log norms and checkpoints.
     rng = np.random.default_rng(seed)
     gens = _row_generators(rng, blocks)
     twins = [row for g in gens for row in _scalar_rows(g)]
     rows = len(twins)
     theta0s, j0s = rng.uniform(-1.0, 2.0, (rows, width)), rng.integers(0, 2, (rows, width))
     thetas, parity = GOLDEN.orbit(theta0s, j0s, np.arange(n)[:, None, None])
-    got = dynamics._Rows(gens, rows).evaluate_grid(thetas, parity)
+    rho = np.empty(thetas.shape)
+    got = dynamics._Rows(gens, rows).evaluate_grid(thetas, parity, rho)
     zs = rng.uniform(0.5, 2.0, width) * np.exp(2j * np.pi * rng.random(width))
     marks = [1, n // 2 + 1, n]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocycle, "TILE", tile)
         logn, rec = grid_log_norms(theta0s, j0s, GOLDEN, gens, zs, n, checkpoints=marks)
     for row, g in enumerate(twins):
-        one = g.evaluate_grid(thetas[:, row], parity[:, row])
-        assert got[:, row].tobytes() == np.broadcast_to(one, (n, width)).tobytes()
+        one, one_rho = dynamics.evaluate(g, thetas[:, row], parity[:, row])
+        assert got[:, row].tobytes() == one.tobytes()
+        assert rho[:, row].tobytes() == np.broadcast_to(one_rho, (n, width)).tobytes()
         alone, rec_alone = grid_log_norms(theta0s[row], j0s[row], GOLDEN, g, zs, n,
                                           checkpoints=marks)
         assert logn[row].tobytes() == alone.tobytes()

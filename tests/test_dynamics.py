@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import szegolyap
 from szegolyap.dynamics import (
     AdmissibilityError,
     ConstantGenerator,
@@ -521,3 +523,14 @@ def test_constant_on_or_past_the_circle_is_rejected(v):
     # has no prefactor: a NaN used to be accepted.
     with pytest.raises(AdmissibilityError):
         ConstantGenerator(v)
+
+
+def test_package_uses_no_extended_precision():
+    # Every prefactor comes from a closed form in doubles, not from a float
+    # type whose width depends on the platform.
+    package = Path(szegolyap.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert "longdouble" not in text and "float128" not in text, path.name

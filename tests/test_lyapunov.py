@@ -228,10 +228,11 @@ def test_conjugate_parity_declared_exactly_where_it_holds(kind):
 
 
 class Undeclared:
-    """A generator without ``conjugate_parity``: read as not symmetric."""
+    """A generator without ``conjugate_parity``: read as not symmetric.  It
+    states the prefactor of the generator it wraps."""
 
     def __init__(self, g):
-        self.g = g
+        self.g, self.prefactor = g, g.prefactor
 
     def evaluate_grid(self, thetas, j):
         return self.g.evaluate_grid(thetas, j)
